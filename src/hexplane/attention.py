@@ -243,8 +243,7 @@ def encode_points(positions, feats, params: PointEncoderParams, voxel_size=0.4):
     cells = np.floor((positions - positions.min(axis=0)) / voxel_size).astype(np.int64)
     _, inverse = np.unique(cells, axis=0, return_inverse=True)
     counts = np.bincount(inverse).astype(np.float64)
-    sums = np.zeros((counts.shape[0], h1.shape[1]))
-    np.add.at(sums, inverse, h1)
+    sums = ops.scatter_rows(inverse, h1, counts.shape[0])
     pooled = sums[inverse] / counts[inverse][:, None]
 
     both = np.concatenate([h1, pooled], axis=1)
@@ -263,8 +262,7 @@ def encode_points_backward(grad, cache):
     dpooled = dboth[:, width:]
 
     # mean-pool backward: per-cell sum of the pooled gradient spread evenly
-    cell_sum = np.zeros((counts.shape[0], width))
-    np.add.at(cell_sum, inverse, dpooled)
+    cell_sum = ops.scatter_rows(inverse, dpooled, counts.shape[0])
     dh1 += cell_sum[inverse] / counts[inverse][:, None]
 
     g1 = ops.leaky_relu_backward(dh1, act1)

@@ -43,24 +43,27 @@ def load_checkpoint(path) -> dict:
     if not raw.startswith(_MAGIC):
         raise ValueError("not a checkpoint file (bad magic)")
     offset = len(_MAGIC)
-    version, count = struct.unpack_from("<HI", raw, offset)
-    offset += struct.calcsize("<HI")
+
+    def take(nbytes):
+        nonlocal offset
+        if offset + nbytes > len(raw):
+            raise ValueError(
+                f"truncated checkpoint: needs {offset + nbytes} bytes, has {len(raw)}"
+            )
+        offset += nbytes
+        return raw[offset - nbytes : offset]
+
+    version, count = struct.unpack("<HI", take(6))
     if version != _VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
     params = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", raw, offset)
-        offset += 2
-        name = raw[offset : offset + name_len].decode("utf-8")
-        offset += name_len
-        (ndim,) = struct.unpack_from("<B", raw, offset)
-        offset += 1
-        shape = struct.unpack_from(f"<{ndim}Q", raw, offset)
-        offset += 8 * ndim
+        (name_len,) = struct.unpack("<H", take(2))
+        name = take(name_len).decode("utf-8")
+        (ndim,) = struct.unpack("<B", take(1))
+        shape = struct.unpack(f"<{ndim}Q", take(8 * ndim))
         size = int(np.prod(shape)) if ndim else 1
-        arr = np.frombuffer(raw, dtype="<f8", count=size, offset=offset).reshape(shape)
-        offset += 8 * size
-        params[name] = arr.copy()
+        params[name] = np.frombuffer(take(8 * size), dtype="<f8").reshape(shape).copy()
     if offset != len(raw):
         raise ValueError("trailing bytes after last tensor")
     return params

@@ -23,7 +23,7 @@ from .images import export_plane_images, save_projection_index
 from .metrics import ConfusionMatrix, report_json, report_table, segmentation_scores
 from .model import HexPlaneModel
 from .projection import hexplane_project, rasterize_labels
-from .training import DivergenceError, train_toy, write_log
+from .training import DivergenceError, NonFiniteGradientError, train_toy, write_log
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -227,7 +227,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except DivergenceError as exc:
+    except (DivergenceError, NonFiniteGradientError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (cfg.ConfigError, CloudFormatError, ValueError, OSError) as exc:

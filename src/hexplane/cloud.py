@@ -26,10 +26,9 @@ canonical bytes of ``f``.
 
 from __future__ import annotations
 
-import io
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -8,7 +8,7 @@ and linearly mixed down to the output width.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

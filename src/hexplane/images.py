@@ -128,29 +128,31 @@ def load_projection_index(path):
     if not raw.startswith(_IDX_MAGIC):
         raise ValueError("not a projection index file (bad magic)")
     offset = len(_IDX_MAGIC)
-    version, count, n = struct.unpack_from("<HBQ", raw, offset)
-    offset += struct.calcsize("<HBQ")
+
+    def take(nbytes):
+        nonlocal offset
+        if offset + nbytes > len(raw):
+            raise ValueError(
+                f"truncated projection index: needs {offset + nbytes} bytes, "
+                f"has {len(raw)}"
+            )
+        offset += nbytes
+        return raw[offset - nbytes : offset]
+
+    version, count, n = struct.unpack("<HBQ", take(11))
     if version != _IDX_VERSION:
         raise ValueError(f"unsupported index version {version}")
     planes = []
     for _ in range(count):
-        kind_i, h, w = struct.unpack_from("<BII", raw, offset)
-        offset += struct.calcsize("<BII")
-
-        def take(dtype, size):
-            nonlocal offset
-            arr = np.frombuffer(raw, dtype=dtype, count=size, offset=offset)
-            offset += arr.nbytes
-            return arr
-
+        kind_i, h, w = struct.unpack("<BII", take(9))
         planes.append(
             {
                 "kind": PLANE_KINDS[kind_i],
-                "winner": take("<i8", h * w).reshape(h, w).copy(),
-                "zbuffer": take("<f8", h * w).reshape(h, w).copy(),
-                "u": take("<f8", n).copy(),
-                "v": take("<f8", n).copy(),
-                "in_fov": take("u1", n).astype(bool),
+                "winner": np.frombuffer(take(8 * h * w), "<i8").reshape(h, w).copy(),
+                "zbuffer": np.frombuffer(take(8 * h * w), "<f8").reshape(h, w).copy(),
+                "u": np.frombuffer(take(8 * n), "<f8").copy(),
+                "v": np.frombuffer(take(8 * n), "<f8").copy(),
+                "in_fov": np.frombuffer(take(n), "u1").astype(bool),
             }
         )
     return planes

@@ -8,7 +8,6 @@ the precision at r', over the recall values attained at true positives.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 

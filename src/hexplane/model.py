@@ -8,7 +8,7 @@ baseline: point branch straight into the point head.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

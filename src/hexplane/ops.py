@@ -108,6 +108,24 @@ def conv2d_backward(grad, cache):
 
 
 # ---------------------------------------------------------------------------
+# Row scatter-add
+# ---------------------------------------------------------------------------
+
+
+def scatter_rows(ids, vals, n_rows):
+    """out[ids[i]] += vals[i] into zeros of shape (n_rows,) + vals.shape[1:].
+
+    Bit-identical to numpy's unbuffered `ufunc.at` scatter-add: bincount adds
+    each bin's weights in input order starting from zero, just as that does,
+    and runs several times faster.
+    """
+    width = int(np.prod(vals.shape[1:], dtype=np.int64))
+    bins = (ids[:, None] * width + np.arange(width)).ravel()
+    out = np.bincount(bins, weights=vals.ravel(), minlength=n_rows * width)
+    return out.reshape((n_rows,) + vals.shape[1:])
+
+
+# ---------------------------------------------------------------------------
 # Bilinear resize (endpoint-aligned) and bilinear point sampling
 # ---------------------------------------------------------------------------
 
@@ -132,11 +150,13 @@ def _resize_axis0(x, i0, i1, w1):
 
 
 def _resize_axis0_transpose(grad, n_in, i0, i1, w1):
-    out = np.zeros((n_in,) + grad.shape[1:])
     w1r = w1.reshape(-1, *([1] * (grad.ndim - 1)))
-    np.add.at(out, i0, grad * (1.0 - w1r))
-    np.add.at(out, i1, grad * w1r)
-    return out
+    vals = np.empty((2,) + grad.shape)
+    np.multiply(grad, 1.0 - w1r, out=vals[0])
+    np.multiply(grad, w1r, out=vals[1])
+    return scatter_rows(
+        np.concatenate([i0, i1]), vals.reshape((-1,) + grad.shape[1:]), n_in
+    )
 
 
 def bilinear_resize_forward(x, out_h, out_w):
@@ -183,14 +203,17 @@ def bilinear_sample_forward(fmap, u, v):
 def bilinear_sample_backward(grad, cache):
     """Scatter the sample gradient back onto the feature map."""
     (h, w, c), x0, x1, y0, y1, fx, fy = cache
-    flat = np.zeros((h * w, c))
     ids = np.concatenate([y0 * w + x0, y0 * w + x1, y1 * w + x0, y1 * w + x1])
-    vals = np.concatenate(
-        [grad * (1 - fy) * (1 - fx), grad * (1 - fy) * fx,
-         grad * fy * (1 - fx), grad * fy * fx]
-    )
-    np.add.at(flat, ids, vals)
-    return flat.reshape(h, w, c)
+    # one buffer, no large temporaries; each tap keeps the left-to-right
+    # rounding of grad * (1 - fy) * (1 - fx) and its three siblings
+    vals = np.empty((4,) + grad.shape)
+    np.multiply(grad, 1 - fy, out=vals[0])
+    np.multiply(vals[0], fx, out=vals[1])
+    vals[0] *= 1 - fx
+    np.multiply(grad, fy, out=vals[2])
+    np.multiply(vals[2], fx, out=vals[3])
+    vals[2] *= 1 - fx
+    return scatter_rows(ids, vals.reshape(-1, c), h * w).reshape(h, w, c)
 
 
 # ---------------------------------------------------------------------------

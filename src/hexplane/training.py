@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +22,10 @@ class DivergenceError(RuntimeError):
     def __init__(self, step, value):
         super().__init__(f"non-finite loss at step {step}: {value}")
         self.step = step
+
+
+class NonFiniteGradientError(ValueError):
+    """A gradient handed to the optimizer has a non-finite entry."""
 
 
 def adamw_init(params: dict) -> dict:
@@ -48,7 +52,7 @@ def adamw_step(params, grads, state, lr, weight_decay=0.01,
     for name in sorted(params):
         g = grads[name]
         if not np.all(np.isfinite(g)):
-            raise ValueError(f"non-finite gradient for parameter {name!r}")
+            raise NonFiniteGradientError(f"non-finite gradient for parameter {name!r}")
         m = state["m"][name]
         v = state["v"][name]
         m *= beta1

@@ -111,6 +111,58 @@ def bilinear_sample_reference(fmap, u, v):
     return out
 
 
+def scatter_add_reference(ids, vals, n_rows):
+    """Row scatter-add the literal way: unbuffered np.add.at into zeros."""
+    out = np.zeros((n_rows,) + vals.shape[1:])
+    np.add.at(out, ids, vals)
+    return out
+
+
+def bilinear_sample_backward_reference(grad, shape, u, v):
+    """Transpose of `bilinear_sample_reference`, one add per tap and point:
+    first every point's top-left tap, then top-right, bottom-left,
+    bottom-right, each in point order."""
+    h, w, c = shape
+    out = np.zeros(shape)
+    taps = []
+    for i in range(len(u)):
+        x = min(max(u[i], 0.0), w - 1.0)
+        y = min(max(v[i], 0.0), h - 1.0)
+        x0, y0 = min(int(math.floor(x)), w - 1), min(int(math.floor(y)), h - 1)
+        x1, y1 = min(x0 + 1, w - 1), min(y0 + 1, h - 1)
+        fx, fy = x - x0, y - y0
+        g = grad[i]
+        taps.append([(y0, x0, g * (1 - fy) * (1 - fx)), (y0, x1, g * (1 - fy) * fx),
+                     (y1, x0, g * fy * (1 - fx)), (y1, x1, g * fy * fx)])
+    for k in range(4):
+        for point_taps in taps:
+            y, x, val = point_taps[k]
+            out[y, x] += val
+    return out
+
+
+def bilinear_resize_backward_reference(grad, in_h, in_w):
+    """Transpose of the endpoint-aligned separable resize, columns first,
+    then rows; on each axis every low tap is added before any high tap."""
+
+    def transpose_axis0(g, n_in):
+        n_out = g.shape[0]
+        out = np.zeros((n_in,) + g.shape[1:])
+        taps = []
+        for j in range(n_out):
+            src = 0.0 if n_out == 1 or n_in == 1 else j * (n_in - 1) / (n_out - 1)
+            i0 = min(int(math.floor(src)), n_in - 1)
+            taps.append((i0, min(i0 + 1, n_in - 1), src - i0))
+        for j, (i0, _, w1) in enumerate(taps):
+            out[i0] += g[j] * (1.0 - w1)
+        for j, (_, i1, w1) in enumerate(taps):
+            out[i1] += g[j] * w1
+        return out
+
+    cols = transpose_axis0(grad.transpose(1, 0, 2), in_w).transpose(1, 0, 2)
+    return transpose_axis0(cols, in_h)
+
+
 def attention_reference(point_feats, gathered, valid, offsets, params):
     """Loop-per-point, loop-per-head dense attention reference."""
     n, m, _ = gathered.shape

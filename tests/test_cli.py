@@ -216,6 +216,22 @@ class TestTrainEval:
                          "--output-dir", str(tmp_path / "boom")])
         assert code == 2
 
+    def test_non_finite_gradient_exits_2(self, tmp_path, tiny_config, monkeypatch):
+        from hexplane.model import HexPlaneModel
+
+        backward = HexPlaneModel.backward
+
+        def poisoned(self, *args, **kwargs):
+            grads = backward(self, *args, **kwargs)
+            name = sorted(grads)[0]
+            grads[name] = np.full_like(grads[name], np.nan)
+            return grads
+
+        monkeypatch.setattr(HexPlaneModel, "backward", poisoned)
+        code = main(["train", "--config", str(tiny_config),
+                     "--output-dir", str(tmp_path / "nan")])
+        assert code == 2
+
 
 class TestValidation:
     def test_unknown_config_key_names_it(self, tmp_path, capsys):

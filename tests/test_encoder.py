@@ -147,3 +147,46 @@ def test_encoder_backward_accumulates_all_stages():
     assert set(mix_grads) == {"mix/W", "mix/b"}
     for v in conv_grads.values():
         assert np.all(np.isfinite(v)) and np.abs(v).max() > 0
+
+
+class TestScatterRows:
+    @pytest.mark.parametrize("trailing", [(3,), (4, 3)])
+    def test_repeated_ids_match_add_at_bitwise(self, trailing):
+        # magnitudes spread over 16 decades so any reordering of the adds
+        # shows in the low bits
+        rng = np.random.default_rng(11)
+        shape = (400,) + trailing
+        ids = rng.integers(0, 5, size=400)
+        vals = rng.normal(size=shape) * 10.0 ** rng.uniform(-8, 8, size=shape)
+        got = ops.scatter_rows(ids, vals, 8)  # rows 5..7 are never hit
+        want = oracles.scatter_add_reference(ids, vals, 8)
+        assert np.array_equal(got, want)
+        assert np.all(got[5:] == 0.0)
+
+    @pytest.mark.parametrize("trailing", [(3,), (4, 3)])
+    def test_empty_ids_give_zeros(self, trailing):
+        ids = np.zeros(0, dtype=np.int64)
+        vals = np.zeros((0,) + trailing)
+        got = ops.scatter_rows(ids, vals, 6)
+        assert got.shape == (6,) + trailing
+        assert np.array_equal(got, oracles.scatter_add_reference(ids, vals, 6))
+
+    def test_sample_backward_matches_loop_bitwise(self):
+        # 60 points on a 3x4 map: every pixel collects many taps
+        rng = np.random.default_rng(12)
+        fmap = rng.normal(size=(3, 4, 5))
+        u = rng.uniform(-0.5, 3.5, size=60)
+        v = rng.uniform(-0.5, 2.5, size=60)
+        grad = rng.normal(size=(60, 5)) * 10.0 ** rng.uniform(-8, 8, size=(60, 5))
+        _, cache = ops.bilinear_sample_forward(fmap, u, v)
+        got = ops.bilinear_sample_backward(grad, cache)
+        want = oracles.bilinear_sample_backward_reference(grad, fmap.shape, u, v)
+        assert np.array_equal(got, want)
+
+    def test_resize_backward_matches_loop_bitwise(self):
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(4, 6, 3))
+        g = rng.normal(size=(9, 14, 3)) * 10.0 ** rng.uniform(-8, 8, size=(9, 14, 3))
+        _, cache = ops.bilinear_resize_forward(x, 9, 14)
+        got = ops.bilinear_resize_backward(g, cache)
+        assert np.array_equal(got, oracles.bilinear_resize_backward_reference(g, 4, 6))

@@ -8,6 +8,7 @@ import pytest
 
 import oracles
 from hexplane.cloud import PointCloud, make_occlusion_scene
+from hexplane.images import load_projection_index, save_projection_index
 from hexplane.projection import (
     EMPTY,
     PLANE_KINDS,
@@ -282,6 +283,25 @@ class TestHexPlaneProject:
         cyl = winner_sets[5]
         assert union >= cyl
         assert len(union) > len(cyl)  # extra planes recover occluded points
+
+    def test_truncated_index_at_every_offset_is_value_error(self, tmp_path):
+        rng = np.random.default_rng(24)
+        cloud = random_cloud(rng, n=5)
+        small = SensorConfig(phi_up=math.radians(60.0), phi_down=math.radians(35.0),
+                             height=3, width=4)
+        resolutions = {kind: (3, 4) for kind in PLANE_KINDS[:5]}
+        hexset = hexplane_project(
+            cloud, default_plane_specs(cloud, sensor=small, resolutions=resolutions)
+        )
+        path = tmp_path / "p.index.bin"
+        save_projection_index(path, hexset)
+        raw = path.read_bytes()
+        assert len(load_projection_index(path)) == 6
+        cut = tmp_path / "cut.bin"
+        for size in range(len(raw)):
+            cut.write_bytes(raw[:size])
+            with pytest.raises(ValueError, match="truncated|bad magic"):
+                load_projection_index(cut)
 
     def test_runtime_scales_roughly_linearly(self):
         # informational: measured, not asserted as a hard bound

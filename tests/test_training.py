@@ -182,6 +182,19 @@ class TestCheckpointContainer:
         with pytest.raises(ValueError, match="magic"):
             load_checkpoint(path)
 
+    def test_truncated_at_every_offset_is_value_error(self, tmp_path):
+        rng = np.random.default_rng(9)
+        params = {"w": rng.normal(size=(2, 3)), "b": rng.normal(size=2),
+                  "s": np.ones(())}
+        path = tmp_path / "c.bin"
+        save_checkpoint(path, params)
+        raw = path.read_bytes()
+        cut = tmp_path / "cut.bin"
+        for size in range(len(raw)):
+            cut.write_bytes(raw[:size])
+            with pytest.raises(ValueError, match="truncated|bad magic"):
+                load_checkpoint(cut)
+
 
 class TestTrainToy:
     def test_zero_steps_checkpoint_equals_init(self):
