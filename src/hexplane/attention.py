@@ -241,7 +241,13 @@ def encode_points(positions, feats, params: PointEncoderParams, voxel_size=0.4):
     h1, act1 = ops.leaky_relu_forward(pre1, params.slope)
 
     cells = np.floor((positions - positions.min(axis=0)) / voxel_size).astype(np.int64)
-    _, inverse = np.unique(cells, axis=0, return_inverse=True)
+    # the mixed-radix cell key sorts like the rows, so `inverse` is the same
+    try:
+        key = np.ravel_multi_index(cells.T, cells.max(axis=0) + 1)
+    except ValueError:  # more cells than an int64 key can number
+        _, inverse = np.unique(cells, axis=0, return_inverse=True)
+    else:
+        _, inverse = np.unique(key, return_inverse=True)
     counts = np.bincount(inverse).astype(np.float64)
     sums = ops.scatter_rows(inverse, h1, counts.shape[0])
     pooled = sums[inverse] / counts[inverse][:, None]

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -30,10 +29,6 @@ EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 
 
-def _threads(tree):
-    return tree["threads"] or os.cpu_count() or 1
-
-
 def cmd_synth(args) -> int:
     tree = cfg.load_config(args.config, {"seed": args.seed})
     if args.seed is not None:
@@ -52,7 +47,7 @@ def cmd_project(args) -> int:
     tree = cfg.load_config(args.config)
     cloud = load_pointcloud(args.input)
     spec_fn = cfg.plane_spec_builder(tree["planes"])
-    hexset = hexplane_project(cloud, spec_fn(cloud), threads=_threads(tree))
+    hexset = hexplane_project(cloud, spec_fn(cloud))
     label_images = None
     num_classes = None
     if cloud.labels is not None:
@@ -88,7 +83,7 @@ def cmd_train(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     result = train_toy(
         train_cloud, model_config, settings, spec_fn,
-        eval_cloud=eval_cloud, seed=tree["seed"], threads=_threads(tree),
+        eval_cloud=eval_cloud, seed=tree["seed"],
     )
     ckpt = out_dir / "checkpoint.bin"
     save_checkpoint(ckpt, result.model.parameters())
@@ -141,8 +136,10 @@ def cmd_eval(args) -> int:
         num_classes = max(num_classes, int(cloud.labels.max()) + 1)
         model = HexPlaneModel(cfg.build_model_config(tree, num_classes))
         model.load_parameters(load_checkpoint(args.checkpoint))
-        spec_fn = cfg.plane_spec_builder(tree["planes"])
-        hexset = hexplane_project(cloud, spec_fn(cloud), threads=_threads(tree))
+        hexset = None
+        if model.config.use_planes or args.on_range_image:
+            spec_fn = cfg.plane_spec_builder(tree["planes"])
+            hexset = hexplane_project(cloud, spec_fn(cloud))
         out = model.forward(cloud, hexset if model.config.use_planes else None)
         preds = out.point_logits.argmax(axis=1)
         if args.on_range_image:

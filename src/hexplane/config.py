@@ -21,6 +21,7 @@ from .projection import (
     PlaneSpec,
     SensorConfig,
     auto_extent,
+    ortho_geometry,
 )
 from .training import TrainSettings
 
@@ -39,7 +40,7 @@ _PLANE_DEFAULTS = {
 DEFAULTS = {
     "seed": 0,
     "output_dir": "runs/out",
-    "threads": None,
+    "threads": None,              # accepted and ignored
     "scene": {
         "kind": "synth",          # synth | builtin | file
         "name": None,             # builtin: two_class | occlusion
@@ -253,13 +254,6 @@ def plane_spec_builder(planes_tree):
 
     def build(cloud):
         lo, hi = auto_extent(cloud)
-        auto = {
-            "xy_top": ((lo[0], hi[0], lo[1], hi[1]), hi[2]),
-            "xz_front": ((lo[0], hi[0], lo[2], hi[2]), hi[1]),
-            "xz_back": ((lo[0], hi[0], lo[2], hi[2]), lo[1]),
-            "yz_left": ((lo[1], hi[1], lo[2], hi[2]), lo[0]),
-            "yz_right": ((lo[1], hi[1], lo[2], hi[2]), hi[0]),
-        }
         specs = []
         for kind in PLANE_KINDS:
             if kind == "cylindrical":
@@ -269,12 +263,11 @@ def plane_spec_builder(planes_tree):
                 )
                 continue
             sub = planes_tree[kind]
-            extent = sub["extent"]
-            depth_ref = sub["depth_ref"]
-            if extent is None:
-                extent = auto[kind][0]
-            if depth_ref is None:
-                depth_ref = auto[kind][1]
+            extent, depth_ref = ortho_geometry(kind, lo, hi)
+            if sub["extent"] is not None:
+                extent = sub["extent"]
+            if sub["depth_ref"] is not None:
+                depth_ref = sub["depth_ref"]
             specs.append(
                 PlaneSpec(
                     kind=kind,

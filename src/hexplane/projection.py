@@ -11,7 +11,6 @@ range sensor parked at the origin.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -231,12 +230,18 @@ def rasterize(cloud, coords, plane, channels=DEFAULT_CHANNELS):
         cols = np.floor(coords.u[idx]).astype(np.int64)
         pix = rows * w + cols
         depth = coords.depth[idx]
-        # sort by pixel, then depth, then point index: first of each pixel
-        # group is the winner
-        order = np.lexsort((idx, depth, pix))
-        uniq, first = np.unique(pix[order], return_index=True)
-        winner.ravel()[uniq] = idx[order[first]]
-        zbuffer.ravel()[uniq] = depth[order[first]]
+        # two scatter-mins: the nearest depth per pixel, then the lowest
+        # point index among the points at exactly that depth
+        zflat = zbuffer.ravel()
+        np.minimum.at(zflat, pix, depth)
+        tie = depth == zflat[pix]
+        none = np.iinfo(np.int64).max
+        wflat = np.full(h * w, none)
+        np.minimum.at(wflat, pix[tie], idx[tie])
+        hit = wflat != none
+        winner.ravel()[hit] = wflat[hit]
+        # the winner's own depth keeps the sign of a zero depth
+        zflat[hit] = coords.depth[wflat[hit]]
 
     raster = np.zeros((h, w, len(channels)), dtype=np.float64)
     occupied = winner >= 0
@@ -269,8 +274,8 @@ def hexplane_project(cloud, specs, channels=DEFAULT_CHANNELS, threads=1):
     """Project and rasterize the cloud onto all six planes.
 
     `specs` must contain exactly one PlaneSpec per kind (any order); the
-    result is always in the fixed plane order. Planes are independent and
-    may be processed in parallel.
+    result is always in the fixed plane order. Planes are processed one
+    after another; `threads` is accepted and ignored.
     """
     by_kind = {}
     for spec in specs:
@@ -282,11 +287,7 @@ def hexplane_project(cloud, specs, channels=DEFAULT_CHANNELS, threads=1):
         raise ValueError(f"missing plane kinds: {missing}")
     ordered = [by_kind[k] for k in PLANE_KINDS]
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            planes = list(pool.map(lambda s: _project_one(cloud, s, channels), ordered))
-    else:
-        planes = [_project_one(cloud, s, channels) for s in ordered]
+    planes = [_project_one(cloud, s, channels) for s in ordered]
     return HexPlaneSet(planes=tuple(planes))
 
 
@@ -356,6 +357,17 @@ def auto_extent(cloud: PointCloud, margin_frac: float = 0.01):
     return lo - pad, hi + pad
 
 
+def ortho_geometry(kind: str, lo, hi):
+    """(extent, depth_ref) of an orthographic plane covering the box [lo, hi].
+
+    The extent spans the kind's two in-plane axes; the viewing plane sits on
+    the box face the camera looks from, so depth is never negative.
+    """
+    ua, va, da, sign = _ORTHO_AXES[kind]
+    extent = (float(lo[ua]), float(hi[ua]), float(lo[va]), float(hi[va]))
+    return extent, float(hi[da] if sign < 0 else lo[da])
+
+
 def default_plane_specs(
     cloud: PointCloud,
     sensor: SensorConfig = DEFAULT_SENSOR,
@@ -367,20 +379,6 @@ def default_plane_specs(
     if resolutions:
         res.update(resolutions)
     lo, hi = auto_extent(cloud, margin_frac)
-    extents = {
-        "xy_top": (lo[0], hi[0], lo[1], hi[1]),
-        "xz_front": (lo[0], hi[0], lo[2], hi[2]),
-        "xz_back": (lo[0], hi[0], lo[2], hi[2]),
-        "yz_left": (lo[1], hi[1], lo[2], hi[2]),
-        "yz_right": (lo[1], hi[1], lo[2], hi[2]),
-    }
-    depth_refs = {
-        "xy_top": hi[2],
-        "xz_front": hi[1],
-        "xz_back": lo[1],
-        "yz_left": lo[0],
-        "yz_right": hi[0],
-    }
     specs = []
     for kind in PLANE_KINDS:
         if kind == "cylindrical":
@@ -394,13 +392,9 @@ def default_plane_specs(
             )
         else:
             h, w = res[kind]
+            extent, depth_ref = ortho_geometry(kind, lo, hi)
             specs.append(
-                PlaneSpec(
-                    kind=kind,
-                    height=h,
-                    width=w,
-                    extent=tuple(float(e) for e in extents[kind]),
-                    depth_ref=float(depth_refs[kind]),
-                )
+                PlaneSpec(kind=kind, height=h, width=w, extent=extent,
+                          depth_ref=depth_ref)
             )
     return specs

@@ -104,12 +104,11 @@ class TrainResult:
     final_oa: float
 
 
-def _evaluate(model, cloud, plane_spec_fn, threads=1):
+def _evaluate(model, cloud, plane_spec_fn):
     hexset = None
     if model.config.use_planes:
         hexset = hexplane_project(
-            cloud, plane_spec_fn(cloud), channels=model.config.raster_channels,
-            threads=threads,
+            cloud, plane_spec_fn(cloud), channels=model.config.raster_channels
         )
     out = model.forward(cloud, hexset)
     preds = out.point_logits.argmax(axis=1)
@@ -133,6 +132,7 @@ def train_toy(
     augmented) cloud. Each step re-projects, runs the model, applies the
     composite loss, and takes one optimizer step; the run is a pure function
     of its inputs. Raises DivergenceError if the loss goes non-finite.
+    `threads` is accepted and ignored.
     """
     if train_cloud.labels is None:
         raise ValueError("training cloud must be labeled")
@@ -145,7 +145,7 @@ def train_toy(
     log = []
 
     def eval_record(step, lr, report):
-        scores = _evaluate(model, eval_cloud, plane_spec_fn, threads)
+        scores = _evaluate(model, eval_cloud, plane_spec_fn)
         record = {
             "step": step,
             "lr": lr,
@@ -172,8 +172,7 @@ def train_toy(
         aux_labels = []
         if model_config.use_planes:
             hexset = hexplane_project(
-                cloud, plane_spec_fn(cloud), channels=model_config.raster_channels,
-                threads=threads,
+                cloud, plane_spec_fn(cloud), channels=model_config.raster_channels
             )
             if settings.aux_weight > 0:
                 label_images = rasterize_labels(cloud, hexset)

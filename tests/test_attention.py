@@ -9,8 +9,10 @@ from hexplane.attention import (
     attention_weights,
     cross_attention_backward,
     cross_attention_forward,
+    encode_points,
     gather_plane_features,
     init_attention_params,
+    init_point_encoder,
     positional_embedding,
 )
 from hexplane.cloud import PointCloud
@@ -240,3 +242,19 @@ class TestCrossAttentionBackward:
         numeric = finite_difference(objective, params.w_query)
         assert max_relative_error(grads["w_query"], numeric) < 1e-4
         assert max_relative_error(corrupted, numeric) > 1e-4
+
+
+class TestEncodePoints:
+    @pytest.mark.parametrize("voxel_size", [0.4, 0.05, 1e-9])
+    def test_voxel_groups_match_row_unique(self, voxel_size):
+        # 1e-9 numbers more cells than an int64 key can hold
+        rng = np.random.default_rng(13)
+        positions = rng.uniform(-50.0, 50.0, size=(400, 3))
+        positions[200:] = positions[:200]  # shared cells
+        params = init_point_encoder(4, 6, rng=rng)
+        feats = rng.normal(size=(400, 4))
+        _, cache = encode_points(positions, feats, params, voxel_size=voxel_size)
+        cells = np.floor(
+            (positions - positions.min(axis=0)) / voxel_size).astype(np.int64)
+        _, want = np.unique(cells, axis=0, return_inverse=True)
+        assert np.array_equal(cache[2], want)

@@ -203,6 +203,27 @@ class TestTrainEval:
                      str(out_dir / "checkpoint.bin"), "--on-range-image"])
         assert code == 0
 
+    def test_point_only_eval_skips_projection(self, tmp_path):
+        rng = np.random.default_rng(3)
+        positions = rng.uniform(-2.0, 2.0, size=(120, 3))
+        positions[7] = 0.0  # no cylindrical projection for this point
+        cloud_path = tmp_path / "origin.bin"
+        save_pointcloud(cloud_path, PointCloud(
+            positions=positions, labels=rng.integers(0, 3, size=120)))
+        tree = dict(TINY_CONFIG)
+        tree["scene"] = {"kind": "file", "path": str(cloud_path)}
+        tree["model"] = dict(TINY_CONFIG["model"], use_planes=False)
+        config = tmp_path / "points.yaml"
+        config.write_text(yaml.safe_dump(tree))
+        out_dir = tmp_path / "run"
+        assert main(["train", "--config", str(config),
+                     "--output-dir", str(out_dir)]) == 0
+        eval_args = ["eval", "--config", str(config), "--checkpoint",
+                     str(out_dir / "checkpoint.bin"), "--cloud", str(cloud_path)]
+        assert main(eval_args) == 0
+        # the range-image score still needs the projection
+        assert main(eval_args + ["--on-range-image"]) == 1
+
     def test_divergent_training_exits_2(self, tmp_path, tiny_config):
         import yaml as _yaml
 

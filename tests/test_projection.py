@@ -1,5 +1,6 @@
 """View projection: grid mapping, z-buffer, offsets, and label rasters."""
 
+import dataclasses
 import math
 import time
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
+from hexplane import config as cfg
 from hexplane.cloud import PointCloud, make_occlusion_scene
 from hexplane.images import load_projection_index, save_projection_index
 from hexplane.projection import (
@@ -14,6 +16,7 @@ from hexplane.projection import (
     PLANE_KINDS,
     PlaneSpec,
     SensorConfig,
+    auto_extent,
     default_plane_specs,
     gather_offsets,
     hexplane_project,
@@ -162,6 +165,33 @@ class TestOrthographicProjection:
             assert np.abs(center_u - cloud.positions[:, axis_u]).max() <= pitch_u
             assert np.abs(center_v - cloud.positions[:, axis_v]).max() <= pitch_v
 
+    def test_auto_geometry_matches_hand_table(self):
+        def hand_table(lo, hi):
+            return {
+                "xy_top": ((lo[0], hi[0], lo[1], hi[1]), hi[2]),
+                "xz_front": ((lo[0], hi[0], lo[2], hi[2]), hi[1]),
+                "xz_back": ((lo[0], hi[0], lo[2], hi[2]), lo[1]),
+                "yz_left": ((lo[1], hi[1], lo[2], hi[2]), lo[0]),
+                "yz_right": ((lo[1], hi[1], lo[2], hi[2]), hi[0]),
+            }
+
+        spec_fn = cfg.plane_spec_builder(cfg.validate_config({})["planes"])
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            scale = rng.uniform(0.1, 100.0, size=3)
+            cloud = PointCloud(positions=rng.normal(size=(50, 3)) * scale)
+            lo, hi = auto_extent(cloud)
+            want = hand_table(lo, hi)
+            for source in (default_plane_specs(cloud), spec_fn(cloud)):
+                for spec in source:
+                    if spec.kind == "cylindrical":
+                        continue
+                    extent, depth_ref = want[spec.kind]
+                    assert spec.extent == tuple(float(e) for e in extent)
+                    assert spec.depth_ref == float(depth_ref)
+                    assert all(type(e) is float for e in spec.extent)
+                    assert type(spec.depth_ref) is float
+
     def test_degenerate_extent_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
             PlaneSpec("xy_top", 8, 8, extent=(0, 0, 0, 1), depth_ref=1.0)
@@ -203,15 +233,34 @@ class TestRasterize:
     def test_matches_sequential_oracle(self):
         rng = np.random.default_rng(7)
         cloud = random_cloud(rng, n=1000, labeled=False)
-        for spec in default_plane_specs(cloud, sensor=WIDE_SENSOR):
-            coords = project(cloud, spec)
-            _, index = rasterize(cloud, coords, spec)
+        cases = [
+            (cloud, spec, project(cloud, spec))
+            for spec in default_plane_specs(cloud, sensor=WIDE_SENSOR)
+        ]
+        # tie-heavy: lattice-snapped points plus exact duplicates share pixels
+        # and depths; viewing planes on a lattice value give depths of exactly
+        # 0.0, and half of those get their sign flipped so +0.0 and -0.0 meet
+        # in one pixel
+        snapped = np.round(random_cloud(rng, n=600, labeled=False).positions * 2) / 2
+        ties = PointCloud(positions=np.concatenate([snapped, snapped[::3]]))
+        for spec in default_plane_specs(ties, sensor=WIDE_SENSOR):
+            if spec.kind != "cylindrical":
+                spec = dataclasses.replace(spec, depth_ref=1.0)
+            coords = project(ties, spec)
+            depth = coords.depth.copy()
+            zero = np.flatnonzero(depth == 0.0)
+            depth[zero[::2]] = -depth[zero[::2]]
+            cases.append((ties, spec, dataclasses.replace(coords, depth=depth)))
+        zeros = np.concatenate([c.depth[c.depth == 0.0] for _, _, c in cases])
+        assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+        for cl, spec, coords in cases:
+            _, index = rasterize(cl, coords, spec)
             winner, zbuf = oracles.zbuffer_sequential(
                 coords.u, coords.v, coords.depth, coords.in_fov,
                 spec.height, spec.width,
             )
             assert np.array_equal(index.winner, winner), spec.kind
-            assert np.array_equal(index.zbuffer, zbuf), spec.kind
+            assert index.zbuffer.tobytes() == zbuf.tobytes(), spec.kind
 
     def test_matches_literal_pixel_scan(self):
         rng = np.random.default_rng(8)
