@@ -127,19 +127,22 @@ def cross_attention_forward(point_feats, gathered, valid, offsets, params, resid
         bad = int(np.argwhere(~valid.any(axis=1))[0, 0])
         raise ValueError(f"point {bad} is out of FOV on every plane")
 
+    # keys and values as 2-D GEMMs over all (point, plane) rows
+    g2 = gathered.reshape(n * m, -1)
     q = (point_feats @ params.w_query).reshape(n, h, d)
-    k = (gathered @ params.w_key).reshape(n, m, h, d)
-    phi = positional_embedding(offsets, params.w_pos).reshape(n, m, h, d)
-    v = (gathered @ params.w_value).reshape(n, m, h, d)
-    keys = k + phi
+    keys = g2 @ params.w_key
+    keys += positional_embedding(offsets.reshape(n * m, 3), params.w_pos)
+    keys = keys.reshape(n, m, h, d)
+    v = (g2 @ params.w_value).reshape(n, m, h, d)
 
-    scores = np.einsum("nhd,nmhd->nhm", q, keys) / np.sqrt(d)
+    # head-major views: one (M, d) @ (d, 1) product per point and head
+    scores = (keys.transpose(0, 2, 1, 3) @ q[..., None])[..., 0] / np.sqrt(d)
     scores = np.where(valid[:, None, :], scores, -np.inf)
     scores_max = scores.max(axis=2, keepdims=True)
     exps = np.exp(scores - scores_max)
     weights = exps / exps.sum(axis=2, keepdims=True)  # (n, h, m), 0 on invalid
 
-    context = np.einsum("nhm,nmhd->nhd", weights, v).reshape(n, h * d)
+    context = (weights[:, :, None, :] @ v.transpose(0, 2, 1, 3)).reshape(n, h * d)
     fused = context @ params.w_out
     if residual:
         if fused.shape[1] != point_feats.shape[1]:
@@ -167,35 +170,36 @@ def cross_attention_backward(grad, cache):
     d_context = (grad @ params.w_out.T).reshape(n, h, d)
     dw_out = context.T @ grad
 
-    d_weights = np.einsum("nhd,nmhd->nhm", d_context, v)
-    dv = np.einsum("nhm,nhd->nmhd", weights, d_context)
+    d_weights = (v.transpose(0, 2, 1, 3) @ d_context[..., None])[..., 0]
+    # order="C" so the (n*m, h*d) reshapes below are views, not 6 MB copies
+    dv = np.einsum("nhm,nhd->nmhd", weights, d_context, order="C")
 
     # softmax backward; rows of `weights` are zero exactly on masked planes
     inner = (d_weights * weights).sum(axis=2, keepdims=True)
     d_scores = weights * (d_weights - inner) / np.sqrt(d)
 
-    dq = np.einsum("nhm,nmhd->nhd", d_scores, keys)
-    d_keys = np.einsum("nhm,nhd->nmhd", d_scores, q)
+    dq = (d_scores[:, :, None, :] @ keys.transpose(0, 2, 1, 3)).reshape(n, h * d)
+    d_keys = np.einsum("nhm,nhd->nmhd", d_scores, q, order="C")
 
-    dq2 = dq.reshape(n, h * d)
-    d_point = dq2 @ params.w_query.T
-    dw_query = point_feats.T @ dq2
+    d_point = dq @ params.w_query.T
+    dw_query = point_feats.T @ dq
 
-    dk2 = d_keys.reshape(n, m, h * d)
-    dv2 = dv.reshape(n, m, h * d)
+    dk2 = d_keys.reshape(n * m, h * d)
+    dv2 = dv.reshape(n * m, h * d)
     g2 = gathered.reshape(n * m, -1)
-    d_gathered = dk2 @ params.w_key.T + dv2 @ params.w_value.T
-    dw_key = g2.T @ dk2.reshape(n * m, h * d)
-    dw_value = g2.T @ dv2.reshape(n * m, h * d)
+    d_gathered = dk2 @ params.w_key.T
+    d_gathered += dv2 @ params.w_value.T
+    dw_key = g2.T @ dk2
+    dw_value = g2.T @ dv2
 
-    d_offsets = dk2 @ params.w_pos.T
-    dw_pos = offsets.reshape(n * m, 3).T @ dk2.reshape(n * m, h * d)
+    d_offsets = (dk2 @ params.w_pos.T).reshape(n, m, 3)
+    dw_pos = offsets.reshape(n * m, 3).T @ dk2
 
     if residual:
         d_point = d_point + grad
     return {
         "point_feats": d_point,
-        "gathered": d_gathered,
+        "gathered": d_gathered.reshape(gathered.shape),
         "offsets": d_offsets,
         "w_query": dw_query,
         "w_key": dw_key,

@@ -89,11 +89,12 @@ def encode_plane(raster, params: EncoderParams):
     return pyramid, caches
 
 
-def encode_plane_backward(grad_pyramid, caches):
+def encode_plane_backward(grad_pyramid, caches, input_grad=True):
     """Backward through the stage stack.
 
     grad_pyramid holds one gradient per level (None allowed). Returns
-    (draster, grads) with grads keyed conv0/W, conv0/b, ...
+    (draster, grads) with grads keyed conv0/W, conv0/b, ...; draster is
+    None, and stage 0's col2im is skipped, without input_grad.
     """
     grads = {}
     upstream = None
@@ -105,7 +106,9 @@ def encode_plane_backward(grad_pyramid, caches):
             g = np.zeros_like(caches[i][1][0], dtype=np.float64)
         conv_cache, act_cache = caches[i]
         g = ops.leaky_relu_backward(g, act_cache)
-        upstream, dw, db = ops.conv2d_backward(g, conv_cache)
+        upstream, dw, db = ops.conv2d_backward(
+            g, conv_cache, input_grad=input_grad or i > 0
+        )
         grads[f"conv{i}/W"] = dw
         grads[f"conv{i}/b"] = db
     return upstream, grads

@@ -8,6 +8,7 @@ import numpy as np
 
 from . import ops
 from .cloud import UNLABELED
+from .encoder import FUSE_STRIDE
 
 IGNORE = UNLABELED
 
@@ -97,3 +98,12 @@ def downsample_labels(label_image, out_h, out_w, num_classes, block=4):
     out = votes.argmax(axis=2)  # argmax takes the first (smallest) max
     out[votes.sum(axis=2) == 0] = IGNORE
     return out
+
+
+def aux_label_grids(label_images, num_classes):
+    """Each plane's label image pooled onto its fused feature grid."""
+    s = FUSE_STRIDE
+    return [
+        downsample_labels(img, -(-img.shape[0] // s), -(-img.shape[1] // s), num_classes, s)
+        for img in label_images
+    ]

@@ -32,7 +32,7 @@ from .encoder import (
     fuse_scales_backward,
     init_encoder_params,
 )
-from .projection import DEFAULT_CHANNELS, HexPlaneSet, gather_offsets
+from .projection import DEFAULT_CHANNELS, PLANE_KINDS, HexPlaneSet, gather_offsets
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ class HexPlaneModel:
                     ops.uniform_init(rng, (c.feature_channels, c.num_classes), c.feature_channels),
                     np.zeros(c.num_classes),
                 )
-                for _ in range(6)
+                for _ in PLANE_KINDS
             ]
             head_in = c.fused_channels
         else:
@@ -207,9 +207,9 @@ class HexPlaneModel:
 
             dmaps = gather_plane_features_backward(attn_grads["gathered"], gather_cache)
             if d_aux_logits is None:
-                d_aux_logits = [None] * 6
+                d_aux_logits = [None] * len(self.aux_heads)
             enc_grads_total = None
-            for m in range(6):
+            for m, (w_aux, _) in enumerate(self.aux_heads):
                 d_fused = dmaps[m]
                 if d_aux_logits[m] is not None:
                     d_from_aux, dw_aux, db_aux = heads.aux_head_backward(
@@ -217,14 +217,15 @@ class HexPlaneModel:
                     )
                     d_fused = d_fused + d_from_aux
                 else:
-                    w_aux, _ = self.aux_heads[m]
                     dw_aux = np.zeros_like(w_aux)
                     db_aux = np.zeros(w_aux.shape[1])
                 grads[f"head/aux{m}/W"] = dw_aux
                 grads[f"head/aux{m}/b"] = db_aux
 
                 grad_pyramid, mix_grads = fuse_scales_backward(d_fused, fuse_caches[m])
-                _, conv_grads = encode_plane_backward(grad_pyramid, enc_caches[m])
+                _, conv_grads = encode_plane_backward(
+                    grad_pyramid, enc_caches[m], input_grad=False
+                )
                 plane_grads = {**conv_grads, **mix_grads}
                 if enc_grads_total is None:
                     enc_grads_total = plane_grads
@@ -293,15 +294,11 @@ def micro_model_instance(rng):
 
 def micro_model_check(rng, eps):
     """End-to-end FD comparison of the composite loss; one error per group."""
-    from .heads import composite_loss, downsample_labels
+    from .heads import aux_label_grids, composite_loss
     from .projection import rasterize_labels
 
     model, cloud, hexset = micro_model_instance(rng)
-    label_images = rasterize_labels(cloud, hexset)
-    aux_labels = [
-        downsample_labels(img, (img.shape[0] + 3) // 4, (img.shape[1] + 3) // 4, 3)
-        for img in label_images
-    ]
+    aux_labels = aux_label_grids(rasterize_labels(cloud, hexset), 3)
     aux_weight = 0.4
 
     def objective():

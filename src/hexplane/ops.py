@@ -85,14 +85,16 @@ def conv2d_forward(x, w, b, stride=2, pad=1):
     return y, cache
 
 
-def conv2d_backward(grad, cache):
-    """Returns (dx, dw, db)."""
+def conv2d_backward(grad, cache, input_grad=True):
+    """Returns (dx, dw, db); dx is None, and not computed, without input_grad."""
     cols, wmat, wshape, xshape, (out_h, out_w), (hp, wp), pad, stride = cache
     h, wd, c_in = xshape
     kh, kw, _, c_out = wshape
     g2 = grad.reshape(-1, c_out)
     dw = (cols.T @ g2).reshape(wshape)
     db = g2.sum(axis=0)
+    if not input_grad:
+        return None, dw, db
     dcols = (g2 @ wmat.T).reshape(out_h, out_w, kh, kw, c_in)
     # col2im: within one kernel tap the target pixels are disjoint, so each
     # tap is a plain strided slice-add
@@ -143,36 +145,36 @@ def _axis_taps(n_in, n_out):
     return i0, i1, w1
 
 
-def _resize_axis0(x, i0, i1, w1):
-    return x[i0] * (1.0 - w1).reshape(-1, *([1] * (x.ndim - 1))) + x[i1] * w1.reshape(
-        -1, *([1] * (x.ndim - 1))
-    )
-
-
-def _resize_axis0_transpose(grad, n_in, i0, i1, w1):
-    w1r = w1.reshape(-1, *([1] * (grad.ndim - 1)))
-    vals = np.empty((2,) + grad.shape)
-    np.multiply(grad, 1.0 - w1r, out=vals[0])
-    np.multiply(grad, w1r, out=vals[1])
-    return scatter_rows(
-        np.concatenate([i0, i1]), vals.reshape((-1,) + grad.shape[1:]), n_in
-    )
+@lru_cache(maxsize=64)
+def _interp_matrix(n_in, n_out):
+    """(n_out, n_in) endpoint-aligned interpolation matrix; read-only."""
+    i0, i1, w1 = _axis_taps(n_in, n_out)
+    rows = np.arange(n_out)
+    r = np.zeros((n_out, n_in))
+    r[rows, i0] = 1.0 - w1
+    r[rows, i1] += w1
+    r.setflags(write=False)
+    return r
 
 
 def bilinear_resize_forward(x, out_h, out_w):
-    """Separable bilinear resize of (H, W, C) to (out_h, out_w, C)."""
-    h, w, _ = x.shape
-    ri = _axis_taps(h, out_h)
-    ci = _axis_taps(w, out_w)
-    rows = _resize_axis0(x, *ri)                      # (out_h, W, C)
-    y = _resize_axis0(rows.transpose(1, 0, 2), *ci).transpose(1, 0, 2)
-    return y, (x.shape, ri, ci)
+    """Separable bilinear resize of (H, W, C) to (out_h, out_w, C).
+
+    Each axis is one product with a cached interpolation matrix, so the
+    output is R_h @ x @ R_w.T applied per channel.
+    """
+    h, w, c = x.shape
+    r_h, r_w = _interp_matrix(h, out_h), _interp_matrix(w, out_w)
+    rows = (r_h @ x.reshape(h, w * c)).reshape(out_h, w, c)
+    return np.matmul(r_w, rows), (r_h, r_w)
 
 
 def bilinear_resize_backward(grad, cache):
-    (h, w, c), ri, ci = cache
-    g = _resize_axis0_transpose(grad.transpose(1, 0, 2), w, *ci).transpose(1, 0, 2)
-    return _resize_axis0_transpose(g, h, *ri)
+    """Transpose of the forward: the same two products with R_w.T and R_h.T."""
+    r_h, r_w = cache
+    cols = np.matmul(r_w.T, grad)                     # (out_h, W, C)
+    out_h, w, c = cols.shape
+    return (r_h.T @ cols.reshape(out_h, w * c)).reshape(-1, w, c)
 
 
 def bilinear_sample_forward(fmap, u, v):

@@ -175,16 +175,9 @@ def train_toy(
                 cloud, plane_spec_fn(cloud), channels=model_config.raster_channels
             )
             if settings.aux_weight > 0:
-                label_images = rasterize_labels(cloud, hexset)
-                aux_labels = [
-                    heads.downsample_labels(
-                        img,
-                        (img.shape[0] + 3) // 4,
-                        (img.shape[1] + 3) // 4,
-                        model_config.num_classes,
-                    )
-                    for img in label_images
-                ]
+                aux_labels = heads.aux_label_grids(
+                    rasterize_labels(cloud, hexset), model_config.num_classes
+                )
 
         out = model.forward(cloud, hexset)
         if settings.aux_weight > 0 and model_config.use_planes:

@@ -141,18 +141,38 @@ def bilinear_sample_backward_reference(grad, shape, u, v):
     return out
 
 
+def _resize_taps(n_in, n_out):
+    """(low tap, high tap, high weight) per output of the endpoint-aligned
+    resize, one scalar formula at a time."""
+    taps = []
+    for j in range(n_out):
+        src = 0.0 if n_out == 1 or n_in == 1 else j * (n_in - 1) / (n_out - 1)
+        i0 = min(int(math.floor(src)), n_in - 1)
+        taps.append((i0, min(i0 + 1, n_in - 1), src - i0))
+    return taps
+
+
+def bilinear_resize_forward_reference(x, out_h, out_w):
+    """Endpoint-aligned separable resize, rows first, then columns; each
+    output is its low tap times (1 - w) plus its high tap times w."""
+
+    def resize_axis0(a, n_out):
+        out = np.zeros((n_out,) + a.shape[1:])
+        for j, (i0, i1, w1) in enumerate(_resize_taps(a.shape[0], n_out)):
+            out[j] = a[i0] * (1.0 - w1) + a[i1] * w1
+        return out
+
+    rows = resize_axis0(x, out_h)
+    return resize_axis0(rows.transpose(1, 0, 2), out_w).transpose(1, 0, 2)
+
+
 def bilinear_resize_backward_reference(grad, in_h, in_w):
     """Transpose of the endpoint-aligned separable resize, columns first,
     then rows; on each axis every low tap is added before any high tap."""
 
     def transpose_axis0(g, n_in):
-        n_out = g.shape[0]
         out = np.zeros((n_in,) + g.shape[1:])
-        taps = []
-        for j in range(n_out):
-            src = 0.0 if n_out == 1 or n_in == 1 else j * (n_in - 1) / (n_out - 1)
-            i0 = min(int(math.floor(src)), n_in - 1)
-            taps.append((i0, min(i0 + 1, n_in - 1), src - i0))
+        taps = _resize_taps(n_in, g.shape[0])
         for j, (i0, _, w1) in enumerate(taps):
             out[i0] += g[j] * (1.0 - w1)
         for j, (_, i1, w1) in enumerate(taps):
@@ -192,6 +212,45 @@ def attention_reference(point_feats, gathered, valid, offsets, params):
             heads_out.append(ctx)
         out[i] = np.concatenate(heads_out) @ params.w_out
     return out
+
+
+def cross_attention_reference(point_feats, gathered, valid, offsets, params, grad):
+    """Batched-einsum cross-attention: the fused output and the gradients of
+    <grad, fused> w.r.t. every input and weight, keyed like the package's
+    backward. Softmax runs over the valid planes only."""
+    n, m, _ = gathered.shape
+    h, d = params.heads, params.head_dim
+    q = (point_feats @ params.w_query).reshape(n, h, d)
+    k = np.einsum("nmc,cj->nmj", gathered, params.w_key).reshape(n, m, h, d)
+    phi = np.einsum("nmi,ij->nmj", offsets, params.w_pos).reshape(n, m, h, d)
+    v = np.einsum("nmc,cj->nmj", gathered, params.w_value).reshape(n, m, h, d)
+    keys = k + phi
+    scores = np.einsum("nhd,nmhd->nhm", q, keys) / np.sqrt(d)
+    scores = np.where(valid[:, None, :], scores, -np.inf)
+    exps = np.exp(scores - scores.max(axis=2, keepdims=True))
+    weights = exps / exps.sum(axis=2, keepdims=True)
+    context = np.einsum("nhm,nmhd->nhd", weights, v).reshape(n, h * d)
+    fused = context @ params.w_out
+
+    d_context = (grad @ params.w_out.T).reshape(n, h, d)
+    d_weights = np.einsum("nhd,nmhd->nhm", d_context, v)
+    dv = np.einsum("nhm,nhd->nmhd", weights, d_context).reshape(n, m, h * d)
+    inner = (d_weights * weights).sum(axis=2, keepdims=True)
+    d_scores = weights * (d_weights - inner) / np.sqrt(d)
+    dq = np.einsum("nhm,nmhd->nhd", d_scores, keys).reshape(n, h * d)
+    dk = np.einsum("nhm,nhd->nmhd", d_scores, q).reshape(n, m, h * d)
+    grads = {
+        "point_feats": dq @ params.w_query.T,
+        "gathered": np.einsum("nmj,cj->nmc", dk, params.w_key)
+        + np.einsum("nmj,cj->nmc", dv, params.w_value),
+        "offsets": np.einsum("nmj,ij->nmi", dk, params.w_pos),
+        "w_query": point_feats.T @ dq,
+        "w_key": np.einsum("nmc,nmj->cj", gathered, dk),
+        "w_value": np.einsum("nmc,nmj->cj", gathered, dv),
+        "w_pos": np.einsum("nmi,nmj->ij", offsets, dk),
+        "w_out": context.T @ grad,
+    }
+    return fused, grads
 
 
 def cross_entropy_reference(logits, labels, ignore=-1):

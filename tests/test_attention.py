@@ -218,6 +218,26 @@ class TestCrossAttentionBackward:
         assert np.all(grads["gathered"][~valid] == 0.0)
         assert np.all(grads["offsets"][~valid] == 0.0)
 
+    # the GEMM/matmul code sums in a different order than the einsum oracle;
+    # each output must agree to 1e-13 of its largest entry
+    @pytest.mark.parametrize("dims", [{}, dict(n=300, c_p=64, c_f=64, heads=4,
+                                               head_dim=16, c_out=64)],
+                             ids=["micro", "shipped_widths"])
+    def test_matches_einsum_reference(self, dims):
+        point_feats, gathered, valid, offsets, params = make_instance(18, **dims)
+        r = np.random.default_rng(4).normal(size=(gathered.shape[0], params.w_out.shape[1]))
+        out, cache = cross_attention_forward(point_feats, gathered, valid, offsets, params)
+        grads = cross_attention_backward(r, cache)
+        want_out, want_grads = oracles.cross_attention_reference(
+            point_feats, gathered, valid, offsets, params, r)
+        assert np.abs(out - want_out).max() <= 1e-13 * np.abs(want_out).max()
+        assert set(grads) == set(want_grads)
+        for name, want in want_grads.items():
+            assert np.abs(grads[name] - want).max() <= 1e-13 * np.abs(want).max(), name
+        assert np.all(attention_weights(cache)[~valid[:, None, :].repeat(params.heads, 1)] == 0.0)
+        assert np.all(grads["gathered"][~valid] == 0.0)
+        assert np.all(grads["offsets"][~valid] == 0.0)
+
     def test_matches_finite_differences(self):
         for seed in (20, 21, 22):
             report = grad_check("attention", seed=seed)

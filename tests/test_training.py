@@ -5,7 +5,8 @@ import pytest
 
 from hexplane.checkpoint import load_checkpoint, save_checkpoint
 from hexplane.cloud import PointCloud, SceneSpec, synth_scene
-from hexplane.heads import composite_loss, downsample_labels
+from hexplane import model as model_module
+from hexplane.heads import aux_label_grids, composite_loss, downsample_labels
 from hexplane.model import HexPlaneModel, ModelConfig, micro_model_instance
 from hexplane.projection import (
     SensorConfig,
@@ -132,6 +133,47 @@ class TestModel:
         for name, g in grads.items():
             assert np.all(np.isfinite(g)), name
             assert np.abs(g).max() > 0, name
+
+    def test_aux_label_grids_match_explicit_downsample(self):
+        cloud = tiny_scene()
+        hexset = hexplane_project(cloud, tiny_spec_fn(cloud))
+        rng = np.random.default_rng(5)
+        # shipped planes are multiples of 4; partial edge blocks need others
+        label_images = rasterize_labels(cloud, hexset) + [
+            rng.integers(-1, 3, size=shape) for shape in ((10, 13), (7, 4), (1, 1))
+        ]
+        got = aux_label_grids(label_images, 3)
+        assert len(got) == len(label_images)
+        for img, grid in zip(label_images, got):
+            want = downsample_labels(img, (img.shape[0] + 3) // 4, (img.shape[1] + 3) // 4, 3)
+            assert grid.dtype == want.dtype and grid.tobytes() == want.tobytes()
+
+    def test_skipped_raster_gradient_leaves_grads_byte_identical(self, monkeypatch):
+        # model.backward skips stage 0's col2im; forcing it back on must not
+        # move a single bit of any parameter gradient
+        rng = np.random.default_rng(4)
+        model, cloud, hexset = micro_model_instance(rng)
+        aux_labels = aux_label_grids(rasterize_labels(cloud, hexset), 3)
+        out = model.forward(cloud, hexset)
+        _, d_point, d_aux = composite_loss(
+            out.point_logits, cloud.labels, out.aux_logits, aux_labels, 0.4
+        )
+        skipped = model.backward(out, d_point, d_aux)
+        full_backward = model_module.encode_plane_backward
+        calls = []
+
+        def with_input_grad(grad_pyramid, caches, input_grad=True):
+            calls.append(input_grad)
+            draster, grads = full_backward(grad_pyramid, caches, input_grad=True)
+            assert draster is not None
+            return draster, grads
+
+        monkeypatch.setattr(model_module, "encode_plane_backward", with_input_grad)
+        full = model.backward(out, d_point, d_aux)
+        assert calls == [False] * len(hexset.planes)
+        assert set(full) == set(skipped)
+        for name, g in full.items():
+            assert g.tobytes() == skipped[name].tobytes(), name
 
     def test_checkpoint_round_trip_into_model(self, tmp_path):
         model = HexPlaneModel(tiny_model_config(seed=5))
