@@ -158,10 +158,11 @@ def attention_weights(cache):
 
 
 def cross_attention_backward(grad, cache):
-    """Gradients of the fused output w.r.t. all inputs and parameters.
+    """Gradients of the fused output w.r.t. the features and the weights.
 
-    Returns a dict with point_feats, gathered, offsets, and the five weight
-    matrices. Invalid planes carry exactly zero gradient.
+    Returns a dict with point_feats, gathered, and the five weight matrices;
+    invalid planes carry exactly zero gradient. The offsets get none: they
+    come from the cloud's positions, which nothing trains.
     """
     point_feats, gathered, offsets, q, keys, v, weights, context, params, residual = cache
     n, m = gathered.shape[:2]
@@ -192,7 +193,6 @@ def cross_attention_backward(grad, cache):
     dw_key = g2.T @ dk2
     dw_value = g2.T @ dv2
 
-    d_offsets = (dk2 @ params.w_pos.T).reshape(n, m, 3)
     dw_pos = offsets.reshape(n * m, 3).T @ dk2
 
     if residual:
@@ -200,7 +200,6 @@ def cross_attention_backward(grad, cache):
     return {
         "point_feats": d_point,
         "gathered": d_gathered.reshape(gathered.shape),
-        "offsets": d_offsets,
         "w_query": dw_query,
         "w_key": dw_key,
         "w_value": dw_value,

@@ -17,11 +17,12 @@ import numpy as np
 from . import config as cfg
 from . import gradcheck as gc
 from .checkpoint import load_checkpoint, save_checkpoint
-from .cloud import CloudFormatError, PointCloud, load_pointcloud, save_pointcloud
+from .cloud import (UNLABELED, CloudFormatError, PointCloud, load_pointcloud,
+                    save_pointcloud)
 from .images import export_plane_images, save_projection_index
 from .metrics import ConfusionMatrix, report_json, report_table, segmentation_scores
 from .model import HexPlaneModel
-from .projection import hexplane_project, rasterize_labels
+from .projection import PLANE_KINDS, hexplane_project, rasterize_labels
 from .training import DivergenceError, NonFiniteGradientError, train_toy, write_log
 
 EXIT_OK = 0
@@ -99,10 +100,11 @@ def _range_image_confusion(cloud, preds, hexset, num_classes):
     """Confusion over cylindrical range-image pixels instead of points."""
     pred_cloud = PointCloud(positions=cloud.positions, features=cloud.features,
                             labels=preds)
-    gt_img = rasterize_labels(cloud, hexset)[5]
-    pred_img = rasterize_labels(pred_cloud, hexset)[5]
+    cyl = PLANE_KINDS.index("cylindrical")
+    gt_img = rasterize_labels(cloud, hexset)[cyl]
+    pred_img = rasterize_labels(pred_cloud, hexset)[cyl]
     cm = ConfusionMatrix(num_classes)
-    keep = gt_img.reshape(-1) != -1
+    keep = gt_img.reshape(-1) != UNLABELED
     cm.update(pred_img.reshape(-1)[keep], gt_img.reshape(-1)[keep])
     return cm
 

@@ -1,13 +1,16 @@
 """Run configuration: a YAML key/value tree with a strict schema.
 
 Unknown keys are rejected by dotted path; omitted keys take the defaults
-below. `load_config` parses and validates a file, `build_run` turns the
+below, which are read from the dataclasses the tree builds (`ModelConfig`,
+`TrainSettings`, `SceneSpec`, `DEFAULT_SENSOR`, `DEFAULT_RESOLUTIONS`).
+`load_config` parses and validates a file; the `build_*` functions turn the
 validated tree into concrete scene specs, plane specs, and model settings.
 """
 
 from __future__ import annotations
 
 import copy
+import dataclasses
 import math
 
 import yaml
@@ -17,17 +20,25 @@ from .cloud import Primitive, SceneSpec
 from .model import ModelConfig
 from .projection import (
     DEFAULT_RESOLUTIONS,
+    DEFAULT_SENSOR,
     PLANE_KINDS,
-    PlaneSpec,
     SensorConfig,
-    auto_extent,
-    ortho_geometry,
+    default_plane_specs,
 )
 from .training import TrainSettings
 
 
 class ConfigError(ValueError):
     """Configuration file violates the schema; message names the key."""
+
+
+def _field_defaults(cls, skip=()):
+    """The config section of a dataclass: its field defaults, tuples as lists."""
+    return {
+        f.name: list(f.default) if isinstance(f.default, tuple) else f.default
+        for f in dataclasses.fields(cls)
+        if f.default is not dataclasses.MISSING and f.name not in skip
+    }
 
 
 _PLANE_DEFAULTS = {
@@ -48,53 +59,54 @@ DEFAULTS = {
         "seed": 0,
         "num_points": 2000,
         "num_classes": 3,
-        "room_extent": [8.0, 8.0, 3.0],
-        "floor_class": 0,
-        "wall_class": 1,
-        "noise": 0.01,
-        "primitives": [],
+        **_field_defaults(SceneSpec),
     },
     "eval_scene": None,           # same structure as scene; None = train scene
     "planes": {
         **_PLANE_DEFAULTS,
-        "cylindrical": {"height": 64, "width": 512,
-                        "fov_up_deg": 45.0, "fov_down_deg": 30.0},
+        "cylindrical": {"height": DEFAULT_SENSOR.height,
+                        "width": DEFAULT_SENSOR.width,
+                        "fov_up_deg": math.degrees(DEFAULT_SENSOR.phi_up),
+                        "fov_down_deg": math.degrees(DEFAULT_SENSOR.phi_down)},
     },
-    "model": {
-        "point_channels": 4,
-        "point_width": 64,
-        "voxel_size": 0.4,
-        "encoder_widths": [16, 32, 64],
-        "feature_channels": 64,
-        "slope": 0.1,
-        "heads": 4,
-        "head_dim": 16,
-        "fused_channels": 64,
-        "residual": False,
-        "use_planes": True,
-    },
-    "training": {
-        "steps": 300,
-        "lr_max": 3.5e-4,
-        "weight_decay": 0.01,
-        "beta1": 0.9,
-        "beta2": 0.999,
-        "aux_weight": 0.4,
-        "eval_every": 50,
-        "augment": False,
-    },
+    # raster_channels is not configurable; seed is the top-level key
+    "model": _field_defaults(ModelConfig, skip=("raster_channels", "seed")),
+    "training": _field_defaults(TrainSettings),
 }
 
 # leaves where None is a meaningful value
 _NULLABLE = {
     "threads", "eval_scene",
     "scene.name", "scene.path", "eval_scene.name", "eval_scene.path",
+    *(f"planes.{kind}.{leaf}" for kind in _PLANE_DEFAULTS
+      for leaf in ("extent", "depth_ref")),
 }
-for _kind in _PLANE_DEFAULTS:
-    _NULLABLE.add(f"planes.{_kind}.extent")
-    _NULLABLE.add(f"planes.{_kind}.depth_ref")
 
 _FREEFORM = {"scene.primitives", "eval_scene.primitives"}
+
+
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v):
+    return _is_int(v) or isinstance(v, float)
+
+
+def _list_of(test, length=None):
+    """A non-empty list (of exactly `length` items, if given) passing `test`."""
+    return lambda v: (isinstance(v, list) and len(v) > 0
+                      and length in (None, len(v)) and all(map(test, v)))
+
+
+# leaf name -> (what the value must be, test), beyond the default's type
+_SHAPES = {
+    "extent": ("a list of 4 numbers", _list_of(_is_number, 4)),
+    "depth_ref": ("a number", _is_number),
+    "room_extent": ("a list of 3 numbers", _list_of(_is_number, 3)),
+    "encoder_widths": ("a list of positive integers",
+                       _list_of(lambda w: _is_int(w) and w > 0)),
+}
 
 
 def _merge(defaults, user, path=""):
@@ -126,6 +138,8 @@ def _typecheck(tree, defaults, path=""):
             if sub in _NULLABLE:
                 continue
             raise ConfigError(f"config: {sub} must not be null")
+        if key in _SHAPES and not _SHAPES[key][1](value):
+            raise ConfigError(f"config: {sub} must be {_SHAPES[key][0]}")
         if isinstance(default, dict):
             if sub in _FREEFORM:
                 continue
@@ -133,11 +147,11 @@ def _typecheck(tree, defaults, path=""):
         elif isinstance(default, bool):
             if not isinstance(value, bool):
                 raise ConfigError(f"config: {sub} must be a boolean")
-        elif isinstance(default, int) and not isinstance(default, bool):
-            if isinstance(value, bool) or not isinstance(value, int):
+        elif isinstance(default, int):
+            if not _is_int(value):
                 raise ConfigError(f"config: {sub} must be an integer")
         elif isinstance(default, float):
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
+            if not _is_number(value):
                 raise ConfigError(f"config: {sub} must be a number")
         elif isinstance(default, str):
             if not isinstance(value, str):
@@ -179,6 +193,22 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _cast(value, default):
+    """`value` in the type of `default`: list -> tuple of the default's
+    element type, int -> float."""
+    if isinstance(default, tuple):
+        return tuple(_cast(v, default[0]) for v in value)
+    return float(value) if isinstance(default, float) else value
+
+
+def _from_section(cls, section, **given):
+    """Dataclass `cls` from a validated section; `given` fields win."""
+    for f in dataclasses.fields(cls):
+        if f.name in section and f.name not in given:
+            given[f.name] = _cast(section[f.name], f.default)
+    return cls(**given)
+
+
 def build_scene_spec(scene_tree) -> SceneSpec:
     prims = []
     for i, p in enumerate(scene_tree["primitives"]):
@@ -200,16 +230,7 @@ def build_scene_spec(scene_tree) -> SceneSpec:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"config: scene.primitives[{i}]: {exc}") from exc
-    return SceneSpec(
-        seed=scene_tree["seed"],
-        num_points=scene_tree["num_points"],
-        num_classes=scene_tree["num_classes"],
-        room_extent=tuple(float(v) for v in scene_tree["room_extent"]),
-        primitives=tuple(prims),
-        floor_class=scene_tree["floor_class"],
-        wall_class=scene_tree["wall_class"],
-        noise=float(scene_tree["noise"]),
-    )
+    return _from_section(SceneSpec, scene_tree, primitives=tuple(prims))
 
 
 def build_scene(scene_tree):
@@ -247,72 +268,35 @@ def build_sensor(planes_tree) -> SensorConfig:
 def plane_spec_builder(planes_tree):
     """Returns plane_spec_fn(cloud) -> six PlaneSpec.
 
-    Orthographic extents/depth refs left null in the config are derived from
-    each cloud's padded bounding box.
+    The specs are `default_plane_specs` at the configured sizes and sensor;
+    an orthographic extent/depth ref given in the config replaces the one
+    derived from each cloud's padded bounding box.
     """
     sensor = build_sensor(planes_tree)
+    sizes, given = {}, {}
+    for kind in _PLANE_DEFAULTS:
+        sub = planes_tree[kind]
+        sizes[kind] = (sub["height"], sub["width"])
+        given[kind] = {}
+        if sub["extent"] is not None:
+            given[kind]["extent"] = tuple(float(v) for v in sub["extent"])
+        if sub["depth_ref"] is not None:
+            given[kind]["depth_ref"] = float(sub["depth_ref"])
 
     def build(cloud):
-        lo, hi = auto_extent(cloud)
-        specs = []
-        for kind in PLANE_KINDS:
-            if kind == "cylindrical":
-                specs.append(
-                    PlaneSpec(kind=kind, height=sensor.height, width=sensor.width,
-                              sensor=sensor)
-                )
-                continue
-            sub = planes_tree[kind]
-            extent, depth_ref = ortho_geometry(kind, lo, hi)
-            if sub["extent"] is not None:
-                extent = sub["extent"]
-            if sub["depth_ref"] is not None:
-                depth_ref = sub["depth_ref"]
-            specs.append(
-                PlaneSpec(
-                    kind=kind,
-                    height=sub["height"],
-                    width=sub["width"],
-                    extent=tuple(float(v) for v in extent),
-                    depth_ref=float(depth_ref),
-                )
-            )
-        return specs
+        return [dataclasses.replace(spec, **given.get(spec.kind, {}))
+                for spec in default_plane_specs(cloud, sensor, sizes)]
 
     return build
 
 
 def build_model_config(tree, num_classes) -> ModelConfig:
-    m = tree["model"]
-    return ModelConfig(
-        num_classes=num_classes,
-        point_channels=m["point_channels"],
-        point_width=m["point_width"],
-        voxel_size=float(m["voxel_size"]),
-        encoder_widths=tuple(m["encoder_widths"]),
-        feature_channels=m["feature_channels"],
-        slope=float(m["slope"]),
-        heads=m["heads"],
-        head_dim=m["head_dim"],
-        fused_channels=m["fused_channels"],
-        residual=m["residual"],
-        use_planes=m["use_planes"],
-        seed=tree["seed"],
-    )
+    return _from_section(ModelConfig, tree["model"], num_classes=num_classes,
+                         seed=tree["seed"])
 
 
 def build_train_settings(tree) -> TrainSettings:
-    t = tree["training"]
-    return TrainSettings(
-        steps=t["steps"],
-        lr_max=float(t["lr_max"]),
-        weight_decay=float(t["weight_decay"]),
-        beta1=float(t["beta1"]),
-        beta2=float(t["beta2"]),
-        aux_weight=float(t["aux_weight"]),
-        eval_every=t["eval_every"],
-        augment=t["augment"],
-    )
+    return _from_section(TrainSettings, tree["training"])
 
 
 def scene_num_classes(tree) -> int:

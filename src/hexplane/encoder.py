@@ -37,14 +37,6 @@ class EncoderParams:
                 f"mix layer expects {sum(widths)} channels, got {self.mix_w.shape[0]}"
             )
 
-    @property
-    def widths(self):
-        return tuple(w.shape[3] for w in self.conv_w)
-
-    @property
-    def out_channels(self):
-        return self.mix_w.shape[1]
-
 
 def init_encoder_params(
     in_channels, widths=(16, 32, 64), out_channels=64, slope=0.1, rng=None

@@ -216,7 +216,6 @@ def _check_attention(rng, eps):
     groups = {
         "point_feats": point_feats,
         "gathered": gathered,
-        "offsets": offsets,
         "w_query": params.w_query,
         "w_key": params.w_key,
         "w_value": params.w_value,

@@ -250,8 +250,7 @@ class HexPlaneModel:
 
 def micro_model_instance(rng):
     """Tiny cloud + planes + model used by the end-to-end gradient check."""
-    from .cloud import PointCloud
-    from .projection import PlaneSpec, SensorConfig, hexplane_project
+    from .projection import PlaneSpec, SensorConfig, hexplane_project, ortho_geometry
 
     n = 32
     positions = rng.uniform(-1.0, 1.0, size=(n, 3))
@@ -262,14 +261,9 @@ def micro_model_instance(rng):
     sensor = SensorConfig(phi_up=1.2, phi_down=0.6, height=8, width=12)
     lo = positions.min(axis=0) - 0.05
     hi = positions.max(axis=0) + 0.05
-    specs = [
-        PlaneSpec("xy_top", 8, 8, extent=(lo[0], hi[0], lo[1], hi[1]), depth_ref=hi[2]),
-        PlaneSpec("xz_front", 8, 8, extent=(lo[0], hi[0], lo[2], hi[2]), depth_ref=hi[1]),
-        PlaneSpec("xz_back", 8, 8, extent=(lo[0], hi[0], lo[2], hi[2]), depth_ref=lo[1]),
-        PlaneSpec("yz_left", 8, 8, extent=(lo[1], hi[1], lo[2], hi[2]), depth_ref=lo[0]),
-        PlaneSpec("yz_right", 8, 8, extent=(lo[1], hi[1], lo[2], hi[2]), depth_ref=hi[0]),
-        PlaneSpec("cylindrical", 8, 12, sensor=sensor),
-    ]
+    specs = [PlaneSpec("cylindrical", 8, 12, sensor=sensor) if kind == "cylindrical"
+             else PlaneSpec(kind, 8, 8, *ortho_geometry(kind, lo, hi))
+             for kind in PLANE_KINDS]
     hexset = hexplane_project(cloud, specs)
 
     config = ModelConfig(
@@ -314,10 +308,6 @@ def micro_model_check(rng, eps):
     )
     analytic = model.backward(out, d_point, d_aux)
 
-    from .gradcheck import finite_difference, max_relative_error
+    from .gradcheck import _compare_groups
 
-    errors = {}
-    for name, arr in model.parameters().items():
-        numeric = finite_difference(objective, arr, eps)
-        errors[name] = max_relative_error(analytic[name], numeric)
-    return errors
+    return _compare_groups(objective, model.parameters(), analytic, eps)

@@ -150,13 +150,6 @@ class HexPlaneSet:
         if kinds != PLANE_KINDS:
             raise ValueError(f"planes must be exactly {PLANE_KINDS}, got {kinds}")
 
-    def __getitem__(self, i: int) -> PlaneData:
-        return self.planes[i]
-
-    @property
-    def num_channels(self) -> int:
-        return self.planes[0].raster.shape[2]
-
 
 def project_cylindrical(cloud: PointCloud, sensor: SensorConfig) -> GridCoords:
     """Map points to range-image grid coordinates.
@@ -299,8 +292,8 @@ def gather_offsets(cloud: PointCloud, hexset: HexPlaneSet):
     pixel has an exactly zero offset.
     """
     n = cloud.n
-    offsets = np.zeros((n, 6, 3), dtype=np.float64)
-    valid = np.zeros((n, 6), dtype=bool)
+    offsets = np.zeros((n, len(hexset.planes), 3), dtype=np.float64)
+    valid = np.zeros(offsets.shape[:2], dtype=bool)
     for m, plane in enumerate(hexset.planes):
         coords = plane.index.coords
         if coords.u.shape[0] != n:
@@ -375,26 +368,9 @@ def default_plane_specs(
     margin_frac: float = 0.01,
 ):
     """Six PlaneSpec covering the cloud's padded bounding box."""
-    res = dict(DEFAULT_RESOLUTIONS)
-    if resolutions:
-        res.update(resolutions)
+    res = {**DEFAULT_RESOLUTIONS, **(resolutions or {})}
     lo, hi = auto_extent(cloud, margin_frac)
-    specs = []
-    for kind in PLANE_KINDS:
-        if kind == "cylindrical":
-            specs.append(
-                PlaneSpec(
-                    kind=kind,
-                    height=sensor.height,
-                    width=sensor.width,
-                    sensor=sensor,
-                )
-            )
-        else:
-            h, w = res[kind]
-            extent, depth_ref = ortho_geometry(kind, lo, hi)
-            specs.append(
-                PlaneSpec(kind=kind, height=h, width=w, extent=extent,
-                          depth_ref=depth_ref)
-            )
-    return specs
+    return [PlaneSpec(kind, sensor.height, sensor.width, sensor=sensor)
+            if kind == "cylindrical"
+            else PlaneSpec(kind, *res[kind], *ortho_geometry(kind, lo, hi))
+            for kind in PLANE_KINDS]

@@ -243,7 +243,6 @@ def cross_attention_reference(point_feats, gathered, valid, offsets, params, gra
         "point_feats": dq @ params.w_query.T,
         "gathered": np.einsum("nmj,cj->nmc", dk, params.w_key)
         + np.einsum("nmj,cj->nmc", dv, params.w_value),
-        "offsets": np.einsum("nmj,ij->nmi", dk, params.w_pos),
         "w_query": point_feats.T @ dq,
         "w_key": np.einsum("nmc,nmj->cj", gathered, dk),
         "w_value": np.einsum("nmc,nmj->cj", gathered, dv),

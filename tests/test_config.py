@@ -1,0 +1,148 @@
+"""Config tree -> objects: defaults, explicit plane geometry, type casts, and
+clean exits on malformed values."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+import yaml
+
+from hexplane import config as cfg
+from hexplane.cli import main
+from hexplane.cloud import PointCloud, Primitive, SceneSpec, save_pointcloud
+from hexplane.model import ModelConfig
+from hexplane.projection import DEFAULT_SENSOR, default_plane_specs
+from hexplane.training import TrainSettings
+
+
+def field_types(obj):
+    return {f.name: type(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+
+
+def small_cloud(seed=0):
+    rng = np.random.default_rng(seed)
+    positions = rng.normal(size=(60, 3)) * (3.0, 2.0, 1.0) + (0.0, 0.0, 2.0)
+    return PointCloud(positions=positions, labels=rng.integers(0, 3, size=60))
+
+
+class TestDefaults:
+    def test_empty_config_builds_dataclass_defaults(self):
+        tree = cfg.validate_config({})
+        k = cfg.scene_num_classes(tree)
+        want = {
+            "model": (cfg.build_model_config(tree, k), ModelConfig(num_classes=k, seed=0)),
+            "training": (cfg.build_train_settings(tree), TrainSettings()),
+            "scene": (cfg.build_scene_spec(tree["scene"]),
+                      SceneSpec(seed=0, num_points=2000, num_classes=3)),
+            "sensor": (cfg.build_sensor(tree["planes"]), DEFAULT_SENSOR),
+        }
+        for name, (got, default) in want.items():
+            assert got == default, name
+            assert field_types(got) == field_types(default), name
+
+    def test_empty_config_plane_specs_are_the_default_specs(self):
+        spec_fn = cfg.plane_spec_builder(cfg.validate_config({})["planes"])
+        for seed in range(3):
+            cloud = small_cloud(seed)
+            assert spec_fn(cloud) == default_plane_specs(cloud)
+
+
+class TestExplicitGeometry:
+    @pytest.mark.parametrize("depth_ref", [3, None])
+    def test_explicit_extent_and_depth_ref_override_auto(self, depth_ref):
+        planes = {
+            "xy_top": {"extent": [-5, 5, -4, 4.5], "depth_ref": depth_ref},
+            "yz_left": {"depth_ref": -7},
+        }
+        spec_fn = cfg.plane_spec_builder(cfg.validate_config({"planes": planes})["planes"])
+        cloud = small_cloud()
+        got = {s.kind: s for s in spec_fn(cloud)}
+        auto = {s.kind: s for s in default_plane_specs(cloud)}
+
+        top = got["xy_top"]
+        assert top.extent == (-5.0, 5.0, -4.0, 4.5)
+        assert all(type(e) is float for e in top.extent)
+        want_ref = auto["xy_top"].depth_ref if depth_ref is None else 3.0
+        assert top.depth_ref == want_ref and type(top.depth_ref) is float
+
+        left = got["yz_left"]
+        assert left.extent == auto["yz_left"].extent
+        assert left.depth_ref == -7.0 and type(left.depth_ref) is float
+
+        for kind in ("xz_front", "xz_back", "yz_right", "cylindrical"):
+            assert got[kind] == auto[kind], kind
+
+    def test_explicit_extent_is_fixed_across_clouds(self):
+        planes = {"xz_front": {"extent": [-1, 1, 0, 2], "depth_ref": 0.5}}
+        spec_fn = cfg.plane_spec_builder(cfg.validate_config({"planes": planes})["planes"])
+        a, b = spec_fn(small_cloud(1)), spec_fn(small_cloud(2))
+        assert a[1] == b[1]
+        assert a[0] != b[0]
+
+
+class TestCasts:
+    def test_ints_for_float_keys_arrive_as_floats(self):
+        float_keys = {
+            section: [f.name for f in dataclasses.fields(cls)
+                      if type(f.default) is float]
+            for section, cls in (("model", ModelConfig), ("training", TrainSettings))
+        }
+        user = {section: {key: 1 for key in keys} for section, keys in float_keys.items()}
+        user["model"]["encoder_widths"] = [4, 8, 16]
+        user["scene"] = {"room_extent": [8, 8, 3], "noise": 0, "primitives": [
+            {"kind": "box", "center": [1, 0, 0.5], "size": [1, 2, 1], "class_id": 2}]}
+        tree = cfg.validate_config(user)
+
+        model = cfg.build_model_config(tree, 3)
+        settings = cfg.build_train_settings(tree)
+        for obj, keys in ((model, float_keys["model"]), (settings, float_keys["training"])):
+            assert keys
+            for key in keys:
+                value = getattr(obj, key)
+                assert value == 1.0 and type(value) is float, key
+        assert model.encoder_widths == (4, 8, 16)
+        assert type(model.encoder_widths) is tuple
+
+        scene = cfg.build_scene_spec(tree["scene"])
+        assert scene.room_extent == (8.0, 8.0, 3.0)
+        assert all(type(v) is float for v in scene.room_extent)
+        assert scene.noise == 0.0 and type(scene.noise) is float
+        assert scene.primitives == (Primitive("box", (1.0, 0.0, 0.5), (1.0, 2.0, 1.0), 2),)
+
+
+MALFORMED = [
+    ("project", {"planes": {"xy_top": {"extent": 5}}}, "planes.xy_top.extent"),
+    ("project", {"planes": {"xy_top": {"extent": [0, 1, 0]}}}, "planes.xy_top.extent"),
+    ("project", {"planes": {"xz_back": {"extent": [0, 1, "a", 2]}}},
+     "planes.xz_back.extent"),
+    ("project", {"planes": {"xy_top": {"depth_ref": [1]}}}, "planes.xy_top.depth_ref"),
+    ("project", {"planes": {"yz_left": {"depth_ref": True}}}, "planes.yz_left.depth_ref"),
+    ("train", {"model": {"encoder_widths": [8, "a", 32]}}, "model.encoder_widths"),
+    ("train", {"model": {"encoder_widths": [8, 0, 32]}}, "model.encoder_widths"),
+    ("train", {"model": {"encoder_widths": [8, 16.0, 32]}}, "model.encoder_widths"),
+    ("train", {"model": {"encoder_widths": []}}, "model.encoder_widths"),
+    ("train", {"scene": {"room_extent": [8, 8]}}, "scene.room_extent"),
+    ("train", {"scene": {"room_extent": [8, "x", 3]}}, "scene.room_extent"),
+    ("train", {"eval_scene": {"room_extent": 4}}, "eval_scene.room_extent"),
+]
+
+
+@pytest.mark.parametrize("command,user,key", MALFORMED,
+                         ids=[f"{c}-{k}-{i}" for i, (c, _, k) in enumerate(MALFORMED)])
+def test_malformed_value_exits_1_naming_the_key(tmp_path, capsys, command, user, key):
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(user))
+    if command == "project":
+        cloud_path = tmp_path / "cloud.bin"
+        save_pointcloud(cloud_path, small_cloud())
+        argv = ["project", str(cloud_path), "--config", str(path),
+                "--out-dir", str(tmp_path / "out")]
+    else:
+        argv = ["train", "--config", str(path), "--steps", "1",
+                "--output-dir", str(tmp_path / "out")]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: config:")
+    assert key in err
+    assert "Traceback" not in err
