@@ -4,8 +4,20 @@ Each point attends to exactly six keys: its own bilinearly gathered feature
 vector from every plane, with a positional embedding of the 3D offset
 between the point and the winner of its pixel added to the keys. Planes
 where the point is out of FOV are masked and receive exactly zero attention
-weight. Forward and backward are both explicit so the whole module can be
-verified against finite differences.
+weight; a point out of FOV on every plane gets all-zero weights and so a
+zero context. Forward and backward are both explicit so the whole module
+can be verified against finite differences.
+
+The key and value projections are reassociated to act on per-point,
+per-head vectors instead of on every (point, plane) row. With W_key_h,
+W_value_h, W_pos_h the column blocks of head h, q_h the point's query,
+g_m its feature and o_m its offset on plane m:
+
+    a_h = W_key_h q_h (C_f,),   b_h = W_pos_h q_h (3,)
+    score_hm = (g_m . a_h + o_m . b_h) / sqrt(d)
+    context_h = (sum_m w_hm g_m) W_value_h
+
+so no (N*M, h*d) key or value tensor is formed.
 """
 
 from __future__ import annotations
@@ -109,46 +121,64 @@ def gather_plane_features_backward(grad, caches):
 
 
 def positional_embedding(offsets, w_pos):
-    """Bias-free linear embedding of (N, M, 3) offsets to (N, M, h*d)."""
+    """Bias-free linear embedding of (N, M, 3) offsets to (N, M, h*d).
+
+    The key-side definition of the offset term, gradchecked on its own.
+    `cross_attention_forward` never forms it: it folds `w_pos` into the
+    query instead, as o_m . (W_pos_h q_h).
+    """
     return offsets @ w_pos
+
+
+def _head_blocks(w, heads):
+    """A (rows, h*d) weight as its per-head column blocks, (h, rows, d)."""
+    return w.reshape(w.shape[0], heads, -1).transpose(1, 0, 2)
+
+
+def _join_heads(blocks):
+    """Inverse of `_head_blocks`: (h, rows, d) to (rows, h*d)."""
+    return blocks.transpose(1, 0, 2).reshape(blocks.shape[1], -1)
 
 
 def cross_attention_forward(point_feats, gathered, valid, offsets, params, residual=False):
     """Fuse the six gathered plane features into one vector per point.
 
-    point_feats (N, C_p) project to queries; gathered (N, M, C_f) project to
-    keys and values; the offset embedding is added to the keys before the
-    scaled dot product. Softmax runs over the valid planes only. Returns
-    (fused (N, C_out), cache).
+    point_feats (N, C_p) give the queries; gathered (N, M, C_f) give the
+    keys, with the offset embedding added, and the values, reassociated as
+    the module docstring shows. Softmax runs over the valid planes only; a
+    point with none gets a zero context. Returns (fused (N, C_out), cache).
     """
     n, m, _ = gathered.shape
     h, d = params.heads, params.head_dim
-    if not valid.any(axis=1).all():
-        bad = int(np.argwhere(~valid.any(axis=1))[0, 0])
-        raise ValueError(f"point {bad} is out of FOV on every plane")
 
-    # keys and values as 2-D GEMMs over all (point, plane) rows
-    g2 = gathered.reshape(n * m, -1)
-    q = (point_feats @ params.w_query).reshape(n, h, d)
-    keys = g2 @ params.w_key
-    keys += positional_embedding(offsets.reshape(n * m, 3), params.w_pos)
-    keys = keys.reshape(n, m, h, d)
-    v = (g2 @ params.w_value).reshape(n, m, h, d)
+    # per-head GEMMs over (h, N, .) views; the key side folds into the query
+    q = (point_feats @ params.w_query).reshape(n, h, d).transpose(1, 0, 2)
+    a = (q @ _head_blocks(params.w_key, h).transpose(0, 2, 1)).transpose(1, 0, 2)
+    b = (q @ _head_blocks(params.w_pos, h).transpose(0, 2, 1)).transpose(1, 0, 2)
 
-    # head-major views: one (M, d) @ (d, 1) product per point and head
-    scores = (keys.transpose(0, 2, 1, 3) @ q[..., None])[..., 0] / np.sqrt(d)
+    # per-point (h, C_f) @ (C_f, M) products
+    scores = a @ gathered.transpose(0, 2, 1)
+    scores += b @ offsets.transpose(0, 2, 1)
+    scores /= np.sqrt(d)
     scores = np.where(valid[:, None, :], scores, -np.inf)
+    # a point out of FOV on every plane: exps are all 0, so weights are too
+    blind = ~valid.any(axis=1)
     scores_max = scores.max(axis=2, keepdims=True)
+    scores_max[blind] = 0.0
     exps = np.exp(scores - scores_max)
-    weights = exps / exps.sum(axis=2, keepdims=True)  # (n, h, m), 0 on invalid
+    total = exps.sum(axis=2, keepdims=True)
+    total[blind] = 1.0
+    weights = exps / total  # (n, h, m), 0 on invalid
 
-    context = (weights[:, :, None, :] @ v.transpose(0, 2, 1, 3)).reshape(n, h * d)
+    g_bar = weights @ gathered  # (n, h, C_f)
+    context = g_bar.transpose(1, 0, 2) @ _head_blocks(params.w_value, h)
+    context = context.transpose(1, 0, 2).reshape(n, h * d)
     fused = context @ params.w_out
     if residual:
         if fused.shape[1] != point_feats.shape[1]:
             raise ValueError("residual needs C_out == C_p")
         fused = fused + point_feats
-    cache = (point_feats, gathered, offsets, q, keys, v, weights, context, params, residual)
+    cache = (point_feats, gathered, offsets, q, a, g_bar, weights, context, params, residual)
     return fused, cache
 
 
@@ -164,46 +194,41 @@ def cross_attention_backward(grad, cache):
     invalid planes carry exactly zero gradient. The offsets get none: they
     come from the cloud's positions, which nothing trains.
     """
-    point_feats, gathered, offsets, q, keys, v, weights, context, params, residual = cache
-    n, m = gathered.shape[:2]
+    point_feats, gathered, offsets, q, a, g_bar, weights, context, params, residual = cache
+    n = gathered.shape[0]
     h, d = params.heads, params.head_dim
+    w_key, w_value, w_pos = (_head_blocks(w, h) for w in
+                             (params.w_key, params.w_value, params.w_pos))
 
-    d_context = (grad @ params.w_out.T).reshape(n, h, d)
+    d_context = (grad @ params.w_out.T).reshape(n, h, d).transpose(1, 0, 2)
     dw_out = context.T @ grad
-
-    d_weights = (v.transpose(0, 2, 1, 3) @ d_context[..., None])[..., 0]
-    # order="C" so the (n*m, h*d) reshapes below are views, not 6 MB copies
-    dv = np.einsum("nhm,nhd->nmhd", weights, d_context, order="C")
+    d_g_bar = (d_context @ w_value.transpose(0, 2, 1)).transpose(1, 0, 2)
+    dw_value = g_bar.transpose(1, 2, 0) @ d_context
 
     # softmax backward; rows of `weights` are zero exactly on masked planes
+    d_weights = d_g_bar @ gathered.transpose(0, 2, 1)
     inner = (d_weights * weights).sum(axis=2, keepdims=True)
     d_scores = weights * (d_weights - inner) / np.sqrt(d)
 
-    dq = (d_scores[:, :, None, :] @ keys.transpose(0, 2, 1, 3)).reshape(n, h * d)
-    d_keys = np.einsum("nhm,nhd->nmhd", d_scores, q, order="C")
+    # w^T d_g_bar + d_scores^T a as one product with inner width 2h
+    d_gathered = (np.concatenate([weights, d_scores], axis=1).transpose(0, 2, 1)
+                  @ np.concatenate([d_g_bar, a], axis=1))
+    d_a = (d_scores @ gathered).transpose(1, 0, 2)  # (h, n, C_f)
+    d_b = (d_scores @ offsets).transpose(1, 0, 2)  # (h, n, 3)
 
+    dq = (d_a @ w_key + d_b @ w_pos).transpose(1, 0, 2).reshape(n, h * d)
     d_point = dq @ params.w_query.T
     dw_query = point_feats.T @ dq
-
-    dk2 = d_keys.reshape(n * m, h * d)
-    dv2 = dv.reshape(n * m, h * d)
-    g2 = gathered.reshape(n * m, -1)
-    d_gathered = dk2 @ params.w_key.T
-    d_gathered += dv2 @ params.w_value.T
-    dw_key = g2.T @ dk2
-    dw_value = g2.T @ dv2
-
-    dw_pos = offsets.reshape(n * m, 3).T @ dk2
 
     if residual:
         d_point = d_point + grad
     return {
         "point_feats": d_point,
-        "gathered": d_gathered.reshape(gathered.shape),
+        "gathered": d_gathered,
         "w_query": dw_query,
-        "w_key": dw_key,
-        "w_value": dw_value,
-        "w_pos": dw_pos,
+        "w_key": _join_heads(d_a.transpose(0, 2, 1) @ q),
+        "w_value": _join_heads(dw_value),
+        "w_pos": _join_heads(d_b.transpose(0, 2, 1) @ q),
         "w_out": dw_out,
     }
 

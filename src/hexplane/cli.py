@@ -141,7 +141,8 @@ def cmd_eval(args) -> int:
         hexset = None
         if model.config.use_planes or args.on_range_image:
             spec_fn = cfg.plane_spec_builder(tree["planes"])
-            hexset = hexplane_project(cloud, spec_fn(cloud))
+            hexset = hexplane_project(cloud, spec_fn(cloud),
+                                      channels=model.config.raster_channels)
         out = model.forward(cloud, hexset if model.config.use_planes else None)
         preds = out.point_logits.argmax(axis=1)
         if args.on_range_image:

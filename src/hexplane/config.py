@@ -93,9 +93,10 @@ def _is_number(v):
     return _is_int(v) or isinstance(v, float)
 
 
-def _list_of(test, length=None):
-    """A non-empty list (of exactly `length` items, if given) passing `test`."""
-    return lambda v: (isinstance(v, list) and len(v) > 0
+def _list_of(test, length=None, at_least=1):
+    """A list of at least `at_least` (exactly `length`, if given) items
+    passing `test`."""
+    return lambda v: (isinstance(v, list) and len(v) >= at_least
                       and length in (None, len(v)) and all(map(test, v)))
 
 
@@ -104,8 +105,9 @@ _SHAPES = {
     "extent": ("a list of 4 numbers", _list_of(_is_number, 4)),
     "depth_ref": ("a number", _is_number),
     "room_extent": ("a list of 3 numbers", _list_of(_is_number, 3)),
-    "encoder_widths": ("a list of positive integers",
-                       _list_of(lambda w: _is_int(w) and w > 0)),
+    # stride-4 fusion needs the stride-2 stage and at least one more
+    "encoder_widths": ("a list of two or more positive integers",
+                       _list_of(lambda w: _is_int(w) and w > 0, at_least=2)),
 }
 
 

@@ -20,6 +20,7 @@ from .attention import (
     encode_points_backward,
     init_attention_params,
     init_point_encoder,
+    positional_embedding,
 )
 from .encoder import (
     encode_plane,
@@ -190,7 +191,7 @@ def _check_positional_embedding(rng, eps):
     groups = {"offsets": offsets, "w_pos": w_pos}
 
     def objective():
-        return float(((offsets @ w_pos) * r).sum())
+        return float((positional_embedding(offsets, w_pos) * r).sum())
 
     d_off = r @ w_pos.T
     dw = offsets.reshape(-1, 3).T @ r.reshape(-1, 8)
@@ -201,7 +202,8 @@ def _attention_instance(rng, n=7, m=6, c_p=5, c_f=4, heads=2, head_dim=3):
     point_feats = rng.normal(size=(n, c_p))
     gathered = rng.normal(size=(n, m, c_f))
     valid = rng.uniform(size=(n, m)) > 0.3
-    valid[:, 0] = True  # every point keeps at least one plane
+    valid[:, 0] = True
+    valid[-1] = False  # one point out of FOV on every plane: zero context
     gathered[~valid] = 0.0
     offsets = rng.normal(size=(n, m, 3))
     offsets[~valid] = 0.0

@@ -344,8 +344,10 @@ def auto_extent(cloud: PointCloud, margin_frac: float = 0.01):
     The pad keeps boundary points strictly inside the right-exclusive grid
     so every point is in FOV on the top view.
     """
-    lo = cloud.positions.min(axis=0)
-    hi = cloud.positions.max(axis=0)
+    # reducing along contiguous rows is far faster than down (N, 3) columns
+    axes = np.ascontiguousarray(cloud.positions.T)
+    lo = axes.min(axis=1)
+    hi = axes.max(axis=1)
     pad = np.maximum((hi - lo) * margin_frac, 1e-6)
     return lo - pad, hi + pad
 

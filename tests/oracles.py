@@ -214,10 +214,12 @@ def attention_reference(point_feats, gathered, valid, offsets, params):
     return out
 
 
-def cross_attention_reference(point_feats, gathered, valid, offsets, params, grad):
+def cross_attention_reference(point_feats, gathered, valid, offsets, params, grad,
+                              residual=False):
     """Batched-einsum cross-attention: the fused output and the gradients of
     <grad, fused> w.r.t. every input and weight, keyed like the package's
-    backward. Softmax runs over the valid planes only."""
+    backward. Softmax runs over the valid planes only; a point with no valid
+    plane gets all-zero weights."""
     n, m, _ = gathered.shape
     h, d = params.heads, params.head_dim
     q = (point_feats @ params.w_query).reshape(n, h, d)
@@ -227,10 +229,12 @@ def cross_attention_reference(point_feats, gathered, valid, offsets, params, gra
     keys = k + phi
     scores = np.einsum("nhd,nmhd->nhm", q, keys) / np.sqrt(d)
     scores = np.where(valid[:, None, :], scores, -np.inf)
-    exps = np.exp(scores - scores.max(axis=2, keepdims=True))
-    weights = exps / exps.sum(axis=2, keepdims=True)
+    weights = np.zeros((n, h, m))
+    seen = valid.any(axis=1)
+    exps = np.exp(scores[seen] - scores[seen].max(axis=2, keepdims=True))
+    weights[seen] = exps / exps.sum(axis=2, keepdims=True)
     context = np.einsum("nhm,nmhd->nhd", weights, v).reshape(n, h * d)
-    fused = context @ params.w_out
+    fused = context @ params.w_out + (point_feats if residual else 0.0)
 
     d_context = (grad @ params.w_out.T).reshape(n, h, d)
     d_weights = np.einsum("nhd,nmhd->nhm", d_context, v)
@@ -240,7 +244,7 @@ def cross_attention_reference(point_feats, gathered, valid, offsets, params, gra
     dq = np.einsum("nhm,nmhd->nhd", d_scores, keys).reshape(n, h * d)
     dk = np.einsum("nhm,nhd->nmhd", d_scores, q).reshape(n, m, h * d)
     grads = {
-        "point_feats": dq @ params.w_query.T,
+        "point_feats": dq @ params.w_query.T + (grad if residual else 0.0),
         "gathered": np.einsum("nmj,cj->nmc", dk, params.w_key)
         + np.einsum("nmj,cj->nmc", dv, params.w_value),
         "w_query": point_feats.T @ dq,

@@ -25,7 +25,9 @@ from hexplane.projection import default_plane_specs, hexplane_project
 
 
 def make_instance(seed, n=7, m=6, c_p=5, c_f=4, heads=2, head_dim=3, c_out=6,
-                  all_valid=False):
+                  all_valid=False, blind=()):
+    """A random attention instance; the `blind` rows are out of FOV on every
+    plane, every other row keeps plane 0."""
     rng = np.random.default_rng(seed)
     point_feats = rng.normal(size=(n, c_p))
     gathered = rng.normal(size=(n, m, c_f))
@@ -33,6 +35,7 @@ def make_instance(seed, n=7, m=6, c_p=5, c_f=4, heads=2, head_dim=3, c_out=6,
     if not all_valid:
         valid = rng.uniform(size=(n, m)) > 0.3
         valid[:, 0] = True
+    valid[list(blind)] = False
     gathered[~valid] = 0.0
     offsets = rng.normal(size=(n, m, 3))
     offsets[~valid] = 0.0
@@ -149,11 +152,33 @@ class TestCrossAttentionForward:
         want = oracles.attention_reference(point_feats, gathered, valid, offsets, params)
         assert np.abs(out - want).max() < 1e-10
 
-    def test_zero_valid_planes_rejected(self):
-        point_feats, gathered, valid, offsets, params = make_instance(10)
-        valid[3, :] = False
-        with pytest.raises(ValueError, match="point 3"):
-            cross_attention_forward(point_feats, gathered, valid, offsets, params)
+    def test_zero_valid_planes_give_zero_context(self):
+        point_feats, gathered, valid, offsets, params = make_instance(
+            10, c_out=5, blind=(3,))
+        for residual in (False, True):
+            out, cache = cross_attention_forward(
+                point_feats, gathered, valid, offsets, params, residual=residual)
+            assert np.all(attention_weights(cache)[3] == 0.0)
+            want = point_feats[3] if residual else np.zeros(5)
+            assert np.array_equal(out[3], want)
+            assert np.all(np.isfinite(out))
+
+    def test_blind_point_leaves_other_rows_byte_identical(self):
+        point_feats, gathered, valid, offsets, params = make_instance(10, blind=(3,))
+        seen = valid.copy()
+        seen[3, 0] = True
+        r = np.random.default_rng(1).normal(size=(point_feats.shape[0], 6))
+        results = []
+        for mask in (valid, seen):
+            out, cache = cross_attention_forward(point_feats, gathered, mask, offsets, params)
+            results.append((out, cache, cross_attention_backward(r, cache)))
+        (out_b, cache_b, grads_b), (out_s, cache_s, grads_s) = results
+        rows = np.arange(point_feats.shape[0]) != 3
+        assert np.array_equal(out_b[rows], out_s[rows])
+        assert np.array_equal(attention_weights(cache_b)[rows],
+                              attention_weights(cache_s)[rows])
+        for name in ("point_feats", "gathered"):
+            assert np.array_equal(grads_b[name][rows], grads_s[name][rows]), name
 
     def test_softmax_normalized_over_valid(self):
         point_feats, gathered, valid, offsets, params = make_instance(11)
@@ -217,18 +242,46 @@ class TestCrossAttentionBackward:
         grads = cross_attention_backward(rng.normal(size=out.shape), cache)
         assert np.all(grads["gathered"][~valid] == 0.0)
 
+    def test_zero_valid_planes_get_zero_gradient(self):
+        point_feats, gathered, valid, offsets, params = make_instance(
+            16, c_out=5, blind=(3,))
+        r = np.random.default_rng(0).normal(size=(point_feats.shape[0], 5))
+        for residual in (False, True):
+            _, cache = cross_attention_forward(
+                point_feats, gathered, valid, offsets, params, residual=residual)
+            grads = cross_attention_backward(r, cache)
+            assert np.all(grads["gathered"][3] == 0.0)
+            want = r[3] if residual else np.zeros(5)
+            assert np.array_equal(grads["point_feats"][3], want)
+            for value in grads.values():
+                assert np.all(np.isfinite(value))
+
+    def test_cache_holds_no_key_or_value_tensor(self):
+        # micro sizes have h*d = 6 > C_f = 4, so an (N, M, h, d) array would
+        # outgrow the gathered features
+        point_feats, gathered, valid, offsets, params = make_instance(19)
+        _, cache = cross_attention_forward(point_feats, gathered, valid, offsets, params)
+        arrays = [x for x in cache if isinstance(x, np.ndarray)]
+        assert max(x.size for x in arrays) <= gathered.size
+        assert gathered.size < gathered.shape[0] * gathered.shape[1] * params.w_key.shape[1]
+
     # the GEMM/matmul code sums in a different order than the einsum oracle;
     # each output must agree to 1e-13 of its largest entry
-    @pytest.mark.parametrize("dims", [{}, dict(n=300, c_p=64, c_f=64, heads=4,
-                                               head_dim=16, c_out=64)],
-                             ids=["micro", "shipped_widths"])
-    def test_matches_einsum_reference(self, dims):
+    @pytest.mark.parametrize("dims, residual", [
+        ({}, False),
+        (dict(n=300, c_p=64, c_f=64, heads=4, head_dim=16, c_out=64), False),
+        (dict(n=300, c_p=32, c_f=32, heads=4, head_dim=8, c_out=32), False),
+        (dict(c_out=5), True),
+        (dict(n=40, blind=(0, 17, 39)), False),
+    ], ids=["micro", "shipped_widths", "occlusion_transfer", "residual", "blind_points"])
+    def test_matches_einsum_reference(self, dims, residual):
         point_feats, gathered, valid, offsets, params = make_instance(18, **dims)
         r = np.random.default_rng(4).normal(size=(gathered.shape[0], params.w_out.shape[1]))
-        out, cache = cross_attention_forward(point_feats, gathered, valid, offsets, params)
+        out, cache = cross_attention_forward(point_feats, gathered, valid, offsets, params,
+                                             residual=residual)
         grads = cross_attention_backward(r, cache)
         want_out, want_grads = oracles.cross_attention_reference(
-            point_feats, gathered, valid, offsets, params, r)
+            point_feats, gathered, valid, offsets, params, r, residual=residual)
         assert np.abs(out - want_out).max() <= 1e-13 * np.abs(want_out).max()
         assert set(grads) == set(want_grads)
         for name, want in want_grads.items():
@@ -237,9 +290,27 @@ class TestCrossAttentionBackward:
         assert np.all(grads["gathered"][~valid] == 0.0)
 
     def test_matches_finite_differences(self):
+        # the gradcheck instance holds one point out of FOV on every plane
         for seed in (20, 21, 22):
             report = grad_check("attention", seed=seed)
             assert report.passed(1e-4), (seed, report.errors)
+
+    def test_blind_point_matches_finite_differences(self):
+        point_feats, gathered, valid, offsets, params = make_instance(23, blind=(2,))
+        r = np.random.default_rng(5).normal(size=(point_feats.shape[0], 6))
+        groups = {"point_feats": point_feats, "gathered": gathered}
+        groups.update((k, getattr(params, k)) for k in
+                      ("w_query", "w_key", "w_value", "w_pos", "w_out"))
+
+        def objective():
+            out, _ = cross_attention_forward(point_feats, gathered, valid, offsets, params)
+            return float((out * r).sum())
+
+        _, cache = cross_attention_forward(point_feats, gathered, valid, offsets, params)
+        grads = cross_attention_backward(r, cache)
+        for name, arr in groups.items():
+            numeric = finite_difference(objective, arr)
+            assert max_relative_error(grads[name], numeric) < 1e-4, name
 
     def test_corrupted_backward_detected(self):
         # flipping one sign in the analytic gradient must trip the check

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, determinism, exit codes."""
 
+import copy
 import json
 
 import numpy as np
@@ -223,6 +224,21 @@ class TestTrainEval:
         assert main(eval_args) == 0
         # the range-image score still needs the projection
         assert main(eval_args + ["--on-range-image"]) == 1
+
+    def test_points_out_of_fov_on_every_plane_train_and_eval(self, tmp_path):
+        # no orthographic plane covers the room and the cylinder sees a 1 degree
+        # band, so most points get a zero context instead of aborting the run
+        tree = copy.deepcopy(TINY_CONFIG)
+        for kind in ("xy_top", "xz_front", "xz_back", "yz_left", "yz_right"):
+            tree["planes"][kind]["extent"] = [100.0, 101.0, 100.0, 101.0]
+        tree["planes"]["cylindrical"].update(fov_up_deg=0.5, fov_down_deg=0.5)
+        config = tmp_path / "blind.yaml"
+        config.write_text(yaml.safe_dump(tree))
+        out_dir = tmp_path / "run"
+        assert main(["train", "--config", str(config),
+                     "--output-dir", str(out_dir)]) == 0
+        assert main(["eval", "--config", str(config), "--checkpoint",
+                     str(out_dir / "checkpoint.bin")]) == 0
 
     def test_divergent_training_exits_2(self, tmp_path, tiny_config):
         import yaml as _yaml

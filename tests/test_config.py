@@ -124,6 +124,8 @@ MALFORMED = [
     ("train", {"scene": {"room_extent": [8, 8]}}, "scene.room_extent"),
     ("train", {"scene": {"room_extent": [8, "x", 3]}}, "scene.room_extent"),
     ("train", {"eval_scene": {"room_extent": 4}}, "eval_scene.room_extent"),
+    # stride-4 fusion needs two stages; one used to fail after the model was built
+    ("train", {"model": {"encoder_widths": [8]}}, "model.encoder_widths"),
 ]
 
 
