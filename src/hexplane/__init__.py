@@ -29,7 +29,7 @@ from .projection import (
     rasterize,
     rasterize_labels,
 )
-from .encoder import EncoderParams, FeatureMap, encode_plane, fuse_scales
+from .encoder import EncoderParams, encode_plane, feature_grid, fuse_scales
 from .attention import (
     AttentionParams,
     cross_attention_backward,

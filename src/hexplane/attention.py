@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
-from .encoder import FeatureMap
+from .encoder import feature_grid
 from .projection import HexPlaneSet
 
 
@@ -81,31 +81,32 @@ def init_attention_params(c_point, c_feat, heads=4, head_dim=16, c_out=64, rng=N
 def gather_plane_features(feature_maps, hexset: HexPlaneSet):
     """Bilinear sample of each plane's fused features at every point.
 
-    feature_maps: one FeatureMap per plane, in plane order. Returns
+    feature_maps: one fused (H_f, W_f, C_f) map per plane, in plane order,
+    on the stride-4 grid of `feature_grid`. Returns
     (gathered (N, M, C_f), valid (N, M), cache); out-of-FOV entries are
     zero-filled and flagged invalid.
     """
     if len(feature_maps) != len(hexset.planes):
         raise ValueError("need one feature map per plane")
     n = hexset.planes[0].index.coords.u.shape[0]
-    c_f = feature_maps[0].data.shape[2]
+    c_f = feature_maps[0].shape[2]
     gathered = np.zeros((n, len(feature_maps), c_f))
     valid = np.zeros((n, len(feature_maps)), dtype=bool)
     caches = []
     for m, (fmap, plane) in enumerate(zip(feature_maps, hexset.planes)):
         coords = plane.index.coords
         h, w = plane.raster.shape[:2]
-        fh, fw = fmap.data.shape[:2]
-        want = (-(-h // fmap.stride), -(-w // fmap.stride))
+        fh, fw = fmap.shape[:2]
+        want = feature_grid(h, w)
         if (fh, fw) != want:
             raise ValueError(
-                f"feature map {m} is {(fh, fw)} at stride {fmap.stride}; the "
-                f"{plane.spec.kind} raster needs {want}"
+                f"feature map {m} is {(fh, fw)}; the {plane.spec.kind} raster "
+                f"needs {want}"
             )
         mask = coords.in_fov
         u_f = coords.u[mask] * (fw / w)
         v_f = coords.v[mask] * (fh / h)
-        sampled, cache = ops.bilinear_sample_forward(fmap.data, u_f, v_f)
+        sampled, cache = ops.bilinear_sample_forward(fmap, u_f, v_f)
         gathered[mask, m, :] = sampled
         valid[:, m] = mask
         caches.append((cache, mask))

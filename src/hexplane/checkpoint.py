@@ -15,6 +15,7 @@ Sorted names make the byte stream a pure function of the mapping.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -62,7 +63,7 @@ def load_checkpoint(path) -> dict:
         name = take(name_len).decode("utf-8")
         (ndim,) = struct.unpack("<B", take(1))
         shape = struct.unpack(f"<{ndim}Q", take(8 * ndim))
-        size = int(np.prod(shape)) if ndim else 1
+        size = math.prod(shape)  # exact: a corrupt dim must not overflow
         params[name] = np.frombuffer(take(8 * size), dtype="<f8").reshape(shape).copy()
     if offset != len(raw):
         raise ValueError("trailing bytes after last tensor")

@@ -17,13 +17,13 @@ import numpy as np
 from . import config as cfg
 from . import gradcheck as gc
 from .checkpoint import load_checkpoint, save_checkpoint
-from .cloud import (UNLABELED, CloudFormatError, PointCloud, load_pointcloud,
-                    save_pointcloud)
+from .cloud import CloudFormatError, load_pointcloud, save_pointcloud
 from .images import export_plane_images, save_projection_index
 from .metrics import ConfusionMatrix, report_json, report_table, segmentation_scores
 from .model import HexPlaneModel
 from .projection import PLANE_KINDS, hexplane_project, rasterize_labels
-from .training import DivergenceError, NonFiniteGradientError, train_toy, write_log
+from .training import (DivergenceError, NonFiniteGradientError, plane_inputs,
+                       train_toy, write_log)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -97,16 +97,11 @@ def cmd_train(args) -> int:
 
 
 def _range_image_confusion(cloud, preds, hexset, num_classes):
-    """Confusion over cylindrical range-image pixels instead of points."""
-    pred_cloud = PointCloud(positions=cloud.positions, features=cloud.features,
-                            labels=preds)
-    cyl = PLANE_KINDS.index("cylindrical")
-    gt_img = rasterize_labels(cloud, hexset)[cyl]
-    pred_img = rasterize_labels(pred_cloud, hexset)[cyl]
-    cm = ConfusionMatrix(num_classes)
-    keep = gt_img.reshape(-1) != UNLABELED
-    cm.update(pred_img.reshape(-1)[keep], gt_img.reshape(-1)[keep])
-    return cm
+    """Confusion over cylindrical range-image pixels instead of points: each
+    occupied pixel scores its winner's prediction against its label."""
+    winner = hexset.planes[PLANE_KINDS.index("cylindrical")].index.winner
+    win = winner[winner >= 0]
+    return ConfusionMatrix(num_classes).update(preds[win], cloud.labels[win])
 
 
 def cmd_eval(args) -> int:
@@ -138,12 +133,11 @@ def cmd_eval(args) -> int:
         num_classes = max(num_classes, int(cloud.labels.max()) + 1)
         model = HexPlaneModel(cfg.build_model_config(tree, num_classes))
         model.load_parameters(load_checkpoint(args.checkpoint))
-        hexset = None
-        if model.config.use_planes or args.on_range_image:
-            spec_fn = cfg.plane_spec_builder(tree["planes"])
-            hexset = hexplane_project(cloud, spec_fn(cloud),
-                                      channels=model.config.raster_channels)
-        out = model.forward(cloud, hexset if model.config.use_planes else None)
+        spec_fn = cfg.plane_spec_builder(tree["planes"])
+        hexset = plane_inputs(model.config, cloud, spec_fn)
+        if hexset is None and args.on_range_image:
+            hexset = hexplane_project(cloud, spec_fn(cloud))
+        out = model.forward(cloud, hexset)
         preds = out.point_logits.argmax(axis=1)
         if args.on_range_image:
             cm = _range_image_confusion(cloud, preds, hexset, num_classes)

@@ -1,9 +1,10 @@
 """Small multi-scale 2D encoder for the plane rasters.
 
-Three strided 3x3 convolution stages (strides 2, 4, 8 relative to the
-input) with a leaky rectifier, followed by scale fusion: every pyramid
-level is bilinearly resampled onto the stride-4 grid, channel-concatenated,
-and linearly mixed down to the output width.
+Two or more stride-2 3x3 convolution stages with a leaky rectifier, so
+pyramid level i has stride 2^(i+1) relative to the input; then scale
+fusion on stride 4 (level 1): every level is bilinearly resampled onto
+that grid, channel-concatenated, and linearly mixed down to the output
+width.
 """
 
 from __future__ import annotations
@@ -14,7 +15,12 @@ import numpy as np
 
 from . import ops
 
-FUSE_STRIDE = 4  # pyramid level the scales are fused on
+FUSE_STRIDE = 4  # stride of pyramid level 1, the grid the scales are fused on
+
+
+def feature_grid(h, w):
+    """(rows, cols) of the fused stride-4 feature grid of an h x w raster."""
+    return -(-h // FUSE_STRIDE), -(-w // FUSE_STRIDE)
 
 
 @dataclass
@@ -54,16 +60,9 @@ def init_encoder_params(
     return EncoderParams(conv_w, conv_b, mix_w, mix_b, slope)
 
 
-@dataclass(frozen=True)
-class FeatureMap:
-    """2D feature tensor plus its stride relative to the input raster."""
-
-    data: np.ndarray  # (H_f, W_f, C)
-    stride: int
-
-
 def encode_plane(raster, params: EncoderParams):
-    """Three-level feature pyramid of one raster; returns (pyramid, cache)."""
+    """Feature pyramid of one raster, one (H_i, W_i, C_i) array per stage;
+    returns (pyramid, cache)."""
     if raster.shape[2] != params.conv_w[0].shape[2]:
         raise ValueError(
             f"raster has {raster.shape[2]} channels, encoder expects "
@@ -71,12 +70,10 @@ def encode_plane(raster, params: EncoderParams):
         )
     x = raster
     pyramid, caches = [], []
-    stride = 1
     for w, b in zip(params.conv_w, params.conv_b):
         pre, conv_cache = ops.conv2d_forward(x, w, b, stride=2, pad=1)
         x, act_cache = ops.leaky_relu_forward(pre, params.slope)
-        stride *= 2
-        pyramid.append(FeatureMap(data=x, stride=stride))
+        pyramid.append(x)
         caches.append((conv_cache, act_cache))
     return pyramid, caches
 
@@ -84,18 +81,14 @@ def encode_plane(raster, params: EncoderParams):
 def encode_plane_backward(grad_pyramid, caches, input_grad=True):
     """Backward through the stage stack.
 
-    grad_pyramid holds one gradient per level (None allowed). Returns
-    (draster, grads) with grads keyed conv0/W, conv0/b, ...; draster is
-    None, and stage 0's col2im is skipped, without input_grad.
+    grad_pyramid holds one gradient per level. Returns (draster, grads)
+    with grads keyed conv0/W, conv0/b, ...; draster is None, and stage 0's
+    col2im is skipped, without input_grad.
     """
     grads = {}
     upstream = None
     for i in reversed(range(len(caches))):
-        g = grad_pyramid[i]
-        if upstream is not None:
-            g = upstream if g is None else g + upstream
-        if g is None:
-            g = np.zeros_like(caches[i][1][0], dtype=np.float64)
+        g = grad_pyramid[i] if upstream is None else grad_pyramid[i] + upstream
         conv_cache, act_cache = caches[i]
         g = ops.leaky_relu_backward(g, act_cache)
         upstream, dw, db = ops.conv2d_backward(
@@ -107,32 +100,30 @@ def encode_plane_backward(grad_pyramid, caches, input_grad=True):
 
 
 def fuse_scales(pyramid, params: EncoderParams):
-    """Resample all levels to the stride-4 grid, concat, mix to C_f channels."""
-    strides = tuple(fm.stride for fm in pyramid)
-    if FUSE_STRIDE not in strides or len(set(strides)) != len(strides):
-        raise ValueError(f"pyramid must carry distinct strides incl. {FUSE_STRIDE}, got {strides}")
+    """Resample all levels to level 1's grid, concat, mix to C_f channels."""
+    if len(pyramid) < 2:
+        raise ValueError(f"pyramid needs two or more levels, got {len(pyramid)}")
     for finer, coarser in zip(pyramid, pyramid[1:]):
-        want = tuple((s + 1) // 2 for s in finer.data.shape[:2])
-        if coarser.data.shape[:2] != want:
+        want = tuple((s + 1) // 2 for s in finer.shape[:2])
+        if coarser.shape[:2] != want:
             raise ValueError(
-                f"pyramid levels disagree ({finer.data.shape[:2]} -> "
-                f"{coarser.data.shape[:2]}); not built from one plane"
+                f"pyramid levels disagree ({finer.shape[:2]} -> "
+                f"{coarser.shape[:2]}); not built from one plane"
             )
-    target = next(fm for fm in pyramid if fm.stride == FUSE_STRIDE)
-    th, tw = target.data.shape[:2]
+    th, tw = pyramid[1].shape[:2]
     resized, resize_caches = [], []
-    for fm in pyramid:
-        if fm.data.shape[:2] == (th, tw):
-            resized.append(fm.data)
+    for level in pyramid:
+        if level.shape[:2] == (th, tw):
+            resized.append(level)
             resize_caches.append(None)
         else:
-            r, cache = ops.bilinear_resize_forward(fm.data, th, tw)
+            r, cache = ops.bilinear_resize_forward(level, th, tw)
             resized.append(r)
             resize_caches.append(cache)
     stacked = np.concatenate(resized, axis=2)
     mixed, lin_cache = ops.linear_forward(stacked, params.mix_w, params.mix_b)
-    widths = [fm.data.shape[2] for fm in pyramid]
-    return FeatureMap(data=mixed, stride=FUSE_STRIDE), (lin_cache, resize_caches, widths)
+    widths = [level.shape[2] for level in pyramid]
+    return mixed, (lin_cache, resize_caches, widths)
 
 
 def fuse_scales_backward(grad, cache):

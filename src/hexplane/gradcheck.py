@@ -29,6 +29,11 @@ from .encoder import (
     fuse_scales_backward,
     init_encoder_params,
 )
+from .cloud import PointCloud
+from .heads import aux_label_grids, composite_loss
+from .model import HexPlaneModel, ModelConfig
+from .projection import (PLANE_KINDS, PlaneSpec, SensorConfig, hexplane_project,
+                         ortho_geometry, rasterize_labels)
 
 DEFAULT_EPS = 1e-5
 DEFAULT_TOL = 1e-4
@@ -247,17 +252,15 @@ def _check_encoder(rng, eps):
     groups["mix/W"] = params.mix_w
     groups["mix/b"] = params.mix_b
 
-    pyramid, _ = encode_plane(raster, params)
-    fused, _ = fuse_scales(pyramid, params)
-    r = rng.normal(size=fused.data.shape)
+    pyramid, enc_cache = encode_plane(raster, params)
+    fused, fuse_cache = fuse_scales(pyramid, params)
+    r = rng.normal(size=fused.shape)
 
     def objective():
         pyr, _ = encode_plane(raster, params)
         f, _ = fuse_scales(pyr, params)
-        return float((f.data * r).sum())
+        return float((f * r).sum())
 
-    pyramid, enc_cache = encode_plane(raster, params)
-    fused, fuse_cache = fuse_scales(pyramid, params)
     grad_pyramid, mix_grads = fuse_scales_backward(r, fuse_cache)
     draster, conv_grads = encode_plane_backward(grad_pyramid, enc_cache)
     analytic = {"raster": draster, **conv_grads, **mix_grads}
@@ -278,11 +281,55 @@ def _check_loss(rng, eps):
     return _compare_groups(objective, {"logits": logits}, {"logits": dlogits}, eps)
 
 
-def _check_model(rng, eps):
-    # imported lazily: model depends on this module's consumers
-    from .model import micro_model_check
+def micro_model_instance(rng):
+    """Tiny cloud + planes + model used by the end-to-end gradient check."""
+    n = 32
+    positions = rng.uniform(-1.0, 1.0, size=(n, 3))
+    positions[:, 2] += 1.5  # keep clear of the projection origin
+    labels = rng.integers(0, 3, size=n)
+    cloud = PointCloud(positions=positions, labels=labels)
 
-    return micro_model_check(rng, eps)
+    sensor = SensorConfig(phi_up=1.2, phi_down=0.6, height=8, width=12)
+    lo = positions.min(axis=0) - 0.05
+    hi = positions.max(axis=0) + 0.05
+    specs = [PlaneSpec("cylindrical", 8, 12, sensor=sensor) if kind == "cylindrical"
+             else PlaneSpec(kind, 8, 8, *ortho_geometry(kind, lo, hi))
+             for kind in PLANE_KINDS]
+    hexset = hexplane_project(cloud, specs)
+
+    config = ModelConfig(
+        num_classes=3,
+        point_width=4,
+        voxel_size=0.8,
+        encoder_widths=(2, 3, 4),
+        feature_channels=4,
+        heads=2,
+        head_dim=2,
+        fused_channels=4,
+        seed=int(rng.integers(0, 2**31)),
+    )
+    model = HexPlaneModel(config)
+    # move biases off their zero init so no pre-activation sits exactly on
+    # the rectifier kink during finite-difference probes
+    for name, arr in model.parameters().items():
+        if name.endswith("/b") or name.endswith("b1") or name.endswith("b2"):
+            arr += rng.normal(scale=0.05, size=arr.shape)
+    return model, cloud, hexset
+
+
+def micro_model_check(rng, eps):
+    """End-to-end FD comparison of the composite loss; one error per group."""
+    model, cloud, hexset = micro_model_instance(rng)
+    aux_labels = aux_label_grids(rasterize_labels(cloud, hexset), 3)
+
+    def loss():
+        out = model.forward(cloud, hexset)
+        return out, composite_loss(out.point_logits, cloud.labels, out.aux_logits,
+                                   aux_labels, aux_weight=0.4)
+
+    out, (_, d_point, d_aux) = loss()
+    analytic = model.backward(out, d_point, d_aux)
+    return _compare_groups(lambda: loss()[1][0].total, model.parameters(), analytic, eps)
 
 
 CHECKS = {
@@ -296,7 +343,7 @@ CHECKS = {
     "attention": _check_attention,
     "encoder": _check_encoder,
     "loss": _check_loss,
-    "model": _check_model,
+    "model": micro_model_check,
 }
 
 

@@ -8,7 +8,7 @@ import numpy as np
 
 from . import ops
 from .cloud import UNLABELED
-from .encoder import FUSE_STRIDE
+from .encoder import FUSE_STRIDE, feature_grid
 
 IGNORE = UNLABELED
 
@@ -102,8 +102,7 @@ def downsample_labels(label_image, out_h, out_w, num_classes, block=4):
 
 def aux_label_grids(label_images, num_classes):
     """Each plane's label image pooled onto its fused feature grid."""
-    s = FUSE_STRIDE
     return [
-        downsample_labels(img, -(-img.shape[0] // s), -(-img.shape[1] // s), num_classes, s)
+        downsample_labels(img, *feature_grid(*img.shape), num_classes, FUSE_STRIDE)
         for img in label_images
     ]

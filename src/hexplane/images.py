@@ -145,6 +145,8 @@ def load_projection_index(path):
     planes = []
     for _ in range(count):
         kind_i, h, w = struct.unpack("<BII", take(9))
+        if kind_i >= len(PLANE_KINDS):
+            raise ValueError(f"unknown plane kind {kind_i} in projection index")
         planes.append(
             {
                 "kind": PLANE_KINDS[kind_i],
@@ -155,4 +157,6 @@ def load_projection_index(path):
                 "in_fov": np.frombuffer(take(n), "u1").astype(bool),
             }
         )
+    if offset != len(raw):
+        raise ValueError("trailing bytes after last plane")
     return planes

@@ -159,19 +159,14 @@ class HexPlaneModel:
         if c.use_planes:
             if hexset is None:
                 raise ValueError("plane branch enabled but no hexplane set given")
-            fused_maps, enc_caches, fuse_caches = [], [], []
-            aux_logits, aux_caches = [], []
-            for plane in hexset.planes:
+            fused_maps, aux_logits, plane_caches = [], [], []
+            for plane, (w, b) in zip(hexset.planes, self.aux_heads):
                 pyramid, enc_cache = encode_plane(plane.raster, self.encoder_params)
                 fmap, fuse_cache = fuse_scales(pyramid, self.encoder_params)
+                logits, aux_cache = heads.aux_head_forward(fmap, w, b)
                 fused_maps.append(fmap)
-                enc_caches.append(enc_cache)
-                fuse_caches.append(fuse_cache)
-            for m, fmap in enumerate(fused_maps):
-                w, b = self.aux_heads[m]
-                logits, cache = heads.aux_head_forward(fmap.data, w, b)
                 aux_logits.append(logits)
-                aux_caches.append(cache)
+                plane_caches.append((enc_cache, fuse_cache, aux_cache))
             gathered, valid, gather_cache = gather_plane_features(fused_maps, hexset)
             offsets, _ = gather_offsets(cloud, hexset)
             fused, attn_cache = cross_attention_forward(
@@ -179,61 +174,53 @@ class HexPlaneModel:
             )
             head_in = fused
         else:
-            enc_caches = fuse_caches = aux_caches = gather_cache = attn_cache = None
+            plane_caches = gather_cache = attn_cache = None
             aux_logits = []
             head_in = f_p
 
         point_logits, head_cache = heads.point_head_forward(head_in, self.head_w, self.head_b)
-        cache = (point_cache, enc_caches, fuse_caches, aux_caches, gather_cache,
-                 attn_cache, head_cache)
+        cache = (point_cache, plane_caches, gather_cache, attn_cache, head_cache)
         return ModelOutput(point_logits=point_logits, aux_logits=aux_logits, cache=cache)
 
     def backward(self, output: ModelOutput, d_point_logits, d_aux_logits=None):
-        """Gradients for every parameter, keyed like `parameters()`."""
-        c = self.config
-        (point_cache, enc_caches, fuse_caches, aux_caches, gather_cache,
-         attn_cache, head_cache) = output.cache
+        """Gradients for every parameter, keyed like `parameters()`.
+
+        d_aux_logits holds one gradient per plane; None or empty means the
+        auxiliary heads are not supervised and get zero gradients.
+        """
+        point_cache, plane_caches, gather_cache, attn_cache, head_cache = output.cache
         grads = {}
 
         d_head_in, dw, db = heads.point_head_backward(d_point_logits, head_cache)
         grads["head/point/W"] = dw
         grads["head/point/b"] = db
 
-        if c.use_planes:
+        if self.config.use_planes:
             attn_grads = cross_attention_backward(d_head_in, attn_cache)
             for name in ("w_query", "w_key", "w_value", "w_pos", "w_out"):
                 grads[f"attn/{name}"] = attn_grads[name]
             d_f_p = attn_grads["point_feats"]
 
             dmaps = gather_plane_features_backward(attn_grads["gathered"], gather_cache)
-            if d_aux_logits is None:
-                d_aux_logits = [None] * len(self.aux_heads)
-            enc_grads_total = None
-            for m, (w_aux, _) in enumerate(self.aux_heads):
-                d_fused = dmaps[m]
-                if d_aux_logits[m] is not None:
+            d_aux_logits = d_aux_logits or [None] * len(plane_caches)
+            for m, (plane_cache, d_fused) in enumerate(zip(plane_caches, dmaps)):
+                enc_cache, fuse_cache, aux_cache = plane_cache
+                if d_aux_logits[m] is None:
+                    w_aux = self.aux_heads[m][0]
+                    dw_aux, db_aux = np.zeros_like(w_aux), np.zeros(w_aux.shape[1])
+                else:
                     d_from_aux, dw_aux, db_aux = heads.aux_head_backward(
-                        d_aux_logits[m], aux_caches[m]
+                        d_aux_logits[m], aux_cache
                     )
                     d_fused = d_fused + d_from_aux
-                else:
-                    dw_aux = np.zeros_like(w_aux)
-                    db_aux = np.zeros(w_aux.shape[1])
                 grads[f"head/aux{m}/W"] = dw_aux
                 grads[f"head/aux{m}/b"] = db_aux
 
-                grad_pyramid, mix_grads = fuse_scales_backward(d_fused, fuse_caches[m])
-                _, conv_grads = encode_plane_backward(
-                    grad_pyramid, enc_caches[m], input_grad=False
-                )
-                plane_grads = {**conv_grads, **mix_grads}
-                if enc_grads_total is None:
-                    enc_grads_total = plane_grads
-                else:
-                    for key in plane_grads:
-                        enc_grads_total[key] = enc_grads_total[key] + plane_grads[key]
-            for key, value in enc_grads_total.items():
-                grads[f"enc/{key}"] = value
+                grad_pyramid, mix_grads = fuse_scales_backward(d_fused, fuse_cache)
+                _, conv_grads = encode_plane_backward(grad_pyramid, enc_cache, input_grad=False)
+                for key, value in {**conv_grads, **mix_grads}.items():
+                    name = f"enc/{key}"
+                    grads[name] = grads[name] + value if name in grads else value
         else:
             d_f_p = d_head_in
 
@@ -241,73 +228,3 @@ class HexPlaneModel:
         for key, value in point_grads.items():
             grads[f"point/{key}"] = value
         return grads
-
-
-# ---------------------------------------------------------------------------
-# Micro end-to-end instance for gradient checking
-# ---------------------------------------------------------------------------
-
-
-def micro_model_instance(rng):
-    """Tiny cloud + planes + model used by the end-to-end gradient check."""
-    from .projection import PlaneSpec, SensorConfig, hexplane_project, ortho_geometry
-
-    n = 32
-    positions = rng.uniform(-1.0, 1.0, size=(n, 3))
-    positions[:, 2] += 1.5  # keep clear of the projection origin
-    labels = rng.integers(0, 3, size=n)
-    cloud = PointCloud(positions=positions, labels=labels)
-
-    sensor = SensorConfig(phi_up=1.2, phi_down=0.6, height=8, width=12)
-    lo = positions.min(axis=0) - 0.05
-    hi = positions.max(axis=0) + 0.05
-    specs = [PlaneSpec("cylindrical", 8, 12, sensor=sensor) if kind == "cylindrical"
-             else PlaneSpec(kind, 8, 8, *ortho_geometry(kind, lo, hi))
-             for kind in PLANE_KINDS]
-    hexset = hexplane_project(cloud, specs)
-
-    config = ModelConfig(
-        num_classes=3,
-        point_width=4,
-        voxel_size=0.8,
-        encoder_widths=(2, 3, 4),
-        feature_channels=4,
-        heads=2,
-        head_dim=2,
-        fused_channels=4,
-        seed=int(rng.integers(0, 2**31)),
-    )
-    model = HexPlaneModel(config)
-    # move biases off their zero init so no pre-activation sits exactly on
-    # the rectifier kink during finite-difference probes
-    for name, arr in model.parameters().items():
-        if name.endswith("/b") or name.endswith("b1") or name.endswith("b2"):
-            arr += rng.normal(scale=0.05, size=arr.shape)
-    return model, cloud, hexset
-
-
-def micro_model_check(rng, eps):
-    """End-to-end FD comparison of the composite loss; one error per group."""
-    from .heads import aux_label_grids, composite_loss
-    from .projection import rasterize_labels
-
-    model, cloud, hexset = micro_model_instance(rng)
-    aux_labels = aux_label_grids(rasterize_labels(cloud, hexset), 3)
-    aux_weight = 0.4
-
-    def objective():
-        out = model.forward(cloud, hexset)
-        report, _, _ = composite_loss(
-            out.point_logits, cloud.labels, out.aux_logits, aux_labels, aux_weight
-        )
-        return report.total
-
-    out = model.forward(cloud, hexset)
-    _, d_point, d_aux = composite_loss(
-        out.point_logits, cloud.labels, out.aux_logits, aux_labels, aux_weight
-    )
-    analytic = model.backward(out, d_point, d_aux)
-
-    from .gradcheck import _compare_groups
-
-    return _compare_groups(objective, model.parameters(), analytic, eps)

@@ -104,13 +104,18 @@ class TrainResult:
     final_oa: float
 
 
+def plane_inputs(model_config: ModelConfig, cloud: PointCloud, plane_spec_fn):
+    """The hexplane set the model reads for `cloud`; None for a point-only
+    model. Train and eval both project through here."""
+    if not model_config.use_planes:
+        return None
+    return hexplane_project(
+        cloud, plane_spec_fn(cloud), channels=model_config.raster_channels
+    )
+
+
 def _evaluate(model, cloud, plane_spec_fn):
-    hexset = None
-    if model.config.use_planes:
-        hexset = hexplane_project(
-            cloud, plane_spec_fn(cloud), channels=model.config.raster_channels
-        )
-    out = model.forward(cloud, hexset)
+    out = model.forward(cloud, plane_inputs(model.config, cloud, plane_spec_fn))
     preds = out.point_logits.argmax(axis=1)
     cm = ConfusionMatrix(model.config.num_classes)
     cm.update(preds, cloud.labels)
@@ -146,16 +151,14 @@ def train_toy(
 
     def eval_record(step, lr, report):
         scores = _evaluate(model, eval_cloud, plane_spec_fn)
-        record = {
+        log.append({
             "step": step,
             "lr": lr,
             "total": report.total if report else None,
             "main": report.main if report else None,
             "aux": list(report.aux) if report else None,
             "oa": scores.oa,
-        }
-        log.append(record)
-        return record
+        })
 
     last_report = None
     for step in range(settings.steps):
@@ -168,28 +171,17 @@ def train_toy(
                 flip_y=bool(aug_rng.integers(0, 2)),
                 rotate_z=float(aug_rng.uniform(0.0, 2.0 * math.pi)),
             )
-        hexset = None
-        aux_labels = []
-        if model_config.use_planes:
-            hexset = hexplane_project(
-                cloud, plane_spec_fn(cloud), channels=model_config.raster_channels
-            )
-            if settings.aux_weight > 0:
-                aux_labels = heads.aux_label_grids(
-                    rasterize_labels(cloud, hexset), model_config.num_classes
-                )
-
+        hexset = plane_inputs(model_config, cloud, plane_spec_fn)
+        aux_logits, aux_labels = [], []
         out = model.forward(cloud, hexset)
-        if settings.aux_weight > 0 and model_config.use_planes:
-            report, d_point, d_aux = heads.composite_loss(
-                out.point_logits, cloud.labels, out.aux_logits, aux_labels,
-                settings.aux_weight,
+        if hexset is not None and settings.aux_weight > 0:
+            aux_logits = out.aux_logits
+            aux_labels = heads.aux_label_grids(
+                rasterize_labels(cloud, hexset), model_config.num_classes
             )
-        else:
-            report, d_point, _ = heads.composite_loss(
-                out.point_logits, cloud.labels, [], [], settings.aux_weight
-            )
-            d_aux = None
+        report, d_point, d_aux = heads.composite_loss(
+            out.point_logits, cloud.labels, aux_logits, aux_labels, settings.aux_weight
+        )
         if not math.isfinite(report.total):
             raise DivergenceError(step, report.total)
         last_report = report

@@ -51,13 +51,11 @@ class TestGatherPlaneFeatures:
         positions[:, 2] = rng.uniform(0.2, 2.5, size=n)
         cloud = PointCloud(positions=positions)
         hexset = hexplane_project(cloud, default_plane_specs(cloud))
-        from hexplane.encoder import FeatureMap
-
         fmaps = []
         for plane in hexset.planes:
             h = (plane.spec.height + 3) // 4
             w = (plane.spec.width + 3) // 4
-            fmaps.append(FeatureMap(data=rng.normal(size=(h, w, 5)), stride=4))
+            fmaps.append(rng.normal(size=(h, w, 5)))
         return cloud, hexset, fmaps
 
     def test_node_exact(self):
@@ -67,12 +65,12 @@ class TestGatherPlaneFeatures:
         plane = hexset.planes[0]
         fmap = fmaps[0]
         coords = plane.index.coords
-        scale_u = fmap.data.shape[1] / plane.spec.width
-        scale_v = fmap.data.shape[0] / plane.spec.height
+        scale_u = fmap.shape[1] / plane.spec.width
+        scale_v = fmap.shape[0] / plane.spec.height
         for i in range(cloud.n):
             uf, vf = coords.u[i] * scale_u, coords.v[i] * scale_v
             if abs(uf - round(uf)) < 1e-12 and abs(vf - round(vf)) < 1e-12:
-                node = fmap.data[int(round(vf)), int(round(uf))]
+                node = fmap[int(round(vf)), int(round(uf))]
                 assert np.allclose(gathered[i, 0], node, atol=1e-12)
 
     def test_fabricated_node_query(self):

@@ -45,6 +45,33 @@ TINY_CONFIG = {
 }
 
 
+def range_image_oracle(config_path, checkpoint_path):
+    """The --on-range-image report computed the long way: label images of the
+    ground-truth cloud and of a cloud carrying the predictions, compared
+    pixel by pixel on the cylindrical plane."""
+    from hexplane import config as cfg
+    from hexplane.checkpoint import load_checkpoint
+    from hexplane.cloud import UNLABELED
+    from hexplane.metrics import ConfusionMatrix, report_json, segmentation_scores
+    from hexplane.model import HexPlaneModel
+    from hexplane.projection import PLANE_KINDS, hexplane_project, rasterize_labels
+
+    tree = cfg.load_config(config_path)
+    cloud = cfg.build_scene(tree["scene"])
+    model = HexPlaneModel(cfg.build_model_config(tree, cfg.scene_num_classes(tree)))
+    model.load_parameters(load_checkpoint(checkpoint_path))
+    hexset = hexplane_project(cloud, cfg.plane_spec_builder(tree["planes"])(cloud),
+                              channels=model.config.raster_channels)
+    preds = model.forward(cloud, hexset).point_logits.argmax(axis=1)
+    pred_cloud = PointCloud(positions=cloud.positions, labels=preds)
+    cyl = PLANE_KINDS.index("cylindrical")
+    gt_img = rasterize_labels(cloud, hexset)[cyl].reshape(-1)
+    pred_img = rasterize_labels(pred_cloud, hexset)[cyl].reshape(-1)
+    keep = gt_img != UNLABELED
+    cm = ConfusionMatrix(model.config.num_classes).update(pred_img[keep], gt_img[keep])
+    return report_json(segmentation_scores(cm))
+
+
 @pytest.fixture
 def tiny_config(tmp_path):
     path = tmp_path / "config.yaml"
@@ -200,9 +227,42 @@ class TestTrainEval:
     def test_eval_on_range_image_flag(self, tmp_path, tiny_config):
         out_dir = tmp_path / "run"
         main(["train", "--config", str(tiny_config), "--output-dir", str(out_dir)])
+        report_path = tmp_path / "report.json"
         code = main(["eval", "--config", str(tiny_config), "--checkpoint",
-                     str(out_dir / "checkpoint.bin"), "--on-range-image"])
+                     str(out_dir / "checkpoint.bin"), "--on-range-image",
+                     "--out", str(report_path)])
         assert code == 0
+        assert json.loads(report_path.read_text()) == range_image_oracle(
+            tiny_config, out_dir / "checkpoint.bin")
+
+    def test_point_only_range_image_matches_oracle(self, tmp_path):
+        tree = copy.deepcopy(TINY_CONFIG)
+        tree["model"]["use_planes"] = False
+        config = tmp_path / "points.yaml"
+        config.write_text(yaml.safe_dump(tree))
+        out_dir = tmp_path / "run"
+        assert main(["train", "--config", str(config), "--output-dir", str(out_dir)]) == 0
+        report_path = tmp_path / "report.json"
+        assert main(["eval", "--config", str(config), "--checkpoint",
+                     str(out_dir / "checkpoint.bin"), "--on-range-image",
+                     "--out", str(report_path)]) == 0
+        assert json.loads(report_path.read_text()) == range_image_oracle(
+            config, out_dir / "checkpoint.bin")
+
+    @pytest.mark.parametrize("use_planes", [True, False], ids=["planes", "points"])
+    def test_eval_oa_equals_final_logged_oa(self, tmp_path, use_planes):
+        # train and eval must treat the same model and cloud the same way
+        tree = copy.deepcopy(TINY_CONFIG)
+        tree["model"]["use_planes"] = use_planes
+        config = tmp_path / "tiny.yaml"
+        config.write_text(yaml.safe_dump(tree))
+        out_dir = tmp_path / "run"
+        assert main(["train", "--config", str(config), "--output-dir", str(out_dir)]) == 0
+        report_path = tmp_path / "report.json"
+        assert main(["eval", "--config", str(config), "--checkpoint",
+                     str(out_dir / "checkpoint.bin"), "--out", str(report_path)]) == 0
+        final = json.loads((out_dir / "log.jsonl").read_text().splitlines()[-1])
+        assert json.loads(report_path.read_text())["oa"] == final["oa"]
 
     def test_point_only_eval_skips_projection(self, tmp_path):
         rng = np.random.default_rng(3)

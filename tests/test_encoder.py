@@ -8,6 +8,7 @@ from hexplane import ops
 from hexplane.encoder import (
     encode_plane,
     encode_plane_backward,
+    feature_grid,
     fuse_scales,
     fuse_scales_backward,
     init_encoder_params,
@@ -20,18 +21,17 @@ class TestEncodePlane:
         params = init_encoder_params(5, rng=np.random.default_rng(0))
         raster = np.zeros((64, 512, 5))
         pyramid, _ = encode_plane(raster, params)
-        shapes = [fm.data.shape for fm in pyramid]
+        shapes = [level.shape for level in pyramid]
         assert shapes == [(32, 256, 16), (16, 128, 32), (8, 64, 64)]
-        assert [fm.stride for fm in pyramid] == [2, 4, 8]
 
     def test_zero_input_zero_bias_gives_zeros(self):
         params = init_encoder_params(3, widths=(4, 5, 6), out_channels=7,
                                      rng=np.random.default_rng(1))
         pyramid, _ = encode_plane(np.zeros((16, 24, 3)), params)
-        for fm in pyramid:
-            assert np.all(fm.data == 0.0)
+        for level in pyramid:
+            assert np.all(level == 0.0)
         fused, _ = fuse_scales(pyramid, params)
-        assert np.all(fused.data == 0.0)
+        assert np.all(fused == 0.0)
 
     def test_conv_matches_naive_oracle(self):
         rng = np.random.default_rng(2)
@@ -59,7 +59,7 @@ class TestEncodePlane:
         a, _ = encode_plane(raster, params)
         b, _ = encode_plane(raster, params)
         for fa, fb in zip(a, b):
-            assert np.array_equal(fa.data, fb.data)
+            assert np.array_equal(fa, fb)
 
     def test_channel_mismatch_rejected(self):
         params = init_encoder_params(5, rng=np.random.default_rng(0))
@@ -81,7 +81,7 @@ class TestEncodePlane:
             )
             pyramid, _ = encode_plane(raster, params)
             fused, _ = fuse_scales(pyramid, params)
-            assert np.all(np.isfinite(fused.data))
+            assert np.all(np.isfinite(fused))
             sampled += raster.size
 
 
@@ -91,21 +91,17 @@ class TestFuseScales:
                                      rng=np.random.default_rng(6))
         pyramid, _ = encode_plane(np.zeros((16, 16, 2)), params)
         # overwrite with per-level constants
-        from hexplane.encoder import FeatureMap
-        pyramid = [
-            FeatureMap(data=np.full_like(fm.data, 1.0 + i), stride=fm.stride)
-            for i, fm in enumerate(pyramid)
-        ]
+        pyramid = [np.full_like(level, 1.0 + i) for i, level in enumerate(pyramid)]
         fused, _ = fuse_scales(pyramid, params)
-        first = fused.data[0, 0]
-        assert np.abs(fused.data - first).max() < 1e-12
+        first = fused[0, 0]
+        assert np.abs(fused - first).max() < 1e-12
 
     def test_fused_shape_contract(self):
         params = init_encoder_params(5, rng=np.random.default_rng(7))
         pyramid, _ = encode_plane(np.zeros((64, 512, 5)), params)
         fused, _ = fuse_scales(pyramid, params)
-        assert fused.data.shape == (16, 128, 64)
-        assert fused.stride == 4
+        assert fused.shape == (16, 128, 64)
+        assert fused.shape[:2] == feature_grid(64, 512)
 
     def test_bilinear_upsample_exact_on_ramps(self):
         # endpoint-aligned resampling reproduces any linear ramp exactly
@@ -166,7 +162,7 @@ def test_encoder_backward_accumulates_all_stages():
     params = init_encoder_params(3, widths=(2, 3, 4), out_channels=5, rng=rng)
     pyramid, enc_cache = encode_plane(raster, params)
     fused, fuse_cache = fuse_scales(pyramid, params)
-    g = rng.normal(size=fused.data.shape)
+    g = rng.normal(size=fused.shape)
     grad_pyramid, mix_grads = fuse_scales_backward(g, fuse_cache)
     draster, conv_grads = encode_plane_backward(grad_pyramid, enc_cache)
     assert draster.shape == raster.shape

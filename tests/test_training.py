@@ -7,7 +7,8 @@ from hexplane.checkpoint import load_checkpoint, save_checkpoint
 from hexplane.cloud import PointCloud, SceneSpec, synth_scene
 from hexplane import model as model_module
 from hexplane.heads import aux_label_grids, composite_loss, downsample_labels
-from hexplane.model import HexPlaneModel, ModelConfig, micro_model_instance
+from hexplane.gradcheck import micro_model_instance
+from hexplane.model import HexPlaneModel, ModelConfig
 from hexplane.projection import (
     SensorConfig,
     default_plane_specs,
