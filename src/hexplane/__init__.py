@@ -35,7 +35,6 @@ from .attention import (
     cross_attention_backward,
     cross_attention_forward,
     gather_plane_features,
-    positional_embedding,
 )
 from .heads import IGNORE, LossReport, composite_loss
 from .model import HexPlaneModel, ModelConfig

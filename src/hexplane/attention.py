@@ -121,16 +121,6 @@ def gather_plane_features_backward(grad, caches):
     return dmaps
 
 
-def positional_embedding(offsets, w_pos):
-    """Bias-free linear embedding of (N, M, 3) offsets to (N, M, h*d).
-
-    The key-side definition of the offset term, gradchecked on its own.
-    `cross_attention_forward` never forms it: it folds `w_pos` into the
-    query instead, as o_m . (W_pos_h q_h).
-    """
-    return offsets @ w_pos
-
-
 def _head_blocks(w, heads):
     """A (rows, h*d) weight as its per-head column blocks, (h, rows, d)."""
     return w.reshape(w.shape[0], heads, -1).transpose(1, 0, 2)
@@ -141,7 +131,7 @@ def _join_heads(blocks):
     return blocks.transpose(1, 0, 2).reshape(blocks.shape[1], -1)
 
 
-def cross_attention_forward(point_feats, gathered, valid, offsets, params, residual=False):
+def cross_attention_forward(point_feats, gathered, valid, offsets, params):
     """Fuse the six gathered plane features into one vector per point.
 
     point_feats (N, C_p) give the queries; gathered (N, M, C_f) give the
@@ -175,11 +165,7 @@ def cross_attention_forward(point_feats, gathered, valid, offsets, params, resid
     context = g_bar.transpose(1, 0, 2) @ _head_blocks(params.w_value, h)
     context = context.transpose(1, 0, 2).reshape(n, h * d)
     fused = context @ params.w_out
-    if residual:
-        if fused.shape[1] != point_feats.shape[1]:
-            raise ValueError("residual needs C_out == C_p")
-        fused = fused + point_feats
-    cache = (point_feats, gathered, offsets, q, a, g_bar, weights, context, params, residual)
+    cache = (point_feats, gathered, offsets, q, a, g_bar, weights, context, params)
     return fused, cache
 
 
@@ -195,7 +181,7 @@ def cross_attention_backward(grad, cache):
     invalid planes carry exactly zero gradient. The offsets get none: they
     come from the cloud's positions, which nothing trains.
     """
-    point_feats, gathered, offsets, q, a, g_bar, weights, context, params, residual = cache
+    point_feats, gathered, offsets, q, a, g_bar, weights, context, params = cache
     n = gathered.shape[0]
     h, d = params.heads, params.head_dim
     w_key, w_value, w_pos = (_head_blocks(w, h) for w in
@@ -220,9 +206,6 @@ def cross_attention_backward(grad, cache):
     dq = (d_a @ w_key + d_b @ w_pos).transpose(1, 0, 2).reshape(n, h * d)
     d_point = dq @ params.w_query.T
     dw_query = point_feats.T @ dq
-
-    if residual:
-        d_point = d_point + grad
     return {
         "point_feats": d_point,
         "gathered": d_gathered,

@@ -176,12 +176,13 @@ def load_pointcloud(path, format: str | None = None) -> PointCloud:
 
 
 def _finish_load(values: np.ndarray, labels: np.ndarray | None) -> PointCloud:
-    values = values.astype(np.float64)
+    # checked before the float64 cast, which warns on a signalling NaN
     bad = ~np.isfinite(values).all(axis=1)
     if bad.any():
         raise CloudFormatError(
             f"record {int(np.argwhere(bad)[0, 0])}: non-finite coordinate"
         )
+    values = values.astype(np.float64)
     if labels is not None:
         labels = labels.astype(np.int64)
         if labels.min(initial=0) < UNLABELED:

@@ -1,8 +1,10 @@
 """Run configuration: a YAML key/value tree with a strict schema.
 
 Unknown keys are rejected by dotted path; omitted keys take the defaults
-below, which are read from the dataclasses the tree builds (`ModelConfig`,
-`TrainSettings`, `SceneSpec`, `DEFAULT_SENSOR`, `DEFAULT_RESOLUTIONS`).
+below, which are read from the objects the tree builds (`ModelConfig`,
+`TrainSettings`, `SceneSpec`): every plane's size, the cylindrical one
+included, from `DEFAULT_RESOLUTIONS` and the cylindrical FOV from
+`DEFAULT_SENSOR`.
 `load_config` parses and validates a file; the `build_*` functions turn the
 validated tree into concrete scene specs, plane specs, and model settings.
 """
@@ -23,6 +25,7 @@ from .projection import (
     DEFAULT_SENSOR,
     PLANE_KINDS,
     SensorConfig,
+    _ORTHO_AXES,
     default_plane_specs,
 )
 from .training import TrainSettings
@@ -41,13 +44,6 @@ def _field_defaults(cls, skip=()):
     }
 
 
-_PLANE_DEFAULTS = {
-    kind: {"height": DEFAULT_RESOLUTIONS[kind][0],
-           "width": DEFAULT_RESOLUTIONS[kind][1],
-           "extent": None, "depth_ref": None}
-    for kind in PLANE_KINDS if kind != "cylindrical"
-}
-
 DEFAULTS = {
     "seed": 0,
     "output_dir": "runs/out",
@@ -63,11 +59,12 @@ DEFAULTS = {
     },
     "eval_scene": None,           # same structure as scene; None = train scene
     "planes": {
-        **_PLANE_DEFAULTS,
-        "cylindrical": {"height": DEFAULT_SENSOR.height,
-                        "width": DEFAULT_SENSOR.width,
-                        "fov_up_deg": math.degrees(DEFAULT_SENSOR.phi_up),
-                        "fov_down_deg": math.degrees(DEFAULT_SENSOR.phi_down)},
+        kind: {"height": DEFAULT_RESOLUTIONS[kind][0],
+               "width": DEFAULT_RESOLUTIONS[kind][1],
+               **({"extent": None, "depth_ref": None} if kind in _ORTHO_AXES
+                  else {"fov_up_deg": math.degrees(DEFAULT_SENSOR.phi_up),
+                        "fov_down_deg": math.degrees(DEFAULT_SENSOR.phi_down)})}
+        for kind in PLANE_KINDS
     },
     # raster_channels is not configurable; seed is the top-level key
     "model": _field_defaults(ModelConfig, skip=("raster_channels", "seed")),
@@ -78,7 +75,7 @@ DEFAULTS = {
 _NULLABLE = {
     "threads", "eval_scene",
     "scene.name", "scene.path", "eval_scene.name", "eval_scene.path",
-    *(f"planes.{kind}.{leaf}" for kind in _PLANE_DEFAULTS
+    *(f"planes.{kind}.{leaf}" for kind in _ORTHO_AXES
       for leaf in ("extent", "depth_ref")),
 }
 
@@ -182,7 +179,13 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
     user = {}
     if path is not None:
         with open(path) as fh:
-            user = yaml.safe_load(fh) or {}
+            try:
+                user = yaml.safe_load(fh) or {}
+            except yaml.YAMLError as exc:
+                mark = getattr(exc, "problem_mark", None)
+                at = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+                problem = getattr(exc, "problem", None) or str(exc).splitlines()[0]
+                raise ConfigError(f"config: {path}: malformed YAML{at}: {problem}") from None
     tree = validate_config(user)
     for key, value in (overrides or {}).items():
         if value is not None:
@@ -259,12 +262,8 @@ def build_scene(scene_tree):
 
 def build_sensor(planes_tree) -> SensorConfig:
     cyl = planes_tree["cylindrical"]
-    return SensorConfig(
-        phi_up=math.radians(cyl["fov_up_deg"]),
-        phi_down=math.radians(cyl["fov_down_deg"]),
-        height=cyl["height"],
-        width=cyl["width"],
-    )
+    return SensorConfig(phi_up=math.radians(cyl["fov_up_deg"]),
+                        phi_down=math.radians(cyl["fov_down_deg"]))
 
 
 def plane_spec_builder(planes_tree):
@@ -275,10 +274,11 @@ def plane_spec_builder(planes_tree):
     derived from each cloud's padded bounding box.
     """
     sensor = build_sensor(planes_tree)
-    sizes, given = {}, {}
-    for kind in _PLANE_DEFAULTS:
+    sizes = {kind: (planes_tree[kind]["height"], planes_tree[kind]["width"])
+             for kind in PLANE_KINDS}
+    given = {}
+    for kind in _ORTHO_AXES:
         sub = planes_tree[kind]
-        sizes[kind] = (sub["height"], sub["width"])
         given[kind] = {}
         if sub["extent"] is not None:
             given[kind]["extent"] = tuple(float(v) for v in sub["extent"])
@@ -302,14 +302,12 @@ def build_train_settings(tree) -> TrainSettings:
 
 
 def scene_num_classes(tree) -> int:
+    """Class count of the training scene: a synth recipe's `num_classes`,
+    else one more than the largest label of the scene `build_scene` makes."""
     scene = tree["scene"]
-    if scene["kind"] == "builtin" and scene["name"] == "occlusion":
-        return 3
-    if scene["kind"] == "builtin" and scene["name"] == "two_class":
-        return 2
-    if scene["kind"] == "file":
-        c = cloudmod.load_pointcloud(scene["path"])
-        if c.labels is None:
-            raise ConfigError("config: file scene has no labels")
-        return int(c.labels.max()) + 1
-    return scene["num_classes"]
+    if scene["kind"] == "synth":
+        return scene["num_classes"]
+    labels = build_scene(scene).labels
+    if labels is None:
+        raise ConfigError("config: scene has no labels")
+    return int(labels.max()) + 1

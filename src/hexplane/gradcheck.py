@@ -20,7 +20,6 @@ from .attention import (
     encode_points_backward,
     init_attention_params,
     init_point_encoder,
-    positional_embedding,
 )
 from .encoder import (
     encode_plane,
@@ -189,20 +188,6 @@ def _check_point_encoder(rng, eps):
     return _compare_groups(objective, groups, analytic, eps)
 
 
-def _check_positional_embedding(rng, eps):
-    offsets = rng.normal(size=(5, 6, 3))
-    w_pos = rng.normal(size=(3, 8))
-    r = rng.normal(size=(5, 6, 8))
-    groups = {"offsets": offsets, "w_pos": w_pos}
-
-    def objective():
-        return float((positional_embedding(offsets, w_pos) * r).sum())
-
-    d_off = r @ w_pos.T
-    dw = offsets.reshape(-1, 3).T @ r.reshape(-1, 8)
-    return _compare_groups(objective, groups, {"offsets": d_off, "w_pos": dw}, eps)
-
-
 def _attention_instance(rng, n=7, m=6, c_p=5, c_f=4, heads=2, head_dim=3):
     point_feats = rng.normal(size=(n, c_p))
     gathered = rng.normal(size=(n, m, c_f))
@@ -289,7 +274,7 @@ def micro_model_instance(rng):
     labels = rng.integers(0, 3, size=n)
     cloud = PointCloud(positions=positions, labels=labels)
 
-    sensor = SensorConfig(phi_up=1.2, phi_down=0.6, height=8, width=12)
+    sensor = SensorConfig(phi_up=1.2, phi_down=0.6)
     lo = positions.min(axis=0) - 0.05
     hi = positions.max(axis=0) + 0.05
     specs = [PlaneSpec("cylindrical", 8, 12, sensor=sensor) if kind == "cylindrical"
@@ -339,7 +324,6 @@ CHECKS = {
     "bilinear_resize": _check_bilinear_resize,
     "bilinear_sample": _check_bilinear_sample,
     "point_encoder": _check_point_encoder,
-    "positional_embedding": _check_positional_embedding,
     "attention": _check_attention,
     "encoder": _check_encoder,
     "loss": _check_loss,

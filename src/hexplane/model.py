@@ -47,7 +47,6 @@ class ModelConfig:
     heads: int = 4
     head_dim: int = 16
     fused_channels: int = 64
-    residual: bool = False
     use_planes: bool = True
     raster_channels: tuple = DEFAULT_CHANNELS
     seed: int = 0
@@ -170,7 +169,7 @@ class HexPlaneModel:
             gathered, valid, gather_cache = gather_plane_features(fused_maps, hexset)
             offsets, _ = gather_offsets(cloud, hexset)
             fused, attn_cache = cross_attention_forward(
-                f_p, gathered, valid, offsets, self.attn_params, residual=c.residual
+                f_p, gathered, valid, offsets, self.attn_params
             )
             head_in = fused
         else:

@@ -44,22 +44,19 @@ _ORTHO_AXES = {
 
 @dataclass(frozen=True)
 class SensorConfig:
-    """Vertical field of view and grid size of the cylindrical projection.
+    """Vertical field of view of the cylindrical projection.
 
     phi_up and phi_down are the magnitudes (radians, > 0) of the upward and
-    downward inclination limits; their sum is the total vertical FOV.
+    downward inclination limits; their sum is the total vertical FOV. The
+    grid size is the plane's.
     """
 
     phi_up: float
     phi_down: float
-    height: int
-    width: int
 
     def __post_init__(self):
         if not (self.phi_up > 0 and self.phi_down > 0):
             raise ValueError("phi_up and phi_down must be positive magnitudes")
-        if self.height < 1 or self.width < 1:
-            raise ValueError("grid must be at least 1x1")
 
     @property
     def xi(self) -> float:
@@ -90,8 +87,6 @@ class PlaneSpec:
         if self.kind == "cylindrical":
             if self.sensor is None or self.extent is not None:
                 raise ValueError("cylindrical plane needs a sensor, not an extent")
-            if (self.sensor.height, self.sensor.width) != (self.height, self.width):
-                raise ValueError("sensor grid size disagrees with plane size")
         else:
             if self.extent is None or self.sensor is not None:
                 raise ValueError(f"{self.kind} plane needs an extent, not a sensor")
@@ -151,8 +146,8 @@ class HexPlaneSet:
             raise ValueError(f"planes must be exactly {PLANE_KINDS}, got {kinds}")
 
 
-def project_cylindrical(cloud: PointCloud, sensor: SensorConfig) -> GridCoords:
-    """Map points to range-image grid coordinates.
+def project_cylindrical(cloud: PointCloud, plane: PlaneSpec) -> GridCoords:
+    """Map points to the range-image grid of a cylindrical plane.
 
     u = (1/2) * (1 - atan2(y, x)/pi) * W
     v = (1 - (asin(z/d) + phi_down)/xi) * H,  d = sqrt(x^2 + y^2 + z^2)
@@ -166,7 +161,7 @@ def project_cylindrical(cloud: PointCloud, sensor: SensorConfig) -> GridCoords:
     if np.any(d == 0.0):
         bad = int(np.argwhere(d == 0.0)[0, 0])
         raise ValueError(f"point {bad} at the projection origin (zero depth)")
-    h, w = sensor.height, sensor.width
+    sensor, h, w = plane.sensor, plane.height, plane.width
 
     az = np.arctan2(y, x)
     az = np.where(az == -np.pi, np.pi, az)  # the seam is one direction, not two
@@ -198,8 +193,15 @@ def project_orthographic(cloud: PointCloud, plane: PlaneSpec) -> GridCoords:
 
 def project(cloud: PointCloud, plane: PlaneSpec) -> GridCoords:
     if plane.kind == "cylindrical":
-        return project_cylindrical(cloud, plane.sensor)
+        return project_cylindrical(cloud, plane)
     return project_orthographic(cloud, plane)
+
+
+def in_fov_pixels(coords: GridCoords, width: int) -> np.ndarray:
+    """Flat pixel index, row * width + column, of every in-FOV point."""
+    mask = coords.in_fov
+    rows = np.floor(coords.v[mask]).astype(np.int64)
+    return rows * width + np.floor(coords.u[mask]).astype(np.int64)
 
 
 def rasterize(cloud, coords, plane, channels=DEFAULT_CHANNELS):
@@ -219,9 +221,7 @@ def rasterize(cloud, coords, plane, channels=DEFAULT_CHANNELS):
 
     idx = np.where(coords.in_fov)[0]
     if idx.size:
-        rows = np.floor(coords.v[idx]).astype(np.int64)
-        cols = np.floor(coords.u[idx]).astype(np.int64)
-        pix = rows * w + cols
+        pix = in_fov_pixels(coords, w)
         depth = coords.depth[idx]
         # two scatter-mins: the nearest depth per pixel, then the lowest
         # point index among the points at exactly that depth
@@ -266,22 +266,11 @@ def _project_one(cloud, spec, channels):
 def hexplane_project(cloud, specs, channels=DEFAULT_CHANNELS, threads=1):
     """Project and rasterize the cloud onto all six planes.
 
-    `specs` must contain exactly one PlaneSpec per kind (any order); the
-    result is always in the fixed plane order. Planes are processed one
-    after another; `threads` is accepted and ignored.
+    `specs` holds one PlaneSpec per kind in PLANE_KINDS order; HexPlaneSet
+    rejects any other. Planes are processed one after another; `threads` is
+    accepted and ignored.
     """
-    by_kind = {}
-    for spec in specs:
-        if spec.kind in by_kind:
-            raise ValueError(f"duplicate plane kind {spec.kind!r}")
-        by_kind[spec.kind] = spec
-    missing = [k for k in PLANE_KINDS if k not in by_kind]
-    if missing:
-        raise ValueError(f"missing plane kinds: {missing}")
-    ordered = [by_kind[k] for k in PLANE_KINDS]
-
-    planes = [_project_one(cloud, s, channels) for s in ordered]
-    return HexPlaneSet(planes=tuple(planes))
+    return HexPlaneSet(planes=tuple(_project_one(cloud, s, channels) for s in specs))
 
 
 def gather_offsets(cloud: PointCloud, hexset: HexPlaneSet):
@@ -299,9 +288,7 @@ def gather_offsets(cloud: PointCloud, hexset: HexPlaneSet):
         if coords.u.shape[0] != n:
             raise ValueError("hexplane set built from a different cloud")
         mask = coords.in_fov
-        rows = np.floor(coords.v[mask]).astype(np.int64)
-        cols = np.floor(coords.u[mask]).astype(np.int64)
-        win = plane.index.winner[rows, cols]
+        win = plane.index.winner.ravel()[in_fov_pixels(coords, plane.spec.width)]
         offsets[mask, m, :] = cloud.positions[mask] - cloud.positions[win]
         valid[:, m] = mask
     return offsets, valid
@@ -325,9 +312,7 @@ def rasterize_labels(cloud: PointCloud, hexset: HexPlaneSet):
 # Default plane specifications
 # ---------------------------------------------------------------------------
 
-DEFAULT_SENSOR = SensorConfig(
-    phi_up=math.radians(45.0), phi_down=math.radians(30.0), height=64, width=512
-)
+DEFAULT_SENSOR = SensorConfig(phi_up=math.radians(45.0), phi_down=math.radians(30.0))
 
 DEFAULT_RESOLUTIONS = {
     "xy_top": (256, 256),
@@ -335,6 +320,7 @@ DEFAULT_RESOLUTIONS = {
     "xz_back": (64, 512),
     "yz_left": (64, 512),
     "yz_right": (64, 512),
+    "cylindrical": (64, 512),
 }
 
 
@@ -372,7 +358,6 @@ def default_plane_specs(
     """Six PlaneSpec covering the cloud's padded bounding box."""
     res = {**DEFAULT_RESOLUTIONS, **(resolutions or {})}
     lo, hi = auto_extent(cloud, margin_frac)
-    return [PlaneSpec(kind, sensor.height, sensor.width, sensor=sensor)
-            if kind == "cylindrical"
+    return [PlaneSpec(kind, *res[kind], sensor=sensor) if kind == "cylindrical"
             else PlaneSpec(kind, *res[kind], *ortho_geometry(kind, lo, hi))
             for kind in PLANE_KINDS]

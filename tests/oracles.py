@@ -214,8 +214,7 @@ def attention_reference(point_feats, gathered, valid, offsets, params):
     return out
 
 
-def cross_attention_reference(point_feats, gathered, valid, offsets, params, grad,
-                              residual=False):
+def cross_attention_reference(point_feats, gathered, valid, offsets, params, grad):
     """Batched-einsum cross-attention: the fused output and the gradients of
     <grad, fused> w.r.t. every input and weight, keyed like the package's
     backward. Softmax runs over the valid planes only; a point with no valid
@@ -234,7 +233,7 @@ def cross_attention_reference(point_feats, gathered, valid, offsets, params, gra
     exps = np.exp(scores[seen] - scores[seen].max(axis=2, keepdims=True))
     weights[seen] = exps / exps.sum(axis=2, keepdims=True)
     context = np.einsum("nhm,nmhd->nhd", weights, v).reshape(n, h * d)
-    fused = context @ params.w_out + (point_feats if residual else 0.0)
+    fused = context @ params.w_out
 
     d_context = (grad @ params.w_out.T).reshape(n, h, d)
     d_weights = np.einsum("nhd,nmhd->nhm", d_context, v)
@@ -244,7 +243,7 @@ def cross_attention_reference(point_feats, gathered, valid, offsets, params, gra
     dq = np.einsum("nhm,nmhd->nhd", d_scores, keys).reshape(n, h * d)
     dk = np.einsum("nhm,nhd->nmhd", d_scores, q).reshape(n, m, h * d)
     grads = {
-        "point_feats": dq @ params.w_query.T + (grad if residual else 0.0),
+        "point_feats": dq @ params.w_query.T,
         "gathered": np.einsum("nmj,cj->nmc", dk, params.w_key)
         + np.einsum("nmj,cj->nmc", dv, params.w_value),
         "w_query": point_feats.T @ dq,

@@ -20,6 +20,7 @@ from hexplane.cloud import PointCloud, make_occlusion_scene
 from hexplane.gradcheck import grad_check
 from hexplane.metrics import ConfusionMatrix, PRCurve, average_precision, segmentation_scores
 from hexplane.projection import (
+    PlaneSpec,
     SensorConfig,
     default_plane_specs,
     gather_offsets,
@@ -31,9 +32,7 @@ from hexplane.training import train_toy
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
-WIDE_SENSOR = SensorConfig(
-    phi_up=math.radians(60.0), phi_down=math.radians(35.0), height=64, width=512
-)
+WIDE_SENSOR = SensorConfig(phi_up=math.radians(60.0), phi_down=math.radians(35.0))
 
 
 def report(num, ok, detail):
@@ -43,27 +42,26 @@ def report(num, ok, detail):
 
 def test_criterion_1_projection_suite():
     t0 = time.perf_counter()
-    sensor = SensorConfig(
-        phi_up=math.radians(3.0), phi_down=math.radians(25.0), height=64, width=512
-    )
+    sensor = SensorConfig(phi_up=math.radians(3.0), phi_down=math.radians(25.0))
+    plane = PlaneSpec("cylindrical", 64, 512, sensor=sensor)
     # FOV endpoint rows
     top = PointCloud(positions=np.array(
         [[math.cos(sensor.phi_up), 0.0, math.sin(sensor.phi_up)]]))
     bottom = PointCloud(positions=np.array(
         [[math.cos(sensor.phi_down), 0.0, -math.sin(sensor.phi_down)]]))
-    ok = abs(project_cylindrical(top, sensor).v[0]) < 1e-9
-    ok &= abs(project_cylindrical(bottom, sensor).v[0] - 64.0) < 1e-9
+    ok = abs(project_cylindrical(top, plane).v[0]) < 1e-9
+    ok &= abs(project_cylindrical(bottom, plane).v[0] - 64.0) < 1e-9
     # azimuth symmetry
     plus_x = PointCloud(positions=np.array([[1.0, 0.0, 0.0]]))
     minus_x = PointCloud(positions=np.array([[-1.0, 0.0, 0.0]]))
-    ok &= project_cylindrical(plus_x, sensor).u[0] == 256.0
-    ok &= project_cylindrical(minus_x, sensor).u[0] == 0.0
+    ok &= project_cylindrical(plus_x, plane).u[0] == 256.0
+    ok &= project_cylindrical(minus_x, plane).u[0] == 0.0
     # 1000 random points vs the extended-precision reference
     rng = np.random.default_rng(100)
     positions = rng.uniform(-5, 5, size=(1000, 3))
     positions[:, 2] = rng.uniform(0.1, 3.0, size=1000)
     cloud = PointCloud(positions=positions)
-    coords = project_cylindrical(cloud, WIDE_SENSOR)
+    coords = project_cylindrical(cloud, PlaneSpec("cylindrical", 64, 512, sensor=WIDE_SENSOR))
     u_ref, v_ref = oracles.range_project_reference(
         positions, WIDE_SENSOR.phi_up, WIDE_SENSOR.phi_down, 64, 512
     )

@@ -1,4 +1,6 @@
-"""Cross-attention fusion: gather, embedding, forward/backward, invariants."""
+"""Cross-attention fusion: gather, forward/backward, invariants."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -13,7 +15,6 @@ from hexplane.attention import (
     gather_plane_features,
     init_attention_params,
     init_point_encoder,
-    positional_embedding,
 )
 from hexplane.cloud import PointCloud
 from hexplane.gradcheck import (
@@ -96,32 +97,6 @@ class TestGatherPlaneFeatures:
         assert np.abs(got - want).max() < 1e-9
 
 
-class TestPositionalEmbedding:
-    def test_zero_offset_zero_embedding(self):
-        rng = np.random.default_rng(4)
-        w_pos = rng.normal(size=(3, 8))
-        emb = positional_embedding(np.zeros((5, 6, 3)), w_pos)
-        assert np.all(emb == 0.0)
-
-    def test_linearity(self):
-        rng = np.random.default_rng(5)
-        w_pos = rng.normal(size=(3, 8))
-        offsets = rng.normal(size=(4, 6, 3))
-        assert np.allclose(
-            positional_embedding(2.0 * offsets, w_pos),
-            2.0 * positional_embedding(offsets, w_pos),
-            atol=1e-12,
-        )
-
-    def test_matches_dense_multiply(self):
-        rng = np.random.default_rng(6)
-        w_pos = rng.normal(size=(3, 10))
-        offsets = rng.normal(size=(3, 6, 3))
-        got = positional_embedding(offsets, w_pos)
-        want = np.einsum("nmi,ij->nmj", offsets, w_pos)
-        assert np.abs(got - want).max() < 1e-12
-
-
 class TestCrossAttentionForward:
     def test_single_valid_plane_is_projected_value(self):
         point_feats, gathered, valid, offsets, params = make_instance(7)
@@ -150,16 +125,24 @@ class TestCrossAttentionForward:
         want = oracles.attention_reference(point_feats, gathered, valid, offsets, params)
         assert np.abs(out - want).max() < 1e-10
 
+    def test_zero_offsets_make_w_pos_irrelevant(self):
+        # the offset embedding is bias-free, so a zero offset embeds to zero
+        # whatever w_pos holds
+        point_feats, gathered, valid, offsets, params = make_instance(4)
+        offsets = np.zeros_like(offsets)
+        out, _ = cross_attention_forward(point_feats, gathered, valid, offsets, params)
+        rng = np.random.default_rng(5)
+        for w_pos in (np.zeros_like(params.w_pos), 100.0 * rng.normal(size=params.w_pos.shape)):
+            other = dataclasses.replace(params, w_pos=w_pos)
+            again, _ = cross_attention_forward(point_feats, gathered, valid, offsets, other)
+            assert np.array_equal(out, again)
+
     def test_zero_valid_planes_give_zero_context(self):
-        point_feats, gathered, valid, offsets, params = make_instance(
-            10, c_out=5, blind=(3,))
-        for residual in (False, True):
-            out, cache = cross_attention_forward(
-                point_feats, gathered, valid, offsets, params, residual=residual)
-            assert np.all(attention_weights(cache)[3] == 0.0)
-            want = point_feats[3] if residual else np.zeros(5)
-            assert np.array_equal(out[3], want)
-            assert np.all(np.isfinite(out))
+        point_feats, gathered, valid, offsets, params = make_instance(10, blind=(3,))
+        out, cache = cross_attention_forward(point_feats, gathered, valid, offsets, params)
+        assert np.all(attention_weights(cache)[3] == 0.0)
+        assert np.array_equal(out[3], np.zeros(out.shape[1]))
+        assert np.all(np.isfinite(out))
 
     def test_blind_point_leaves_other_rows_byte_identical(self):
         point_feats, gathered, valid, offsets, params = make_instance(10, blind=(3,))
@@ -241,18 +224,14 @@ class TestCrossAttentionBackward:
         assert np.all(grads["gathered"][~valid] == 0.0)
 
     def test_zero_valid_planes_get_zero_gradient(self):
-        point_feats, gathered, valid, offsets, params = make_instance(
-            16, c_out=5, blind=(3,))
-        r = np.random.default_rng(0).normal(size=(point_feats.shape[0], 5))
-        for residual in (False, True):
-            _, cache = cross_attention_forward(
-                point_feats, gathered, valid, offsets, params, residual=residual)
-            grads = cross_attention_backward(r, cache)
-            assert np.all(grads["gathered"][3] == 0.0)
-            want = r[3] if residual else np.zeros(5)
-            assert np.array_equal(grads["point_feats"][3], want)
-            for value in grads.values():
-                assert np.all(np.isfinite(value))
+        point_feats, gathered, valid, offsets, params = make_instance(16, blind=(3,))
+        r = np.random.default_rng(0).normal(size=(point_feats.shape[0], 6))
+        _, cache = cross_attention_forward(point_feats, gathered, valid, offsets, params)
+        grads = cross_attention_backward(r, cache)
+        assert np.all(grads["gathered"][3] == 0.0)
+        assert np.array_equal(grads["point_feats"][3], np.zeros(point_feats.shape[1]))
+        for value in grads.values():
+            assert np.all(np.isfinite(value))
 
     def test_cache_holds_no_key_or_value_tensor(self):
         # micro sizes have h*d = 6 > C_f = 4, so an (N, M, h, d) array would
@@ -265,21 +244,19 @@ class TestCrossAttentionBackward:
 
     # the GEMM/matmul code sums in a different order than the einsum oracle;
     # each output must agree to 1e-13 of its largest entry
-    @pytest.mark.parametrize("dims, residual", [
-        ({}, False),
-        (dict(n=300, c_p=64, c_f=64, heads=4, head_dim=16, c_out=64), False),
-        (dict(n=300, c_p=32, c_f=32, heads=4, head_dim=8, c_out=32), False),
-        (dict(c_out=5), True),
-        (dict(n=40, blind=(0, 17, 39)), False),
-    ], ids=["micro", "shipped_widths", "occlusion_transfer", "residual", "blind_points"])
-    def test_matches_einsum_reference(self, dims, residual):
+    @pytest.mark.parametrize("dims", [
+        {},
+        dict(n=300, c_p=64, c_f=64, heads=4, head_dim=16, c_out=64),
+        dict(n=300, c_p=32, c_f=32, heads=4, head_dim=8, c_out=32),
+        dict(n=40, blind=(0, 17, 39)),
+    ], ids=["micro", "shipped_widths", "occlusion_transfer", "blind_points"])
+    def test_matches_einsum_reference(self, dims):
         point_feats, gathered, valid, offsets, params = make_instance(18, **dims)
         r = np.random.default_rng(4).normal(size=(gathered.shape[0], params.w_out.shape[1]))
-        out, cache = cross_attention_forward(point_feats, gathered, valid, offsets, params,
-                                             residual=residual)
+        out, cache = cross_attention_forward(point_feats, gathered, valid, offsets, params)
         grads = cross_attention_backward(r, cache)
         want_out, want_grads = oracles.cross_attention_reference(
-            point_feats, gathered, valid, offsets, params, r, residual=residual)
+            point_feats, gathered, valid, offsets, params, r)
         assert np.abs(out - want_out).max() <= 1e-13 * np.abs(want_out).max()
         assert set(grads) == set(want_grads)
         for name, want in want_grads.items():

@@ -1,22 +1,35 @@
-"""The benchmark's layer spans still find every package function they wrap.
+"""The benchmark still finds, and can run, what it uses of the package.
 
-`perfbench/spans.py` replaces `src` functions by (module, attribute); a
-rename inside the package would otherwise break only the traced benchmark
-runs. The module is imported read-only and nothing is patched.
+`perfbench/spans.py` replaces `src` functions by (module, attribute), and
+`perfbench/workloads.py` calls the package by name; a change inside the
+package would otherwise break only the benchmark runs. The modules are
+imported read-only; only the workloads' own step hooks patch anything.
 """
 
 import importlib
 import sys
 from pathlib import Path
 
+import pytest
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def test_every_traced_layer_resolves(monkeypatch):
+@pytest.fixture
+def perfbench(monkeypatch):
+    """Imports perfbench modules afresh, writing no bytecode next to them."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.syspath_prepend(str(PERFBENCH))
-    monkeypatch.delitem(sys.modules, "spans", raising=False)
-    spans = importlib.import_module("spans")
+
+    def load(name):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+        return importlib.import_module(name)
+
+    return load
+
+
+def test_every_traced_layer_resolves(perfbench):
+    spans = perfbench("spans")
     patches = spans.Tracer().layer_patches()
     assert len(patches) == len(spans.LAYERS)
     for owner, attr, traced in patches:
@@ -50,3 +63,12 @@ def test_train_toy_calls_every_hooked_step_function(monkeypatch):
     )
     step = ["lr_schedule", "composite_loss", "adamw_step"]
     assert calls == step * 2 + ["lr_schedule"]  # the final eval asks for an lr
+
+
+def test_every_workload_runs_one_operation_without_failure(perfbench):
+    spans = perfbench("spans")
+    workloads = perfbench("workloads")
+    sizes = workloads.Sizes(train_steps=2, project_points=3000, setup_repeats=1)
+    for name, workload in workloads.WORKLOADS.items():
+        tally = workload(3, sizes).measure(spans.OpTimer(), 0.0)
+        assert tally.attempted > 0 and tally.failed == 0, name

@@ -43,7 +43,7 @@ def write_index(path):
     cloud = small_cloud()
     lo = cloud.positions.min(axis=0) - 0.05
     hi = cloud.positions.max(axis=0) + 0.05
-    sensor = SensorConfig(phi_up=1.2, phi_down=0.6, height=4, width=4)
+    sensor = SensorConfig(phi_up=1.2, phi_down=0.6)
     specs = [PlaneSpec(kind, 4, 4, sensor=sensor) if kind == "cylindrical"
              else PlaneSpec(kind, 4, 4, *ortho_geometry(kind, lo, hi))
              for kind in PLANE_KINDS]

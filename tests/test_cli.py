@@ -338,6 +338,36 @@ class TestValidation:
         assert code == 1
         assert "step_count" in capsys.readouterr().err
 
+    def test_malformed_yaml_names_file_and_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_text("seed: [1, 2\n")
+        code = main(["train", "--config", str(path)])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(lines) == 1 and lines[0].startswith("error: config:")
+        assert str(path) in lines[0] and "line 2, column 1" in lines[0]
+
+    @pytest.mark.parametrize("scene, named", [
+        ({"kind": "file"}, "scene.path"),
+        ({"kind": "builtin", "name": "nope"}, "'nope'"),
+    ], ids=["file_without_path", "unknown_builtin"])
+    def test_eval_on_cloud_with_bad_train_scene(self, tmp_path, tiny_config, capsys,
+                                                scene, named):
+        # the class count comes from the train scene even when --cloud is given
+        cloud = tmp_path / "cloud.bin"
+        assert main(["synth", "--config", str(tiny_config), "--out", str(cloud)]) == 0
+        assert main(["train", "--config", str(tiny_config), "--steps", "0",
+                     "--output-dir", str(tmp_path / "run")]) == 0
+        path = tmp_path / "eval.yaml"
+        path.write_text(yaml.safe_dump({**TINY_CONFIG, "scene": scene}))
+        capsys.readouterr()
+        code = main(["eval", "--config", str(path), "--cloud", str(cloud),
+                     "--checkpoint", str(tmp_path / "run" / "checkpoint.bin")])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(lines) == 1 and lines[0].startswith("error: config:")
+        assert named in lines[0]
+
     def test_missing_cloud_file(self, tmp_path, tiny_config):
         code = main(["project", str(tmp_path / "nope.bin"),
                      "--config", str(tiny_config)])

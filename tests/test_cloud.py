@@ -1,6 +1,8 @@
 """Point-cloud I/O, synthetic scenes, and augmentation."""
 
 import math
+import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -118,6 +120,17 @@ class TestBinaryFormat:
         path.write_bytes(raw[:-5])
         with pytest.raises(CloudFormatError, match="truncated.*record 9"):
             load_pointcloud(path)
+
+    def test_signalling_nan_is_format_error_without_warning(self, tmp_path):
+        path = tmp_path / "snan.bin"
+        save_pointcloud(path, PointCloud(positions=np.ones((2, 3))), format="binary")
+        raw = bytearray(path.read_bytes())
+        raw[-12:-8] = struct.pack("<I", 0x7F800001)  # record 1's x: float32 sNaN
+        path.write_bytes(bytes(raw))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CloudFormatError, match="record 1"):
+                load_pointcloud(path)
 
     def test_sniffs_format(self, tmp_path):
         rng = np.random.default_rng(4)

@@ -11,7 +11,7 @@ from hexplane import config as cfg
 from hexplane.cli import main
 from hexplane.cloud import PointCloud, Primitive, SceneSpec, save_pointcloud
 from hexplane.model import ModelConfig
-from hexplane.projection import DEFAULT_SENSOR, default_plane_specs
+from hexplane.projection import DEFAULT_RESOLUTIONS, DEFAULT_SENSOR, default_plane_specs
 from hexplane.training import TrainSettings
 
 
@@ -39,6 +39,10 @@ class TestDefaults:
         for name, (got, default) in want.items():
             assert got == default, name
             assert field_types(got) == field_types(default), name
+
+    def test_empty_config_cylindrical_size_is_the_default_resolution(self):
+        cyl = cfg.validate_config({})["planes"]["cylindrical"]
+        assert (cyl["height"], cyl["width"]) == DEFAULT_RESOLUTIONS["cylindrical"]
 
     def test_empty_config_plane_specs_are_the_default_specs(self):
         spec_fn = cfg.plane_spec_builder(cfg.validate_config({})["planes"])
@@ -126,6 +130,8 @@ MALFORMED = [
     ("train", {"eval_scene": {"room_extent": 4}}, "eval_scene.room_extent"),
     # stride-4 fusion needs two stages; one used to fail after the model was built
     ("train", {"model": {"encoder_widths": [8]}}, "model.encoder_widths"),
+    # a retired option is an unknown key, not a silent no-op
+    ("train", {"model": {"residual": True}}, "model.residual"),
 ]
 
 

@@ -27,13 +27,11 @@ from hexplane.projection import (
     rasterize_labels,
 )
 
-KITTI_SENSOR = SensorConfig(
-    phi_up=math.radians(3.0), phi_down=math.radians(25.0), height=64, width=512
-)
+KITTI_SENSOR = SensorConfig(phi_up=math.radians(3.0), phi_down=math.radians(25.0))
+KITTI = PlaneSpec("cylindrical", 64, 512, sensor=KITTI_SENSOR)
 
-WIDE_SENSOR = SensorConfig(
-    phi_up=math.radians(60.0), phi_down=math.radians(35.0), height=64, width=512
-)
+WIDE_SENSOR = SensorConfig(phi_up=math.radians(60.0), phi_down=math.radians(35.0))
+WIDE = PlaneSpec("cylindrical", 64, 512, sensor=WIDE_SENSOR)
 
 
 def random_cloud(rng, n=500, labeled=True):
@@ -46,21 +44,21 @@ def random_cloud(rng, n=500, labeled=True):
 class TestCylindricalProjection:
     def test_positive_x_axis_hits_center_column(self):
         cloud = PointCloud(positions=np.array([[1.0, 0.0, 0.0]]))
-        coords = project_cylindrical(cloud, KITTI_SENSOR)
+        coords = project_cylindrical(cloud, KITTI)
         assert coords.u[0] == 256.0
 
     def test_negative_x_axis_hits_column_zero(self):
         cloud = PointCloud(positions=np.array([[-1.0, 0.0, 0.0]]))
-        coords = project_cylindrical(cloud, KITTI_SENSOR)
+        coords = project_cylindrical(cloud, KITTI)
         assert coords.u[0] == 0.0
 
     def test_fov_endpoint_rows(self):
         s = KITTI_SENSOR
         top = np.array([[math.cos(s.phi_up), 0.0, math.sin(s.phi_up)]])
         bottom = np.array([[math.cos(s.phi_down), 0.0, -math.sin(s.phi_down)]])
-        coords = project_cylindrical(PointCloud(positions=top), s)
+        coords = project_cylindrical(PointCloud(positions=top), KITTI)
         assert coords.v[0] == pytest.approx(0.0, abs=1e-9)
-        coords = project_cylindrical(PointCloud(positions=bottom), s)
+        coords = project_cylindrical(PointCloud(positions=bottom), KITTI)
         assert coords.v[0] == pytest.approx(64.0, abs=1e-9)
 
     def test_exact_bottom_boundary_stays_on_last_row(self):
@@ -68,8 +66,9 @@ class TestCylindricalProjection:
         # elevation; the boundary is inclusive and must floor to row H-1
         pos = np.array([[2.0, 0.0, -1.0]])
         elev = float(np.arcsin(-1.0 / np.linalg.norm(pos[0])))
-        sensor = SensorConfig(phi_up=0.5, phi_down=-elev, height=64, width=512)
-        coords = project_cylindrical(PointCloud(positions=pos), sensor)
+        plane = PlaneSpec("cylindrical", 64, 512,
+                          sensor=SensorConfig(phi_up=0.5, phi_down=-elev))
+        coords = project_cylindrical(PointCloud(positions=pos), plane)
         assert coords.in_fov[0]
         assert coords.v[0] == pytest.approx(64.0, abs=1e-9)
         assert math.floor(coords.v[0]) == 63
@@ -77,7 +76,7 @@ class TestCylindricalProjection:
     def test_known_point(self):
         # frozen from an arbitrary-precision evaluation of the mapping
         cloud = PointCloud(positions=np.array([[3.0, 4.0, 0.0]]))
-        coords = project_cylindrical(cloud, KITTI_SENSOR)
+        coords = project_cylindrical(cloud, KITTI)
         assert coords.u[0] == pytest.approx(180.43718776297816, abs=1e-9)
         assert coords.v[0] == pytest.approx(6.857142857142857, abs=1e-9)
         u_mp, v_mp = oracles.range_project_mpmath((3.0, 4.0, 0.0), 3.0, 25.0, 64, 512)
@@ -87,7 +86,7 @@ class TestCylindricalProjection:
     def test_matches_extended_precision_reference(self):
         rng = np.random.default_rng(0)
         cloud = random_cloud(rng, n=1000, labeled=False)
-        coords = project_cylindrical(cloud, WIDE_SENSOR)
+        coords = project_cylindrical(cloud, WIDE)
         u_ref, v_ref = oracles.range_project_reference(
             cloud.positions, WIDE_SENSOR.phi_up, WIDE_SENSOR.phi_down, 64, 512
         )
@@ -97,30 +96,30 @@ class TestCylindricalProjection:
     def test_origin_point_rejected(self):
         pos = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         with pytest.raises(ValueError, match="point 1"):
-            project_cylindrical(PointCloud(positions=pos), KITTI_SENSOR)
+            project_cylindrical(PointCloud(positions=pos), KITTI)
 
     def test_out_of_fov_masked_not_clamped(self):
         pos = np.array([[1.0, 0.0, 5.0]])  # far above the upward limit
-        coords = project_cylindrical(PointCloud(positions=pos), KITTI_SENSOR)
+        coords = project_cylindrical(PointCloud(positions=pos), KITTI)
         assert not coords.in_fov[0]
         assert coords.v[0] < 0  # raw value kept, no clamping into the grid
 
     def test_azimuth_monotone_in_u(self):
         azimuths = np.linspace(-math.pi + 1e-6, math.pi, 500)
         pos = np.stack([np.cos(azimuths), np.sin(azimuths), np.zeros(500)], axis=1)
-        coords = project_cylindrical(PointCloud(positions=pos), KITTI_SENSOR)
+        coords = project_cylindrical(PointCloud(positions=pos), KITTI)
         assert np.all(np.diff(coords.u) < 0)  # u strictly decreasing in azimuth
 
     def test_elevation_monotone_in_v(self):
         s = KITTI_SENSOR
         elev = np.linspace(-s.phi_down + 1e-6, s.phi_up - 1e-6, 300)
         pos = np.stack([np.cos(elev), np.zeros(300), np.sin(elev)], axis=1)
-        coords = project_cylindrical(PointCloud(positions=pos), s)
+        coords = project_cylindrical(PointCloud(positions=pos), KITTI)
         assert np.all(np.diff(coords.v) < 0)
 
     def test_seam_direction_wraps_to_pi(self):
         pos = np.array([[-1.0, -0.0, 0.0]])
-        coords = project_cylindrical(PointCloud(positions=pos), KITTI_SENSOR)
+        coords = project_cylindrical(PointCloud(positions=pos), KITTI)
         assert coords.u[0] == 0.0
 
 
@@ -318,8 +317,16 @@ class TestHexPlaneProject:
         rng = np.random.default_rng(23)
         cloud = random_cloud(rng, n=10)
         specs = default_plane_specs(cloud)[:-1]
-        with pytest.raises(ValueError, match="missing"):
+        with pytest.raises(ValueError, match="planes must be exactly"):
             hexplane_project(cloud, specs)
+
+    def test_shuffled_plane_order_rejected(self):
+        rng = np.random.default_rng(23)
+        cloud = random_cloud(rng, n=10)
+        specs = default_plane_specs(cloud)
+        shuffled = [specs[i] for i in (5, 0, 1, 2, 3, 4)]
+        with pytest.raises(ValueError, match="planes must be exactly"):
+            hexplane_project(cloud, shuffled)
 
     def test_coverage_superset_and_strictness(self):
         cloud, _ = make_occlusion_scene()
@@ -336,11 +343,9 @@ class TestHexPlaneProject:
     def test_truncated_index_at_every_offset_is_value_error(self, tmp_path):
         rng = np.random.default_rng(24)
         cloud = random_cloud(rng, n=5)
-        small = SensorConfig(phi_up=math.radians(60.0), phi_down=math.radians(35.0),
-                             height=3, width=4)
-        resolutions = {kind: (3, 4) for kind in PLANE_KINDS[:5]}
+        resolutions = {kind: (3, 4) for kind in PLANE_KINDS}
         hexset = hexplane_project(
-            cloud, default_plane_specs(cloud, sensor=small, resolutions=resolutions)
+            cloud, default_plane_specs(cloud, sensor=WIDE_SENSOR, resolutions=resolutions)
         )
         path = tmp_path / "p.index.bin"
         save_projection_index(path, hexset)
@@ -464,11 +469,10 @@ def test_cylindrical_quantization_round_trip():
     positions = rng.uniform(-4, 4, size=(800, 3))
     positions[:, 2] = rng.uniform(0.1, 3.0, size=800)
     cloud = PointCloud(positions=positions)
-    spec = PlaneSpec("cylindrical", 64, 512, sensor=WIDE_SENSOR)
-    coords = project(cloud, spec)
-    raster, index = rasterize(cloud, coords, spec)
+    coords = project(cloud, WIDE)
+    raster, index = rasterize(cloud, coords, WIDE)
     occupied = np.argwhere(index.winner >= 0)
     stored = raster[occupied[:, 0], occupied[:, 1], :3]
-    re_coords = project_cylindrical(PointCloud(positions=stored), WIDE_SENSOR)
+    re_coords = project_cylindrical(PointCloud(positions=stored), WIDE)
     assert np.array_equal(np.floor(re_coords.v).astype(int), occupied[:, 0])
     assert np.array_equal(np.floor(re_coords.u).astype(int), occupied[:, 1])

@@ -21,13 +21,14 @@ from hexplane.training import (
     train_toy,
 )
 
-TINY_SENSOR = SensorConfig(phi_up=1.0, phi_down=0.6, height=16, width=48)
+TINY_SENSOR = SensorConfig(phi_up=1.0, phi_down=0.6)
 TINY_RES = {
     "xy_top": (24, 24),
     "xz_front": (16, 48),
     "xz_back": (16, 48),
     "yz_left": (16, 48),
     "yz_right": (16, 48),
+    "cylindrical": (16, 48),
 }
 
 
