@@ -29,9 +29,8 @@ from .projection import (
     rasterize,
     rasterize_labels,
 )
-from .encoder import EncoderParams, encode_plane, feature_grid, fuse_scales
+from .encoder import encode_plane, feature_grid, fuse_scales
 from .attention import (
-    AttentionParams,
     cross_attention_backward,
     cross_attention_forward,
     gather_plane_features,

@@ -22,8 +22,6 @@ so no (N*M, h*d) key or value tensor is formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import ops
@@ -31,51 +29,20 @@ from .encoder import feature_grid
 from .projection import HexPlaneSet
 
 
-@dataclass
-class AttentionParams:
-    """Projection heads of the plane-fusion attention.
-
-    w_query (C_p, h*d), w_key/w_value (C_f, h*d), w_pos (3, h*d) bias-free
-    so a zero offset embeds to zero, w_out (h*d, C_out).
-    """
-
-    w_query: np.ndarray
-    w_key: np.ndarray
-    w_value: np.ndarray
-    w_pos: np.ndarray
-    w_out: np.ndarray
-    heads: int
-    head_dim: int
-
-    def __post_init__(self):
-        hd = self.heads * self.head_dim
-        shapes = {
-            "w_query": self.w_query.shape[1],
-            "w_key": self.w_key.shape[1],
-            "w_value": self.w_value.shape[1],
-            "w_pos": self.w_pos.shape[1],
-            "w_out": self.w_out.shape[0],
-        }
-        for name, got in shapes.items():
-            if got != hd:
-                raise ValueError(f"{name} inner width {got} != heads*head_dim {hd}")
-        for name in shapes:
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"{name} must be finite")
-
-
 def init_attention_params(c_point, c_feat, heads=4, head_dim=16, c_out=64, rng=None):
+    """Projection heads of the plane-fusion attention, keyed like the
+    gradients of `cross_attention_backward`: w_query (C_p, h*d),
+    w_key/w_value (C_f, h*d), w_pos (3, h*d) bias-free so a zero offset
+    embeds to zero, w_out (h*d, C_out)."""
     rng = np.random.default_rng(0) if rng is None else rng
     hd = heads * head_dim
-    return AttentionParams(
-        w_query=ops.uniform_init(rng, (c_point, hd), c_point),
-        w_key=ops.uniform_init(rng, (c_feat, hd), c_feat),
-        w_value=ops.uniform_init(rng, (c_feat, hd), c_feat),
-        w_pos=ops.uniform_init(rng, (3, hd), 3),
-        w_out=ops.uniform_init(rng, (hd, c_out), hd),
-        heads=heads,
-        head_dim=head_dim,
-    )
+    return {
+        "w_query": ops.uniform_init(rng, (c_point, hd), c_point),
+        "w_key": ops.uniform_init(rng, (c_feat, hd), c_feat),
+        "w_value": ops.uniform_init(rng, (c_feat, hd), c_feat),
+        "w_pos": ops.uniform_init(rng, (3, hd), 3),
+        "w_out": ops.uniform_init(rng, (hd, c_out), hd),
+    }
 
 
 def gather_plane_features(feature_maps, hexset: HexPlaneSet):
@@ -131,21 +98,22 @@ def _join_heads(blocks):
     return blocks.transpose(1, 0, 2).reshape(blocks.shape[1], -1)
 
 
-def cross_attention_forward(point_feats, gathered, valid, offsets, params):
+def cross_attention_forward(point_feats, gathered, valid, offsets, params, heads):
     """Fuse the six gathered plane features into one vector per point.
 
     point_feats (N, C_p) give the queries; gathered (N, M, C_f) give the
     keys, with the offset embedding added, and the values, reassociated as
-    the module docstring shows. Softmax runs over the valid planes only; a
-    point with none gets a zero context. Returns (fused (N, C_out), cache).
+    the module docstring shows; `heads` splits the inner width h*d. Softmax
+    runs over the valid planes only; a point with none gets a zero context.
+    Returns (fused (N, C_out), cache).
     """
-    n, m, _ = gathered.shape
-    h, d = params.heads, params.head_dim
+    n = gathered.shape[0]
+    h, d = heads, params["w_query"].shape[1] // heads
 
     # per-head GEMMs over (h, N, .) views; the key side folds into the query
-    q = (point_feats @ params.w_query).reshape(n, h, d).transpose(1, 0, 2)
-    a = (q @ _head_blocks(params.w_key, h).transpose(0, 2, 1)).transpose(1, 0, 2)
-    b = (q @ _head_blocks(params.w_pos, h).transpose(0, 2, 1)).transpose(1, 0, 2)
+    q = (point_feats @ params["w_query"]).reshape(n, h, d).transpose(1, 0, 2)
+    a = (q @ _head_blocks(params["w_key"], h).transpose(0, 2, 1)).transpose(1, 0, 2)
+    b = (q @ _head_blocks(params["w_pos"], h).transpose(0, 2, 1)).transpose(1, 0, 2)
 
     # per-point (h, C_f) @ (C_f, M) products
     scores = a @ gathered.transpose(0, 2, 1)
@@ -162,9 +130,9 @@ def cross_attention_forward(point_feats, gathered, valid, offsets, params):
     weights = exps / total  # (n, h, m), 0 on invalid
 
     g_bar = weights @ gathered  # (n, h, C_f)
-    context = g_bar.transpose(1, 0, 2) @ _head_blocks(params.w_value, h)
+    context = g_bar.transpose(1, 0, 2) @ _head_blocks(params["w_value"], h)
     context = context.transpose(1, 0, 2).reshape(n, h * d)
-    fused = context @ params.w_out
+    fused = context @ params["w_out"]
     cache = (point_feats, gathered, offsets, q, a, g_bar, weights, context, params)
     return fused, cache
 
@@ -182,12 +150,10 @@ def cross_attention_backward(grad, cache):
     come from the cloud's positions, which nothing trains.
     """
     point_feats, gathered, offsets, q, a, g_bar, weights, context, params = cache
-    n = gathered.shape[0]
-    h, d = params.heads, params.head_dim
-    w_key, w_value, w_pos = (_head_blocks(w, h) for w in
-                             (params.w_key, params.w_value, params.w_pos))
+    h, n, d = q.shape
+    w_key, w_value, w_pos = (_head_blocks(params[k], h) for k in ("w_key", "w_value", "w_pos"))
 
-    d_context = (grad @ params.w_out.T).reshape(n, h, d).transpose(1, 0, 2)
+    d_context = (grad @ params["w_out"].T).reshape(n, h, d).transpose(1, 0, 2)
     dw_out = context.T @ grad
     d_g_bar = (d_context @ w_value.transpose(0, 2, 1)).transpose(1, 0, 2)
     dw_value = g_bar.transpose(1, 2, 0) @ d_context
@@ -204,7 +170,7 @@ def cross_attention_backward(grad, cache):
     d_b = (d_scores @ offsets).transpose(1, 0, 2)  # (h, n, 3)
 
     dq = (d_a @ w_key + d_b @ w_pos).transpose(1, 0, 2).reshape(n, h * d)
-    d_point = dq @ params.w_query.T
+    d_point = dq @ params["w_query"].T
     dw_query = point_feats.T @ dq
     return {
         "point_feats": d_point,
@@ -222,35 +188,27 @@ def cross_attention_backward(grad, cache):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PointEncoderParams:
-    w1: np.ndarray  # (C_in, C_p)
-    b1: np.ndarray
-    w2: np.ndarray  # (2*C_p, C_p)
-    b2: np.ndarray
-    slope: float = 0.1
-
-
-def init_point_encoder(c_in, c_point, slope=0.1, rng=None):
+def init_point_encoder(c_in, c_point, rng=None):
+    """Point MLP weights, keyed like the gradients of
+    `encode_points_backward`: w1 (C_in, C_p), b1, w2 (2*C_p, C_p), b2."""
     rng = np.random.default_rng(0) if rng is None else rng
-    return PointEncoderParams(
-        w1=ops.uniform_init(rng, (c_in, c_point), c_in),
-        b1=np.zeros(c_point),
-        w2=ops.uniform_init(rng, (2 * c_point, c_point), 2 * c_point),
-        b2=np.zeros(c_point),
-        slope=slope,
-    )
+    return {
+        "w1": ops.uniform_init(rng, (c_in, c_point), c_in),
+        "b1": np.zeros(c_point),
+        "w2": ops.uniform_init(rng, (2 * c_point, c_point), 2 * c_point),
+        "b2": np.zeros(c_point),
+    }
 
 
-def encode_points(positions, feats, params: PointEncoderParams, voxel_size=0.4):
+def encode_points(positions, feats, params, voxel_size=0.4):
     """Per-point features with local context, (N, C_p).
 
     Lift each point's input vector with a linear layer, average the lifted
     features over the point's voxel cell, and mix point + neighborhood
     through a second layer.
     """
-    pre1, lin1 = ops.linear_forward(feats, params.w1, params.b1)
-    h1, act1 = ops.leaky_relu_forward(pre1, params.slope)
+    pre1, lin1 = ops.linear_forward(feats, params["w1"], params["b1"])
+    h1, act1 = ops.leaky_relu_forward(pre1)
 
     cells = np.floor((positions - positions.min(axis=0)) / voxel_size).astype(np.int64)
     # the mixed-radix cell key sorts like the rows, so `inverse` is the same
@@ -265,8 +223,8 @@ def encode_points(positions, feats, params: PointEncoderParams, voxel_size=0.4):
     pooled = sums[inverse] / counts[inverse][:, None]
 
     both = np.concatenate([h1, pooled], axis=1)
-    pre2, lin2 = ops.linear_forward(both, params.w2, params.b2)
-    out, act2 = ops.leaky_relu_forward(pre2, params.slope)
+    pre2, lin2 = ops.linear_forward(both, params["w2"], params["b2"])
+    out, act2 = ops.leaky_relu_forward(pre2)
     cache = (lin1, act1, inverse, counts, lin2, act2, h1.shape[1])
     return out, cache
 

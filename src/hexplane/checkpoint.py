@@ -64,7 +64,11 @@ def load_checkpoint(path) -> dict:
         (ndim,) = struct.unpack("<B", take(1))
         shape = struct.unpack(f"<{ndim}Q", take(8 * ndim))
         size = math.prod(shape)  # exact: a corrupt dim must not overflow
-        params[name] = np.frombuffer(take(8 * size), dtype="<f8").reshape(shape).copy()
+        arr = np.frombuffer(take(8 * size), dtype="<f8").reshape(shape).copy()
+        # training never writes one: AdamW and the divergence guard stop first
+        if not np.isfinite(arr).all():
+            raise ValueError(f"checkpoint tensor {name} is not finite")
+        params[name] = arr
     if offset != len(raw):
         raise ValueError("trailing bytes after last tensor")
     return params

@@ -75,7 +75,7 @@ def cmd_train(args) -> int:
     eval_cloud = None
     if tree["eval_scene"] is not None:
         eval_cloud = cfg.build_scene(tree["eval_scene"])
-    num_classes = cfg.scene_num_classes(tree)
+    num_classes = cfg.scene_num_classes(tree, train_cloud)
     model_config = cfg.build_model_config(tree, num_classes)
     settings = cfg.build_train_settings(tree)
     spec_fn = cfg.plane_spec_builder(tree["planes"])
@@ -121,15 +121,16 @@ def cmd_eval(args) -> int:
     else:
         if args.checkpoint is None:
             raise ValueError("eval needs either --checkpoint or --pred/--gt")
+        train_cloud = None
         if args.cloud is not None:
             cloud = load_pointcloud(args.cloud)
         elif tree["eval_scene"] is not None:
             cloud = cfg.build_scene(tree["eval_scene"])
         else:
-            cloud = cfg.build_scene(tree["scene"])
+            cloud = train_cloud = cfg.build_scene(tree["scene"])
         if cloud.labels is None:
             raise ValueError("evaluation cloud must carry labels")
-        num_classes = cfg.scene_num_classes(tree)
+        num_classes = cfg.scene_num_classes(tree, train_cloud)
         num_classes = max(num_classes, int(cloud.labels.max()) + 1)
         model = HexPlaneModel(cfg.build_model_config(tree, num_classes))
         model.load_parameters(load_checkpoint(args.checkpoint))

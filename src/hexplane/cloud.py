@@ -232,8 +232,11 @@ def _load_ascii(text: str) -> PointCloud:
                 labels[i] = int(parts[c])
             except ValueError:
                 raise CloudFormatError(f"record {i}: unparseable label") from None
-    # canonicalize through the 32-bit storage type
-    return _finish_load(values.astype(np.float32), labels)
+    # canonicalize through the 32-bit storage type; a value beyond its range
+    # becomes inf, which _finish_load rejects
+    with np.errstate(over="ignore"):
+        values = values.astype(np.float32)
+    return _finish_load(values, labels)
 
 
 def _load_binary(raw: bytes) -> PointCloud:

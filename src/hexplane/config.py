@@ -97,6 +97,10 @@ def _list_of(test, length=None, at_least=1):
                       and length in (None, len(v)) and all(map(test, v)))
 
 
+def _positive_int(v):
+    return _is_int(v) and v > 0
+
+
 # leaf name -> (what the value must be, test), beyond the default's type
 _SHAPES = {
     "extent": ("a list of 4 numbers", _list_of(_is_number, 4)),
@@ -104,7 +108,11 @@ _SHAPES = {
     "room_extent": ("a list of 3 numbers", _list_of(_is_number, 3)),
     # stride-4 fusion needs the stride-2 stage and at least one more
     "encoder_widths": ("a list of two or more positive integers",
-                       _list_of(lambda w: _is_int(w) and w > 0, at_least=2)),
+                       _list_of(_positive_int, at_least=2)),
+    **dict.fromkeys(("heads", "head_dim", "point_width", "point_channels",
+                     "feature_channels", "fused_channels"),
+                    ("a positive integer", _positive_int)),
+    "voxel_size": ("a positive number", lambda v: _is_number(v) and v > 0),
 }
 
 
@@ -301,13 +309,14 @@ def build_train_settings(tree) -> TrainSettings:
     return _from_section(TrainSettings, tree["training"])
 
 
-def scene_num_classes(tree) -> int:
+def scene_num_classes(tree, cloud=None) -> int:
     """Class count of the training scene: a synth recipe's `num_classes`,
-    else one more than the largest label of the scene `build_scene` makes."""
+    else one more than the largest label of the scene `build_scene` makes;
+    pass that scene as `cloud` when it is already built."""
     scene = tree["scene"]
     if scene["kind"] == "synth":
         return scene["num_classes"]
-    labels = build_scene(scene).labels
+    labels = (build_scene(scene) if cloud is None else cloud).labels
     if labels is None:
         raise ConfigError("config: scene has no labels")
     return int(labels.max()) + 1

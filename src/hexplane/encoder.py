@@ -9,8 +9,6 @@ width.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import ops
@@ -23,56 +21,34 @@ def feature_grid(h, w):
     return -(-h // FUSE_STRIDE), -(-w // FUSE_STRIDE)
 
 
-@dataclass
-class EncoderParams:
-    """Stage kernels/biases plus the scale-fusion mixing layer."""
-
-    conv_w: list  # per stage (3, 3, c_in, c_out)
-    conv_b: list  # per stage (c_out,)
-    mix_w: np.ndarray  # (sum(widths), c_f)
-    mix_b: np.ndarray  # (c_f,)
-    slope: float = 0.1
-
-    def __post_init__(self):
-        for arr in (*self.conv_w, *self.conv_b, self.mix_w, self.mix_b):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("encoder parameters must be finite")
-        widths = [w.shape[3] for w in self.conv_w]
-        if self.mix_w.shape[0] != sum(widths):
-            raise ValueError(
-                f"mix layer expects {sum(widths)} channels, got {self.mix_w.shape[0]}"
-            )
-
-
-def init_encoder_params(
-    in_channels, widths=(16, 32, 64), out_channels=64, slope=0.1, rng=None
-):
+def init_encoder_params(in_channels, widths=(16, 32, 64), out_channels=64, rng=None):
+    """Stage kernels/biases and the scale-fusion mixing layer, keyed like
+    the gradients of the backward passes: conv{i}/W (3, 3, c_in, c_out),
+    conv{i}/b, mix/W (sum(widths), c_f), mix/b."""
     rng = np.random.default_rng(0) if rng is None else rng
-    conv_w, conv_b = [], []
+    params = {}
     c_prev = in_channels
-    for c_out in widths:
-        fan_in = 9 * c_prev
-        conv_w.append(ops.uniform_init(rng, (3, 3, c_prev, c_out), fan_in))
-        conv_b.append(np.zeros(c_out))
+    for i, c_out in enumerate(widths):
+        params[f"conv{i}/W"] = ops.uniform_init(rng, (3, 3, c_prev, c_out), 9 * c_prev)
+        params[f"conv{i}/b"] = np.zeros(c_out)
         c_prev = c_out
-    mix_w = ops.uniform_init(rng, (sum(widths), out_channels), sum(widths))
-    mix_b = np.zeros(out_channels)
-    return EncoderParams(conv_w, conv_b, mix_w, mix_b, slope)
+    params["mix/W"] = ops.uniform_init(rng, (sum(widths), out_channels), sum(widths))
+    params["mix/b"] = np.zeros(out_channels)
+    return params
 
 
-def encode_plane(raster, params: EncoderParams):
+def encode_plane(raster, params):
     """Feature pyramid of one raster, one (H_i, W_i, C_i) array per stage;
     returns (pyramid, cache)."""
-    if raster.shape[2] != params.conv_w[0].shape[2]:
-        raise ValueError(
-            f"raster has {raster.shape[2]} channels, encoder expects "
-            f"{params.conv_w[0].shape[2]}"
-        )
+    c_in = params["conv0/W"].shape[2]
+    if raster.shape[2] != c_in:
+        raise ValueError(f"raster has {raster.shape[2]} channels, encoder expects {c_in}")
     x = raster
     pyramid, caches = [], []
-    for w, b in zip(params.conv_w, params.conv_b):
-        pre, conv_cache = ops.conv2d_forward(x, w, b, stride=2, pad=1)
-        x, act_cache = ops.leaky_relu_forward(pre, params.slope)
+    for i in range(len(params) // 2 - 1):  # W and b per stage, then mix/W, mix/b
+        pre, conv_cache = ops.conv2d_forward(x, params[f"conv{i}/W"], params[f"conv{i}/b"],
+                                             stride=2, pad=1)
+        x, act_cache = ops.leaky_relu_forward(pre)
         pyramid.append(x)
         caches.append((conv_cache, act_cache))
     return pyramid, caches
@@ -99,7 +75,7 @@ def encode_plane_backward(grad_pyramid, caches, input_grad=True):
     return upstream, grads
 
 
-def fuse_scales(pyramid, params: EncoderParams):
+def fuse_scales(pyramid, params):
     """Resample all levels to level 1's grid, concat, mix to C_f channels."""
     if len(pyramid) < 2:
         raise ValueError(f"pyramid needs two or more levels, got {len(pyramid)}")
@@ -121,7 +97,7 @@ def fuse_scales(pyramid, params: EncoderParams):
             resized.append(r)
             resize_caches.append(cache)
     stacked = np.concatenate(resized, axis=2)
-    mixed, lin_cache = ops.linear_forward(stacked, params.mix_w, params.mix_b)
+    mixed, lin_cache = ops.linear_forward(stacked, params["mix/W"], params["mix/b"])
     widths = [level.shape[2] for level in pyramid]
     return mixed, (lin_cache, resize_caches, widths)
 

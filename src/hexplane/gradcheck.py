@@ -172,11 +172,9 @@ def _check_point_encoder(rng, eps):
     positions = rng.uniform(-2, 2, size=(10, 3))
     feats = rng.normal(size=(10, 4))
     params = init_point_encoder(4, 6, rng=rng)
-    params.b1 += rng.normal(scale=0.05, size=params.b1.shape)
-    params.b2 += rng.normal(scale=0.05, size=params.b2.shape)
+    params["b1"] += rng.normal(scale=0.05, size=params["b1"].shape)
+    params["b2"] += rng.normal(scale=0.05, size=params["b2"].shape)
     r = rng.normal(size=(10, 6))
-    groups = {"feats": feats, "w1": params.w1, "b1": params.b1,
-              "w2": params.w2, "b2": params.b2}
 
     def objective():
         out, _ = encode_points(positions, feats, params, voxel_size=1.3)
@@ -184,8 +182,8 @@ def _check_point_encoder(rng, eps):
 
     out, cache = encode_points(positions, feats, params, voxel_size=1.3)
     dfeats, grads = encode_points_backward(r, cache)
-    analytic = {"feats": dfeats, **grads}
-    return _compare_groups(objective, groups, analytic, eps)
+    return _compare_groups(objective, {"feats": feats, **params},
+                           {"feats": dfeats, **grads}, eps)
 
 
 def _attention_instance(rng, n=7, m=6, c_p=5, c_f=4, heads=2, head_dim=3):
@@ -203,23 +201,16 @@ def _attention_instance(rng, n=7, m=6, c_p=5, c_f=4, heads=2, head_dim=3):
 
 
 def _check_attention(rng, eps):
-    point_feats, gathered, valid, offsets, params = _attention_instance(rng)
-    r = rng.normal(size=(point_feats.shape[0], params.w_out.shape[1]))
-    groups = {
-        "point_feats": point_feats,
-        "gathered": gathered,
-        "w_query": params.w_query,
-        "w_key": params.w_key,
-        "w_value": params.w_value,
-        "w_pos": params.w_pos,
-        "w_out": params.w_out,
-    }
+    heads = 2
+    point_feats, gathered, valid, offsets, params = _attention_instance(rng, heads=heads)
+    r = rng.normal(size=(point_feats.shape[0], params["w_out"].shape[1]))
+    groups = {"point_feats": point_feats, "gathered": gathered, **params}
 
     def objective():
-        out, _ = cross_attention_forward(point_feats, gathered, valid, offsets, params)
+        out, _ = cross_attention_forward(point_feats, gathered, valid, offsets, params, heads)
         return float((out * r).sum())
 
-    out, cache = cross_attention_forward(point_feats, gathered, valid, offsets, params)
+    out, cache = cross_attention_forward(point_feats, gathered, valid, offsets, params, heads)
     analytic = cross_attention_backward(r, cache)
     return _compare_groups(objective, groups, analytic, eps)
 
@@ -228,14 +219,8 @@ def _check_encoder(rng, eps):
     raster = rng.normal(size=(7, 9, 2))
     params = init_encoder_params(2, widths=(3, 4, 5), out_channels=4, rng=rng)
     # biases off zero so no pre-activation sits on the rectifier kink
-    for b in (*params.conv_b, params.mix_b):
+    for b in (arr for key, arr in params.items() if key.endswith("/b")):
         b += rng.normal(scale=0.05, size=b.shape)
-    groups = {"raster": raster}
-    for i in range(3):
-        groups[f"conv{i}/W"] = params.conv_w[i]
-        groups[f"conv{i}/b"] = params.conv_b[i]
-    groups["mix/W"] = params.mix_w
-    groups["mix/b"] = params.mix_b
 
     pyramid, enc_cache = encode_plane(raster, params)
     fused, fuse_cache = fuse_scales(pyramid, params)
@@ -249,7 +234,7 @@ def _check_encoder(rng, eps):
     grad_pyramid, mix_grads = fuse_scales_backward(r, fuse_cache)
     draster, conv_grads = encode_plane_backward(grad_pyramid, enc_cache)
     analytic = {"raster": draster, **conv_grads, **mix_grads}
-    return _compare_groups(objective, groups, analytic, eps)
+    return _compare_groups(objective, {"raster": raster, **params}, analytic, eps)
 
 
 def _check_loss(rng, eps):

@@ -183,14 +183,14 @@ def bilinear_resize_backward_reference(grad, in_h, in_w):
     return transpose_axis0(cols, in_h)
 
 
-def attention_reference(point_feats, gathered, valid, offsets, params):
+def attention_reference(point_feats, gathered, valid, offsets, params, heads):
     """Loop-per-point, loop-per-head dense attention reference."""
     n, m, _ = gathered.shape
-    h, d = params.heads, params.head_dim
-    c_out = params.w_out.shape[1]
+    h, d = heads, params["w_query"].shape[1] // heads
+    c_out = params["w_out"].shape[1]
     out = np.zeros((n, c_out))
     for i in range(n):
-        q_full = point_feats[i] @ params.w_query
+        q_full = point_feats[i] @ params["w_query"]
         heads_out = []
         for hh in range(h):
             sl = slice(hh * d, (hh + 1) * d)
@@ -199,10 +199,10 @@ def attention_reference(point_feats, gathered, valid, offsets, params):
             for j in range(m):
                 if not valid[i, j]:
                     continue
-                k = gathered[i, j] @ params.w_key[:, sl]
-                phi = offsets[i, j] @ params.w_pos[:, sl]
+                k = gathered[i, j] @ params["w_key"][:, sl]
+                phi = offsets[i, j] @ params["w_pos"][:, sl]
                 scores.append(float(q @ (k + phi)) / math.sqrt(d))
-                values.append(gathered[i, j] @ params.w_value[:, sl])
+                values.append(gathered[i, j] @ params["w_value"][:, sl])
             mx = max(scores)
             exps = [math.exp(s - mx) for s in scores]
             total = sum(exps)
@@ -210,21 +210,21 @@ def attention_reference(point_feats, gathered, valid, offsets, params):
             for e, val in zip(exps, values):
                 ctx += (e / total) * val
             heads_out.append(ctx)
-        out[i] = np.concatenate(heads_out) @ params.w_out
+        out[i] = np.concatenate(heads_out) @ params["w_out"]
     return out
 
 
-def cross_attention_reference(point_feats, gathered, valid, offsets, params, grad):
+def cross_attention_reference(point_feats, gathered, valid, offsets, params, heads, grad):
     """Batched-einsum cross-attention: the fused output and the gradients of
     <grad, fused> w.r.t. every input and weight, keyed like the package's
     backward. Softmax runs over the valid planes only; a point with no valid
     plane gets all-zero weights."""
     n, m, _ = gathered.shape
-    h, d = params.heads, params.head_dim
-    q = (point_feats @ params.w_query).reshape(n, h, d)
-    k = np.einsum("nmc,cj->nmj", gathered, params.w_key).reshape(n, m, h, d)
-    phi = np.einsum("nmi,ij->nmj", offsets, params.w_pos).reshape(n, m, h, d)
-    v = np.einsum("nmc,cj->nmj", gathered, params.w_value).reshape(n, m, h, d)
+    h, d = heads, params["w_query"].shape[1] // heads
+    q = (point_feats @ params["w_query"]).reshape(n, h, d)
+    k = np.einsum("nmc,cj->nmj", gathered, params["w_key"]).reshape(n, m, h, d)
+    phi = np.einsum("nmi,ij->nmj", offsets, params["w_pos"]).reshape(n, m, h, d)
+    v = np.einsum("nmc,cj->nmj", gathered, params["w_value"]).reshape(n, m, h, d)
     keys = k + phi
     scores = np.einsum("nhd,nmhd->nhm", q, keys) / np.sqrt(d)
     scores = np.where(valid[:, None, :], scores, -np.inf)
@@ -233,9 +233,9 @@ def cross_attention_reference(point_feats, gathered, valid, offsets, params, gra
     exps = np.exp(scores[seen] - scores[seen].max(axis=2, keepdims=True))
     weights[seen] = exps / exps.sum(axis=2, keepdims=True)
     context = np.einsum("nhm,nmhd->nhd", weights, v).reshape(n, h * d)
-    fused = context @ params.w_out
+    fused = context @ params["w_out"]
 
-    d_context = (grad @ params.w_out.T).reshape(n, h, d)
+    d_context = (grad @ params["w_out"].T).reshape(n, h, d)
     d_weights = np.einsum("nhd,nmhd->nhm", d_context, v)
     dv = np.einsum("nhm,nhd->nmhd", weights, d_context).reshape(n, m, h * d)
     inner = (d_weights * weights).sum(axis=2, keepdims=True)
@@ -243,9 +243,9 @@ def cross_attention_reference(point_feats, gathered, valid, offsets, params, gra
     dq = np.einsum("nhm,nmhd->nhd", d_scores, keys).reshape(n, h * d)
     dk = np.einsum("nhm,nhd->nmhd", d_scores, q).reshape(n, m, h * d)
     grads = {
-        "point_feats": dq @ params.w_query.T,
-        "gathered": np.einsum("nmj,cj->nmc", dk, params.w_key)
-        + np.einsum("nmj,cj->nmc", dv, params.w_value),
+        "point_feats": dq @ params["w_query"].T,
+        "gathered": np.einsum("nmj,cj->nmc", dk, params["w_key"])
+        + np.einsum("nmj,cj->nmc", dv, params["w_value"]),
         "w_query": point_feats.T @ dq,
         "w_key": np.einsum("nmc,nmj->cj", gathered, dk),
         "w_value": np.einsum("nmc,nmj->cj", gathered, dv),

@@ -169,21 +169,22 @@ def test_criterion_6_attention_invariants():
     gathered[~valid] = 0.0
     offsets = rng.normal(size=(n, m, 3))
     offsets[~valid] = 0.0
-    params = init_attention_params(5, 4, heads=3, head_dim=4, c_out=8, rng=rng)
+    heads = 3
+    params = init_attention_params(5, 4, heads=heads, head_dim=4, c_out=8, rng=rng)
 
-    out, cache = cross_attention_forward(point_feats, gathered, valid, offsets, params)
+    out, cache = cross_attention_forward(point_feats, gathered, valid, offsets, params, heads)
     weights = attention_weights(cache)
     norm_err = np.abs(weights.sum(axis=2) - 1.0).max()
     ok = norm_err < 1e-6
 
     tampered = gathered.copy()
     tampered[~valid] = 1e6
-    out2, _ = cross_attention_forward(point_feats, tampered, valid, offsets, params)
+    out2, _ = cross_attention_forward(point_feats, tampered, valid, offsets, params, heads)
     ok &= bool(np.array_equal(out, out2))
 
     perm = rng.permutation(n)
     out_p, _ = cross_attention_forward(
-        point_feats[perm], gathered[perm], valid[perm], offsets[perm], params
+        point_feats[perm], gathered[perm], valid[perm], offsets[perm], params, heads
     )
     ok &= bool(np.array_equal(out[perm], out_p))
     report(6, ok, f"softmax normalization error {norm_err:.2e} (<1e-6); "

@@ -1,7 +1,5 @@
 """Cross-attention fusion: gather, forward/backward, invariants."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -24,8 +22,10 @@ from hexplane.gradcheck import (
 )
 from hexplane.projection import default_plane_specs, hexplane_project
 
+HEADS = 2  # attention heads of a `make_instance` instance unless given
 
-def make_instance(seed, n=7, m=6, c_p=5, c_f=4, heads=2, head_dim=3, c_out=6,
+
+def make_instance(seed, n=7, m=6, c_p=5, c_f=4, heads=HEADS, head_dim=3, c_out=6,
                   all_valid=False, blind=()):
     """A random attention instance; the `blind` rows are out of FOV on every
     plane, every other row keeps plane 0."""
@@ -102,9 +102,9 @@ class TestCrossAttentionForward:
         point_feats, gathered, valid, offsets, params = make_instance(7)
         valid = np.zeros_like(valid)
         valid[:, 2] = True
-        out, _ = cross_attention_forward(point_feats, gathered, valid, offsets, params)
-        v = gathered[:, 2, :] @ params.w_value  # softmax over one key is 1
-        want = v @ params.w_out
+        out, _ = cross_attention_forward(point_feats, gathered, valid, offsets, params, HEADS)
+        v = gathered[:, 2, :] @ params["w_value"]  # softmax over one key is 1
+        want = v @ params["w_out"]
         assert np.abs(out - want).max() < 1e-12
 
     def test_identical_keys_give_uniform_weights(self):
@@ -112,17 +112,17 @@ class TestCrossAttentionForward:
         gathered = np.repeat(gathered[:, :1, :], 6, axis=1)
         offsets = np.zeros_like(offsets)
         out, cache = cross_attention_forward(
-            point_feats, gathered, np.ones_like(valid), offsets, params
+            point_feats, gathered, np.ones_like(valid), offsets, params, HEADS
         )
         weights = attention_weights(cache)
         assert np.abs(weights - 1.0 / 6.0).max() < 1e-12
-        want = (gathered[:, 0, :] @ params.w_value) @ params.w_out
+        want = (gathered[:, 0, :] @ params["w_value"]) @ params["w_out"]
         assert np.abs(out - want).max() < 1e-10
 
     def test_matches_dense_reference(self):
         point_feats, gathered, valid, offsets, params = make_instance(9)
-        out, _ = cross_attention_forward(point_feats, gathered, valid, offsets, params)
-        want = oracles.attention_reference(point_feats, gathered, valid, offsets, params)
+        out, _ = cross_attention_forward(point_feats, gathered, valid, offsets, params, HEADS)
+        want = oracles.attention_reference(point_feats, gathered, valid, offsets, params, HEADS)
         assert np.abs(out - want).max() < 1e-10
 
     def test_zero_offsets_make_w_pos_irrelevant(self):
@@ -130,16 +130,17 @@ class TestCrossAttentionForward:
         # whatever w_pos holds
         point_feats, gathered, valid, offsets, params = make_instance(4)
         offsets = np.zeros_like(offsets)
-        out, _ = cross_attention_forward(point_feats, gathered, valid, offsets, params)
+        out, _ = cross_attention_forward(point_feats, gathered, valid, offsets, params, HEADS)
         rng = np.random.default_rng(5)
-        for w_pos in (np.zeros_like(params.w_pos), 100.0 * rng.normal(size=params.w_pos.shape)):
-            other = dataclasses.replace(params, w_pos=w_pos)
-            again, _ = cross_attention_forward(point_feats, gathered, valid, offsets, other)
+        shape = params["w_pos"].shape
+        for w_pos in (np.zeros(shape), 100.0 * rng.normal(size=shape)):
+            other = {**params, "w_pos": w_pos}
+            again, _ = cross_attention_forward(point_feats, gathered, valid, offsets, other, HEADS)
             assert np.array_equal(out, again)
 
     def test_zero_valid_planes_give_zero_context(self):
         point_feats, gathered, valid, offsets, params = make_instance(10, blind=(3,))
-        out, cache = cross_attention_forward(point_feats, gathered, valid, offsets, params)
+        out, cache = cross_attention_forward(point_feats, gathered, valid, offsets, params, HEADS)
         assert np.all(attention_weights(cache)[3] == 0.0)
         assert np.array_equal(out[3], np.zeros(out.shape[1]))
         assert np.all(np.isfinite(out))
@@ -151,7 +152,8 @@ class TestCrossAttentionForward:
         r = np.random.default_rng(1).normal(size=(point_feats.shape[0], 6))
         results = []
         for mask in (valid, seen):
-            out, cache = cross_attention_forward(point_feats, gathered, mask, offsets, params)
+            out, cache = cross_attention_forward(point_feats, gathered, mask, offsets, params,
+                                                 HEADS)
             results.append((out, cache, cross_attention_backward(r, cache)))
         (out_b, cache_b, grads_b), (out_s, cache_s, grads_s) = results
         rows = np.arange(point_feats.shape[0]) != 3
@@ -163,25 +165,25 @@ class TestCrossAttentionForward:
 
     def test_softmax_normalized_over_valid(self):
         point_feats, gathered, valid, offsets, params = make_instance(11)
-        _, cache = cross_attention_forward(point_feats, gathered, valid, offsets, params)
+        _, cache = cross_attention_forward(point_feats, gathered, valid, offsets, params, HEADS)
         weights = attention_weights(cache)
         assert np.abs(weights.sum(axis=2) - 1.0).max() < 1e-6
-        assert np.all(weights[~valid[:, None, :].repeat(params.heads, 1)] == 0.0)
+        assert np.all(weights[~valid[:, None, :].repeat(HEADS, 1)] == 0.0)
 
     def test_mask_invariance_exact(self):
         point_feats, gathered, valid, offsets, params = make_instance(12)
-        out, _ = cross_attention_forward(point_feats, gathered, valid, offsets, params)
+        out, _ = cross_attention_forward(point_feats, gathered, valid, offsets, params, HEADS)
         tampered = gathered.copy()
         tampered[~valid] = np.random.default_rng(0).normal(size=(~valid).sum() * 4).reshape(-1, 4) * 100
-        out2, _ = cross_attention_forward(point_feats, tampered, valid, offsets, params)
+        out2, _ = cross_attention_forward(point_feats, tampered, valid, offsets, params, HEADS)
         assert np.array_equal(out, out2)
 
     def test_permutation_equivariance_exact(self):
         point_feats, gathered, valid, offsets, params = make_instance(13)
-        out, _ = cross_attention_forward(point_feats, gathered, valid, offsets, params)
+        out, _ = cross_attention_forward(point_feats, gathered, valid, offsets, params, HEADS)
         perm = np.random.default_rng(1).permutation(point_feats.shape[0])
         out_p, _ = cross_attention_forward(
-            point_feats[perm], gathered[perm], valid[perm], offsets[perm], params
+            point_feats[perm], gathered[perm], valid[perm], offsets[perm], params, HEADS
         )
         assert np.array_equal(out[perm], out_p)
 
@@ -193,14 +195,14 @@ class TestCrossAttentionForward:
         for scale in (0.0, 1.0, 2.0, 4.0):
             trial = offsets.copy()
             trial[:, 3, :] = direction * scale
-            _, cache = cross_attention_forward(point_feats, gathered, valid, trial, params)
+            _, cache = cross_attention_forward(point_feats, gathered, valid, trial, params, HEADS)
             weights_at.append(attention_weights(cache)[:, :, 3])
         scores_move = []
-        q = (point_feats @ params.w_query).reshape(n, params.heads, params.head_dim)
-        dphi = (direction @ params.w_pos).reshape(params.heads, params.head_dim)
+        q = (point_feats @ params["w_query"]).reshape(n, HEADS, -1)
+        dphi = (direction @ params["w_pos"]).reshape(HEADS, -1)
         slope = np.einsum("nhd,hd->nh", q, dphi)  # d(score)/d(scale) per head
         for i in range(n):
-            for h in range(params.heads):
+            for h in range(HEADS):
                 series = [w[i, h] for w in weights_at]
                 if slope[i, h] < -1e-6:
                     assert series[0] > series[1] > series[2] > series[3]
@@ -211,14 +213,14 @@ class TestCrossAttentionForward:
 class TestCrossAttentionBackward:
     def test_zero_upstream_zero_grads(self):
         point_feats, gathered, valid, offsets, params = make_instance(15)
-        out, cache = cross_attention_forward(point_feats, gathered, valid, offsets, params)
+        out, cache = cross_attention_forward(point_feats, gathered, valid, offsets, params, HEADS)
         grads = cross_attention_backward(np.zeros_like(out), cache)
         for value in grads.values():
             assert np.all(value == 0.0)
 
     def test_invalid_plane_gets_exactly_zero_gradient(self):
         point_feats, gathered, valid, offsets, params = make_instance(16)
-        out, cache = cross_attention_forward(point_feats, gathered, valid, offsets, params)
+        out, cache = cross_attention_forward(point_feats, gathered, valid, offsets, params, HEADS)
         rng = np.random.default_rng(0)
         grads = cross_attention_backward(rng.normal(size=out.shape), cache)
         assert np.all(grads["gathered"][~valid] == 0.0)
@@ -226,7 +228,7 @@ class TestCrossAttentionBackward:
     def test_zero_valid_planes_get_zero_gradient(self):
         point_feats, gathered, valid, offsets, params = make_instance(16, blind=(3,))
         r = np.random.default_rng(0).normal(size=(point_feats.shape[0], 6))
-        _, cache = cross_attention_forward(point_feats, gathered, valid, offsets, params)
+        _, cache = cross_attention_forward(point_feats, gathered, valid, offsets, params, HEADS)
         grads = cross_attention_backward(r, cache)
         assert np.all(grads["gathered"][3] == 0.0)
         assert np.array_equal(grads["point_feats"][3], np.zeros(point_feats.shape[1]))
@@ -237,10 +239,10 @@ class TestCrossAttentionBackward:
         # micro sizes have h*d = 6 > C_f = 4, so an (N, M, h, d) array would
         # outgrow the gathered features
         point_feats, gathered, valid, offsets, params = make_instance(19)
-        _, cache = cross_attention_forward(point_feats, gathered, valid, offsets, params)
+        _, cache = cross_attention_forward(point_feats, gathered, valid, offsets, params, HEADS)
         arrays = [x for x in cache if isinstance(x, np.ndarray)]
         assert max(x.size for x in arrays) <= gathered.size
-        assert gathered.size < gathered.shape[0] * gathered.shape[1] * params.w_key.shape[1]
+        assert gathered.size < gathered.shape[0] * gathered.shape[1] * params["w_key"].shape[1]
 
     # the GEMM/matmul code sums in a different order than the einsum oracle;
     # each output must agree to 1e-13 of its largest entry
@@ -252,16 +254,17 @@ class TestCrossAttentionBackward:
     ], ids=["micro", "shipped_widths", "occlusion_transfer", "blind_points"])
     def test_matches_einsum_reference(self, dims):
         point_feats, gathered, valid, offsets, params = make_instance(18, **dims)
-        r = np.random.default_rng(4).normal(size=(gathered.shape[0], params.w_out.shape[1]))
-        out, cache = cross_attention_forward(point_feats, gathered, valid, offsets, params)
+        heads = dims.get("heads", HEADS)
+        r = np.random.default_rng(4).normal(size=(gathered.shape[0], params["w_out"].shape[1]))
+        out, cache = cross_attention_forward(point_feats, gathered, valid, offsets, params, heads)
         grads = cross_attention_backward(r, cache)
         want_out, want_grads = oracles.cross_attention_reference(
-            point_feats, gathered, valid, offsets, params, r)
+            point_feats, gathered, valid, offsets, params, heads, r)
         assert np.abs(out - want_out).max() <= 1e-13 * np.abs(want_out).max()
         assert set(grads) == set(want_grads)
         for name, want in want_grads.items():
             assert np.abs(grads[name] - want).max() <= 1e-13 * np.abs(want).max(), name
-        assert np.all(attention_weights(cache)[~valid[:, None, :].repeat(params.heads, 1)] == 0.0)
+        assert np.all(attention_weights(cache)[~valid[:, None, :].repeat(heads, 1)] == 0.0)
         assert np.all(grads["gathered"][~valid] == 0.0)
 
     def test_matches_finite_differences(self):
@@ -274,14 +277,13 @@ class TestCrossAttentionBackward:
         point_feats, gathered, valid, offsets, params = make_instance(23, blind=(2,))
         r = np.random.default_rng(5).normal(size=(point_feats.shape[0], 6))
         groups = {"point_feats": point_feats, "gathered": gathered}
-        groups.update((k, getattr(params, k)) for k in
-                      ("w_query", "w_key", "w_value", "w_pos", "w_out"))
+        groups.update(params)
 
         def objective():
-            out, _ = cross_attention_forward(point_feats, gathered, valid, offsets, params)
+            out, _ = cross_attention_forward(point_feats, gathered, valid, offsets, params, HEADS)
             return float((out * r).sum())
 
-        _, cache = cross_attention_forward(point_feats, gathered, valid, offsets, params)
+        _, cache = cross_attention_forward(point_feats, gathered, valid, offsets, params, HEADS)
         grads = cross_attention_backward(r, cache)
         for name, arr in groups.items():
             numeric = finite_difference(objective, arr)
@@ -291,19 +293,19 @@ class TestCrossAttentionBackward:
         # flipping one sign in the analytic gradient must trip the check
         point_feats, gathered, valid, offsets, params = make_instance(17)
         rng = np.random.default_rng(3)
-        r = rng.normal(size=(point_feats.shape[0], params.w_out.shape[1]))
+        r = rng.normal(size=(point_feats.shape[0], params["w_out"].shape[1]))
 
         def objective():
             out, _ = cross_attention_forward(
-                point_feats, gathered, valid, offsets, params
+                point_feats, gathered, valid, offsets, params, HEADS
             )
             return float((out * r).sum())
 
-        out, cache = cross_attention_forward(point_feats, gathered, valid, offsets, params)
+        out, cache = cross_attention_forward(point_feats, gathered, valid, offsets, params, HEADS)
         grads = cross_attention_backward(r, cache)
         corrupted = grads["w_query"].copy()
         corrupted[0, 0] = -corrupted[0, 0] - 1.0
-        numeric = finite_difference(objective, params.w_query)
+        numeric = finite_difference(objective, params["w_query"])
         assert max_relative_error(grads["w_query"], numeric) < 1e-4
         assert max_relative_error(corrupted, numeric) > 1e-4
 

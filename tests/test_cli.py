@@ -2,6 +2,7 @@
 
 import copy
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -367,6 +368,47 @@ class TestValidation:
         assert code == 1
         assert len(lines) == 1 and lines[0].startswith("error: config:")
         assert named in lines[0]
+
+    def test_non_finite_checkpoint_exits_1_naming_the_tensor(self, tmp_path, tiny_config,
+                                                             capsys):
+        from hexplane import config as cfg
+        from hexplane.checkpoint import save_checkpoint
+        from hexplane.model import HexPlaneModel
+
+        tree = cfg.load_config(tiny_config)
+        params = HexPlaneModel(cfg.build_model_config(tree, 3)).parameters()
+        params["head/point/W"][1, 2] = np.nan
+        path = tmp_path / "nan.bin"
+        save_checkpoint(path, params)
+        code = main(["eval", "--config", str(tiny_config), "--checkpoint", str(path)])
+        err = capsys.readouterr().err
+        lines = err.splitlines()
+        assert code == 1
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "head/point/W" in lines[0]
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_train_scene_is_built_once(self, tmp_path, monkeypatch, command):
+        # a builtin or file train scene is read once, not again to count classes
+        from hexplane import config as cfg
+
+        config = str(Path(__file__).resolve().parents[1] / "configs" / "two_class.yaml")
+        run = tmp_path / "run"
+        argv = ["train", "--config", config, "--steps", "0", "--output-dir", str(run)]
+        if command == "eval":
+            assert main(argv) == 0
+            argv = ["eval", "--config", config, "--checkpoint", str(run / "checkpoint.bin")]
+        built = []
+        build_scene = cfg.build_scene
+
+        def counting(scene_tree):
+            built.append(scene_tree["kind"])
+            return build_scene(scene_tree)
+
+        monkeypatch.setattr(cfg, "build_scene", counting)
+        assert main(argv) == 0
+        assert built == ["builtin"]
 
     def test_missing_cloud_file(self, tmp_path, tiny_config):
         code = main(["project", str(tmp_path / "nope.bin"),

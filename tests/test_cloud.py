@@ -71,6 +71,14 @@ class TestAsciiFormat:
         with pytest.raises(CloudFormatError, match="record 1"):
             load_pointcloud(path)
 
+    def test_beyond_float32_is_format_error_without_warning(self, tmp_path):
+        path = tmp_path / "big.txt"
+        path.write_text("hexpc ascii 2 3 0\n1e39 0 0\n0 0 0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CloudFormatError, match="record 0: non-finite coordinate"):
+                load_pointcloud(path, format="ascii")
+
     def test_label_out_of_range_names_record(self, tmp_path):
         path = tmp_path / "lbl.txt"
         path.write_text("hexpc ascii 2 3 1\n0 0 0 0\n1 1 1 -4\n")

@@ -132,6 +132,16 @@ MALFORMED = [
     ("train", {"model": {"encoder_widths": [8]}}, "model.encoder_widths"),
     # a retired option is an unknown key, not a silent no-op
     ("train", {"model": {"residual": True}}, "model.residual"),
+    # a zero size used to die in the initializer with a traceback, a zero
+    # voxel size to train through division warnings
+    ("train", {"model": {"heads": 0}}, "model.heads"),
+    ("train", {"model": {"head_dim": 0}}, "model.head_dim"),
+    ("train", {"model": {"point_width": 0}}, "model.point_width"),
+    ("train", {"model": {"point_channels": 0}}, "model.point_channels"),
+    ("train", {"model": {"feature_channels": 0}}, "model.feature_channels"),
+    ("train", {"model": {"fused_channels": 0}}, "model.fused_channels"),
+    ("train", {"model": {"voxel_size": 0.0}}, "model.voxel_size"),
+    ("train", {"model": {"slope": 0.2}}, "model.slope"),
 ]
 
 

@@ -182,10 +182,33 @@ class TestModel:
         path = tmp_path / "ckpt.bin"
         save_checkpoint(path, model.parameters())
         other = HexPlaneModel(tiny_model_config(seed=6))
-        assert not np.array_equal(other.head_w, model.head_w)
+        assert not np.array_equal(other.parameters()["head/point/W"],
+                                  model.parameters()["head/point/W"])
         other.load_parameters(load_checkpoint(path))
         for a, b in zip(model.parameters().values(), other.parameters().values()):
             assert np.array_equal(a, b)
+
+    def test_checkpoint_names_are_pinned(self):
+        # the names are the checkpoint file format: renaming one breaks
+        # every saved checkpoint
+        def names(config):
+            return sorted((k, v.shape) for k, v in HexPlaneModel(config).parameters().items())
+
+        aux = [(f"head/aux{m}/{k}", s) for m in range(6) for k, s in (("W", (6, 3)), ("b", (3,)))]
+        point = [("point/b1", (8,)), ("point/b2", (8,)), ("point/w1", (4, 8)),
+                 ("point/w2", (16, 8))]
+        assert names(tiny_model_config()) == [
+            ("attn/w_key", (6, 6)), ("attn/w_out", (6, 6)), ("attn/w_pos", (3, 6)),
+            ("attn/w_query", (8, 6)), ("attn/w_value", (6, 6)),
+            ("enc/conv0/W", (3, 3, 5, 3)), ("enc/conv0/b", (3,)),
+            ("enc/conv1/W", (3, 3, 3, 4)), ("enc/conv1/b", (4,)),
+            ("enc/conv2/W", (3, 3, 4, 5)), ("enc/conv2/b", (5,)),
+            ("enc/mix/W", (12, 6)), ("enc/mix/b", (6,)),
+            *aux, ("head/point/W", (6, 3)), ("head/point/b", (3,)), *point,
+        ]
+        assert names(tiny_model_config(use_planes=False)) == [
+            ("head/point/W", (8, 3)), ("head/point/b", (3,)), *point,
+        ]
 
     def test_checkpoint_shape_mismatch_rejected(self, tmp_path):
         model = HexPlaneModel(tiny_model_config())
