@@ -31,13 +31,8 @@ EXIT_NUMERICAL = 2
 
 
 def cmd_synth(args) -> int:
-    tree = cfg.load_config(args.config, {"seed": args.seed})
-    if args.seed is not None:
-        tree["scene"]["seed"] = args.seed
-    if args.points is not None:
-        tree["scene"]["num_points"] = args.points
-    if args.classes is not None:
-        tree["scene"]["num_classes"] = args.classes
+    scene = {"seed": args.seed, "num_points": args.points, "num_classes": args.classes}
+    tree = cfg.load_config(args.config, {"seed": args.seed, "scene": scene})
     cloud = cfg.build_scene(tree["scene"])
     save_pointcloud(args.out, cloud, format=args.format)
     print(f"wrote {cloud.n} points to {args.out}")
@@ -66,10 +61,8 @@ def cmd_project(args) -> int:
 
 
 def cmd_train(args) -> int:
-    overrides = {"output_dir": args.output_dir, "seed": args.seed}
-    tree = cfg.load_config(args.config, overrides)
-    if args.steps is not None:
-        tree["training"]["steps"] = args.steps
+    tree = cfg.load_config(args.config, {"output_dir": args.output_dir, "seed": args.seed,
+                                         "training": {"steps": args.steps}})
 
     train_cloud = cfg.build_scene(tree["scene"])
     eval_cloud = None

@@ -52,9 +52,8 @@ class PointCloud:
     """Immutable set of N labeled 3D points.
 
     positions: (N, 3) float64, meters.
-    features:  optional (N, C) float64 per-point input vector; when built by
-               the loaders or `default_features` the first three columns are
-               the position.
+    features:  optional (N, C) float64 extra per-point input columns, the
+               position excluded (a file's columns after x y z).
     labels:    optional (N,) int64 class ids, UNLABELED (-1) for ignored.
     """
 
@@ -114,11 +113,9 @@ def default_features(cloud: PointCloud) -> np.ndarray:
 
 def _canonical_columns(cloud: PointCloud) -> np.ndarray:
     """Float32 record matrix: positions first, then extra feature columns."""
-    if cloud.features is not None and cloud.features.shape[1] > 3:
-        cols = np.concatenate([cloud.positions, cloud.features[:, 3:]], axis=1)
-    else:
-        cols = cloud.positions
-    return cols.astype(np.float32)
+    if cloud.features is None:
+        return cloud.positions.astype(np.float32)
+    return np.concatenate([cloud.positions, cloud.features], axis=1).astype(np.float32)
 
 
 def save_pointcloud(path, cloud: PointCloud, format: str = "binary") -> None:
@@ -188,7 +185,7 @@ def _finish_load(values: np.ndarray, labels: np.ndarray | None) -> PointCloud:
         if labels.min(initial=0) < UNLABELED:
             bad_i = int(np.argwhere(labels < UNLABELED)[0, 0])
             raise CloudFormatError(f"record {bad_i}: label out of range")
-    feats = values if values.shape[1] > 3 else None
+    feats = values[:, 3:] if values.shape[1] > 3 else None
     return PointCloud(positions=values[:, :3], features=feats, labels=labels)
 
 
@@ -214,15 +211,17 @@ def _load_ascii(text: str) -> PointCloud:
         raise CloudFormatError(f"expected {n} records, got {len(records)}")
     if n == 0:
         raise CloudFormatError("no records")
+    # every width is checked before the header's sizes are allocated
     width = c + has_labels
-    values = np.zeros((n, c), dtype=np.float64)
-    labels = np.zeros(n, dtype=np.int64) if has_labels else None
-    for i, rec in enumerate(records):
-        parts = rec.split()
+    records = [rec.split() for rec in records]
+    for i, parts in enumerate(records):
         if len(parts) != width:
             raise CloudFormatError(
                 f"record {i}: expected {width} columns, got {len(parts)}"
             )
+    values = np.zeros((n, c), dtype=np.float64)
+    labels = np.zeros(n, dtype=np.int64) if has_labels else None
+    for i, parts in enumerate(records):
         try:
             values[i] = [float(p) for p in parts[:c]]
         except ValueError:

@@ -1,12 +1,13 @@
 """Run configuration: a YAML key/value tree with a strict schema.
 
-Unknown keys are rejected by dotted path; omitted keys take the defaults
-below, which are read from the objects the tree builds (`ModelConfig`,
-`TrainSettings`, `SceneSpec`): every plane's size, the cylindrical one
-included, from `DEFAULT_RESOLUTIONS` and the cylindrical FOV from
-`DEFAULT_SENSOR`.
-`load_config` parses and validates a file; the `build_*` functions turn the
-validated tree into concrete scene specs, plane specs, and model settings.
+Omitted keys take the defaults below, which are read from the objects the
+tree builds (`ModelConfig`, `TrainSettings`, `SceneSpec`): every plane's
+size, the cylindrical one included, from `DEFAULT_RESOLUTIONS` and the
+cylindrical FOV from `DEFAULT_SENSOR`. `load_config` parses a file, lays the
+CLI flags over it, and validates the result in one walk that merges and
+checks each key in `DEFAULTS` order, naming the first bad key by dotted path;
+the `build_*` functions turn the validated tree into concrete scene specs,
+plane specs, and model settings.
 """
 
 from __future__ import annotations
@@ -71,15 +72,11 @@ DEFAULTS = {
     "training": _field_defaults(TrainSettings),
 }
 
-# leaves where None is a meaningful value
-_NULLABLE = {
-    "threads", "eval_scene",
-    "scene.name", "scene.path", "eval_scene.name", "eval_scene.path",
-    *(f"planes.{kind}.{leaf}" for kind in _ORTHO_AXES
-      for leaf in ("extent", "depth_ref")),
-}
+# leaves where None is a meaningful value, by leaf name
+_NULLABLE = {"threads", "eval_scene", "name", "path", "extent", "depth_ref"}
 
-_FREEFORM = {"scene.primitives", "eval_scene.primitives"}
+# one scene.primitives entry; every key is required
+_PRIMITIVE = {"kind": "box", "center": [], "size": [], "class_id": 0}
 
 
 def _is_int(v):
@@ -87,7 +84,7 @@ def _is_int(v):
 
 
 def _is_number(v):
-    return _is_int(v) or isinstance(v, float)
+    return _is_int(v) or isinstance(v, float) and math.isfinite(v)
 
 
 def _list_of(test, length=None, at_least=1):
@@ -97,93 +94,104 @@ def _list_of(test, length=None, at_least=1):
                       and length in (None, len(v)) and all(map(test, v)))
 
 
-def _positive_int(v):
-    return _is_int(v) and v > 0
+def _int_from(low):
+    return lambda v: _is_int(v) and v >= low
 
 
-# leaf name -> (what the value must be, test), beyond the default's type
+# default's type -> (what the value must be, test), first match wins
+_TYPES = (
+    (bool, "a boolean", lambda v: isinstance(v, bool)),
+    (int, "an integer", _is_int),
+    (float, "a finite number", _is_number),
+    (str, "a string", lambda v: isinstance(v, str)),
+    (list, "a list", lambda v: isinstance(v, list)),
+    (object, "any value", lambda v: True),  # threads: accepted and ignored
+)
+
+# leaf name -> (what the value must be, test), in place of the default's type
 _SHAPES = {
     "extent": ("a list of 4 numbers", _list_of(_is_number, 4)),
     "depth_ref": ("a number", _is_number),
     "room_extent": ("a list of 3 numbers", _list_of(_is_number, 3)),
+    "center": ("a list of 3 numbers", _list_of(_is_number, 3)),
+    "size": ("a list of numbers", _list_of(_is_number)),
+    "path": ("a string", lambda v: isinstance(v, str)),
     # stride-4 fusion needs the stride-2 stage and at least one more
     "encoder_widths": ("a list of two or more positive integers",
-                       _list_of(_positive_int, at_least=2)),
+                       _list_of(_int_from(1), at_least=2)),
     **dict.fromkeys(("heads", "head_dim", "point_width", "point_channels",
-                     "feature_channels", "fused_channels"),
-                    ("a positive integer", _positive_int)),
-    "voxel_size": ("a positive number", lambda v: _is_number(v) and v > 0),
+                     "feature_channels", "fused_channels", "height", "width",
+                     "num_points"), ("a positive integer", _int_from(1))),
+    **dict.fromkeys(("steps", "eval_every"),
+                    ("a non-negative integer", _int_from(0))),
+    "num_classes": ("an integer of at least 2", _int_from(2)),
+    **dict.fromkeys(("voxel_size", "fov_up_deg", "fov_down_deg"),
+                    ("a positive number", lambda v: _is_number(v) and v > 0)),
+    **dict.fromkeys(("noise", "aux_weight"),
+                    ("a non-negative number", lambda v: _is_number(v) and v >= 0)),
 }
 
 
-def _merge(defaults, user, path=""):
-    if user is None:
-        return None if path in _NULLABLE else copy.deepcopy(defaults)
+def _validate(defaults, user, path="", required=False):
+    """`user` merged over `defaults`, each key checked as it is merged:
+    unknown keys first, then in `defaults` order null, then the leaf's shape
+    or else its default's type. `eval_scene` takes the `scene` schema and
+    each `primitives` entry `_PRIMITIVE`, whose keys are all `required`."""
     if not isinstance(user, dict):
         raise ConfigError(f"config: {path or 'root'} must be a mapping")
-    merged = {}
-    for key, default in defaults.items():
-        sub = f"{path}.{key}" if path else key
-        if key not in user:
-            merged[key] = copy.deepcopy(default)
-        elif isinstance(default, dict) and sub not in _FREEFORM:
-            merged[key] = _merge(default, user[key], sub)
-        else:
-            merged[key] = user[key]
+    prefix = f"{path}." if path else ""
     for key in user:
         if key not in defaults:
-            sub = f"{path}.{key}" if path else key
-            raise ConfigError(f"config: unknown key {sub!r}")
-    return merged
-
-
-def _typecheck(tree, defaults, path=""):
+            raise ConfigError(f"config: unknown key '{prefix}{key}'")
+    tree = {}
     for key, default in defaults.items():
-        sub = f"{path}.{key}" if path else key
-        value = tree[key]
-        if value is None:
-            if sub in _NULLABLE:
-                continue
+        sub, value = prefix + key, user.get(key)
+        if key not in user:
+            if required:
+                raise ConfigError(f"config: {sub} is required")
+            tree[key] = copy.deepcopy(default)
+        elif value is None and key in _NULLABLE:
+            tree[key] = None
+        elif isinstance(default, dict) or key == "eval_scene":
+            # an empty section takes its defaults
+            schema = DEFAULTS["scene"] if key == "eval_scene" else default
+            tree[key] = _validate(schema, {} if value is None else value, sub)
+        elif value is None:
             raise ConfigError(f"config: {sub} must not be null")
-        if key in _SHAPES and not _SHAPES[key][1](value):
-            raise ConfigError(f"config: {sub} must be {_SHAPES[key][0]}")
-        if isinstance(default, dict):
-            if sub in _FREEFORM:
-                continue
-            _typecheck(value, default, sub)
-        elif isinstance(default, bool):
-            if not isinstance(value, bool):
-                raise ConfigError(f"config: {sub} must be a boolean")
-        elif isinstance(default, int):
-            if not _is_int(value):
-                raise ConfigError(f"config: {sub} must be an integer")
-        elif isinstance(default, float):
-            if not _is_number(value):
-                raise ConfigError(f"config: {sub} must be a number")
-        elif isinstance(default, str):
-            if not isinstance(value, str):
-                raise ConfigError(f"config: {sub} must be a string")
-        elif isinstance(default, list):
-            if not isinstance(value, list):
-                raise ConfigError(f"config: {sub} must be a list")
+        else:
+            what, test = _SHAPES.get(key) or next(
+                (what, test) for kind, what, test in _TYPES if isinstance(default, kind))
+            if not test(value):
+                raise ConfigError(f"config: {sub} must be {what}")
+            if key == "primitives":
+                value = [_validate(_PRIMITIVE, p, f"{sub}[{i}]", required=True)
+                         for i, p in enumerate(value)]
+            tree[key] = value
+    return tree
 
 
 def validate_config(user: dict | None) -> dict:
-    """Merge a user tree over the defaults, rejecting unknown keys."""
-    merged = _merge(DEFAULTS, user or {})
-    # eval_scene inherits the scene schema when present
-    if merged.get("eval_scene") is not None:
-        merged["eval_scene"] = _merge(DEFAULTS["scene"], merged["eval_scene"],
-                                      "eval_scene")
-    _typecheck(merged, DEFAULTS)
-    if merged.get("eval_scene") is not None:
-        _typecheck(merged["eval_scene"], DEFAULTS["scene"], "eval_scene")
+    """Merge a user tree over the defaults, checking every key on the way."""
+    return _validate(DEFAULTS, user or {})
+
+
+def _overlay(user, flags):
+    """`user` with the non-None leaves of the nested `flags` laid over it."""
+    if not isinstance(flags, dict):
+        return user if flags is None else flags
+    if user is not None and not isinstance(user, dict):
+        return user  # malformed: the walk names it
+    merged = dict(user or {})
+    for key, flag in flags.items():
+        value = _overlay(merged.get(key), flag)
+        if value is not None:
+            merged[key] = value
     return merged
 
 
 def load_config(path=None, overrides: dict | None = None) -> dict:
-    """Read, validate, and return the config tree; `overrides` are applied
-    to top-level keys after validation (CLI flags win over the file)."""
+    """Read the file, lay the non-None leaves of the nested `overrides` over
+    it (CLI flags win over the file), and validate the result."""
     user = {}
     if path is not None:
         with open(path) as fh:
@@ -194,11 +202,7 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
                 at = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
                 problem = getattr(exc, "problem", None) or str(exc).splitlines()[0]
                 raise ConfigError(f"config: {path}: malformed YAML{at}: {problem}") from None
-    tree = validate_config(user)
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            tree[key] = value
-    return tree
+    return validate_config(_overlay(user, overrides))
 
 
 # ---------------------------------------------------------------------------
@@ -225,23 +229,10 @@ def _from_section(cls, section, **given):
 def build_scene_spec(scene_tree) -> SceneSpec:
     prims = []
     for i, p in enumerate(scene_tree["primitives"]):
-        if not isinstance(p, dict):
-            raise ConfigError(f"config: scene.primitives[{i}] must be a mapping")
-        extra = set(p) - {"kind", "center", "size", "class_id"}
-        if extra:
-            raise ConfigError(
-                f"config: unknown key 'scene.primitives[{i}].{sorted(extra)[0]}'"
-            )
         try:
-            prims.append(
-                Primitive(
-                    kind=p["kind"],
-                    center=tuple(float(v) for v in p["center"]),
-                    size=tuple(float(v) for v in p["size"]),
-                    class_id=int(p["class_id"]),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            prims.append(Primitive(kind=p["kind"], center=_cast(p["center"], (0.0,)),
+                                   size=_cast(p["size"], (0.0,)), class_id=p["class_id"]))
+        except ValueError as exc:
             raise ConfigError(f"config: scene.primitives[{i}]: {exc}") from exc
     return _from_section(SceneSpec, scene_tree, primitives=tuple(prims))
 

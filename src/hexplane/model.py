@@ -124,7 +124,8 @@ class HexPlaneModel:
             arr[...] = values[name]
 
     def input_features(self, cloud: PointCloud) -> np.ndarray:
-        feats = cloud.features if cloud.features is not None else default_features(cloud)
+        feats = (default_features(cloud) if cloud.features is None
+                 else np.concatenate([cloud.positions, cloud.features], axis=1))
         if feats.shape[1] != self.config.point_channels:
             raise ValueError(
                 f"cloud provides {feats.shape[1]} input channels, model expects "

@@ -247,10 +247,6 @@ def rasterize(cloud, coords, plane, channels=DEFAULT_CHANNELS):
             plate[occupied] = cloud.positions[win, "xyz".index(name)]
         elif name == "depth":
             plate[occupied] = zbuffer[occupied]
-        elif name.startswith("f") and name[1:].isdigit():
-            if cloud.features is None:
-                raise ValueError(f"channel {name!r} requested but cloud has no features")
-            plate[occupied] = cloud.features[win, int(name[1:])]
         else:
             raise ValueError(f"unknown raster channel {name!r}")
     index = ProjectionIndex(winner=winner, zbuffer=zbuffer, coords=coords)

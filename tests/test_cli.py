@@ -369,6 +369,22 @@ class TestValidation:
         assert len(lines) == 1 and lines[0].startswith("error: config:")
         assert named in lines[0]
 
+    @pytest.mark.parametrize("argv, key", [
+        (["train", "--steps", "-1"], "training.steps"),
+        (["synth", "--points", "0"], "scene.num_points"),
+        (["synth", "--classes", "1"], "scene.num_classes"),
+    ], ids=["steps", "points", "classes"])
+    def test_flag_is_validated_like_a_file_value(self, tmp_path, capsys, argv, key):
+        out = (["--output-dir", str(tmp_path / "run")] if argv[0] == "train"
+               else ["--out", str(tmp_path / "cloud.bin")])
+        code = main(argv + out)
+        err = capsys.readouterr().err
+        lines = err.splitlines()
+        assert code == 1
+        assert len(lines) == 1 and lines[0].startswith("error: config:")
+        assert key in lines[0]
+        assert "Traceback" not in err
+
     def test_non_finite_checkpoint_exits_1_naming_the_tensor(self, tmp_path, tiny_config,
                                                              capsys):
         from hexplane import config as cfg

@@ -20,6 +20,7 @@ from hexplane.cloud import (
     scene_surfaces,
     synth_scene,
 )
+from hexplane.model import HexPlaneModel, ModelConfig
 
 
 def random_cloud(rng, with_features=False, with_labels=False, n=None):
@@ -27,8 +28,7 @@ def random_cloud(rng, with_features=False, with_labels=False, n=None):
     positions = rng.normal(size=(n, 3)) * 5
     features = None
     if with_features:
-        extra = rng.normal(size=(n, int(rng.integers(1, 4))))
-        features = np.concatenate([positions, extra], axis=1)
+        features = rng.normal(size=(n, int(rng.integers(1, 4))))
     labels = None
     if with_labels:
         labels = rng.integers(-1, 5, size=n)
@@ -89,6 +89,14 @@ class TestAsciiFormat:
         path = tmp_path / "cols.txt"
         path.write_text("hexpc ascii 1 4 0\n1 2 3\n")
         with pytest.raises(CloudFormatError, match="record 0"):
+            load_pointcloud(path)
+
+    def test_huge_column_count_is_format_error_before_allocation(self, tmp_path):
+        # a 7 TiB record matrix must not be requested for a 3-column record
+        path = tmp_path / "wide.txt"
+        path.write_text("hexpc ascii 1 1000000000000 0\n1 2 3\n")
+        with pytest.raises(CloudFormatError,
+                           match="record 0: expected 1000000000000 columns, got 3"):
             load_pointcloud(path)
 
     def test_round_trip_values(self, tmp_path):
@@ -260,6 +268,18 @@ class TestAugment:
         assert out.n == cloud.n
         assert np.array_equal(out.labels, cloud.labels)
         assert np.array_equal(out.features, cloud.features)
+
+    def test_file_features_follow_the_augmented_positions(self, tmp_path):
+        # a loaded cloud stores its xyz once, so the model's input xyz rotates
+        rng = np.random.default_rng(13)
+        rows = [" ".join(f"{v:.3f}" for v in row) for row in rng.normal(size=(20, 5))]
+        path = tmp_path / "extra.txt"
+        path.write_text("\n".join(["hexpc ascii 20 5 0", *rows]) + "\n")
+        cloud = load_pointcloud(path)
+        out = augment(cloud, flip_x=True, rotate_z=0.7)
+        feats = HexPlaneModel(ModelConfig(num_classes=2, point_channels=5)).input_features(out)
+        assert np.array_equal(feats[:, :3], out.positions)
+        assert np.array_equal(feats[:, 3:], cloud.features)
 
     def test_non_finite_angle_rejected(self):
         cloud = PointCloud(positions=np.zeros((1, 3)) + 1.0)

@@ -114,6 +114,8 @@ class TestCasts:
         assert scene.primitives == (Primitive("box", (1.0, 0.0, 0.5), (1.0, 2.0, 1.0), 2),)
 
 
+BOX = {"kind": "box", "center": [0, 0, 0.5], "size": [1, 1, 1], "class_id": 2}
+
 MALFORMED = [
     ("project", {"planes": {"xy_top": {"extent": 5}}}, "planes.xy_top.extent"),
     ("project", {"planes": {"xy_top": {"extent": [0, 1, 0]}}}, "planes.xy_top.extent"),
@@ -142,6 +144,35 @@ MALFORMED = [
     ("train", {"model": {"fused_channels": 0}}, "model.fused_channels"),
     ("train", {"model": {"voxel_size": 0.0}}, "model.voxel_size"),
     ("train", {"model": {"slope": 0.2}}, "model.slope"),
+    # rules the built objects enforced later, in messages that named no key;
+    # project loads the file without a --steps flag to override it
+    ("project", {"training": {"steps": -1}}, "training.steps"),
+    ("train", {"training": {"eval_every": -5}}, "training.eval_every"),
+    ("project", {"planes": {"xy_top": {"height": 0}}}, "planes.xy_top.height"),
+    ("project", {"planes": {"xz_front": {"width": 0}}}, "planes.xz_front.width"),
+    ("train", {"scene": {"num_points": 0}}, "scene.num_points"),
+    ("train", {"scene": {"num_classes": 1}}, "scene.num_classes"),
+    ("project", {"planes": {"cylindrical": {"fov_up_deg": 0}}},
+     "planes.cylindrical.fov_up_deg"),
+    ("project", {"planes": {"cylindrical": {"fov_down_deg": 0}}},
+     "planes.cylindrical.fov_down_deg"),
+    ("train", {"scene": {"noise": -1.0}}, "scene.noise"),
+    ("train", {"training": {"aux_weight": -0.5}}, "training.aux_weight"),
+    ("train", {"scene": {"primitives": [{**BOX, "center": [0, 0]}]}},
+     "scene.primitives[0].center"),
+    ("train", {"scene": {"primitives": [{**BOX, "size": [[1], 1, 1]}]}},
+     "scene.primitives[0].size"),
+    ("train", {"scene": {"kind": "file", "path": 5}}, "scene.path"),
+    # an infinite voxel size used to train and exit 0, a NaN rate to diverge
+    ("train", {"model": {"voxel_size": float("inf")}}, "model.voxel_size"),
+    ("train", {"training": {"lr_max": float("nan")}}, "training.lr_max"),
+    # primitives are checked in eval_scene too, and their class id is not truncated
+    ("train", {"eval_scene": {"primitives": [{**BOX, "center": [0, 0]}]}},
+     "eval_scene.primitives[0].center"),
+    ("train", {"scene": {"primitives": [{**BOX, "class_id": 2.7}]}},
+     "scene.primitives[0].class_id"),
+    ("train", {"scene": {"primitives": [{k: v for k, v in BOX.items() if k != "class_id"}]}},
+     "scene.primitives[0].class_id is required"),
 ]
 
 
@@ -164,3 +195,13 @@ def test_malformed_value_exits_1_naming_the_key(tmp_path, capsys, command, user,
     assert err.startswith("error: config:")
     assert key in err
     assert "Traceback" not in err
+
+
+def test_flags_are_laid_over_the_file_before_validation(tmp_path):
+    path = tmp_path / "run.yaml"
+    path.write_text(yaml.safe_dump({"seed": 3, "scene": {"seed": 4, "num_points": 100}}))
+    flags = {"seed": None, "scene": {"seed": 9, "num_classes": None}}
+    tree = cfg.load_config(path, flags)
+    assert tree == cfg.validate_config({"seed": 3, "scene": {"seed": 9, "num_points": 100}})
+    with pytest.raises(cfg.ConfigError, match="config: scene.num_points must be"):
+        cfg.load_config(path, {"scene": {"num_points": 0}})
