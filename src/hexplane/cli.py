@@ -67,7 +67,7 @@ def cmd_train(args) -> int:
     train_cloud = cfg.build_scene(tree["scene"])
     eval_cloud = None
     if tree["eval_scene"] is not None:
-        eval_cloud = cfg.build_scene(tree["eval_scene"])
+        eval_cloud = cfg.build_scene(tree["eval_scene"], "eval_scene")
     num_classes = cfg.scene_num_classes(tree, train_cloud)
     model_config = cfg.build_model_config(tree, num_classes)
     settings = cfg.build_train_settings(tree)
@@ -118,7 +118,7 @@ def cmd_eval(args) -> int:
         if args.cloud is not None:
             cloud = load_pointcloud(args.cloud)
         elif tree["eval_scene"] is not None:
-            cloud = cfg.build_scene(tree["eval_scene"])
+            cloud = cfg.build_scene(tree["eval_scene"], "eval_scene")
         else:
             cloud = train_cloud = cfg.build_scene(tree["scene"])
         if cloud.labels is None:

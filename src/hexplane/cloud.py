@@ -97,8 +97,9 @@ class PointCloud:
 
     @property
     def depths(self) -> np.ndarray:
-        """Distance of each point from the origin."""
-        return np.linalg.norm(self.positions, axis=1)
+        """Distance of each point from the origin; bit for bit np.linalg.norm's."""
+        x, y, z = self.positions.T
+        return np.sqrt((x * x + y * y) + z * z)
 
 
 def default_features(cloud: PointCloud) -> np.ndarray:

@@ -122,13 +122,15 @@ _SHAPES = {
     **dict.fromkeys(("heads", "head_dim", "point_width", "point_channels",
                      "feature_channels", "fused_channels", "height", "width",
                      "num_points"), ("a positive integer", _int_from(1))),
-    **dict.fromkeys(("steps", "eval_every"),
+    **dict.fromkeys(("seed", "steps", "eval_every"),
                     ("a non-negative integer", _int_from(0))),
     "num_classes": ("an integer of at least 2", _int_from(2)),
     **dict.fromkeys(("voxel_size", "fov_up_deg", "fov_down_deg"),
                     ("a positive number", lambda v: _is_number(v) and v > 0)),
     **dict.fromkeys(("noise", "aux_weight"),
                     ("a non-negative number", lambda v: _is_number(v) and v >= 0)),
+    **dict.fromkeys(("beta1", "beta2"),
+                    ("a number in [0, 1)", lambda v: _is_number(v) and 0 <= v < 1)),
 }
 
 
@@ -226,22 +228,23 @@ def _from_section(cls, section, **given):
     return cls(**given)
 
 
-def build_scene_spec(scene_tree) -> SceneSpec:
+def build_scene_spec(scene_tree, section="scene") -> SceneSpec:
+    """The SceneSpec of a validated `section` (`scene` or `eval_scene`)."""
     prims = []
     for i, p in enumerate(scene_tree["primitives"]):
         try:
             prims.append(Primitive(kind=p["kind"], center=_cast(p["center"], (0.0,)),
                                    size=_cast(p["size"], (0.0,)), class_id=p["class_id"]))
         except ValueError as exc:
-            raise ConfigError(f"config: scene.primitives[{i}]: {exc}") from exc
+            raise ConfigError(f"config: {section}.primitives[{i}]: {exc}") from exc
     return _from_section(SceneSpec, scene_tree, primitives=tuple(prims))
 
 
-def build_scene(scene_tree):
-    """Materialize a scene tree into a labeled PointCloud."""
+def build_scene(scene_tree, section="scene"):
+    """Materialize the scene tree of `section` into a labeled PointCloud."""
     kind = scene_tree["kind"]
     if kind == "synth":
-        return cloudmod.synth_scene(build_scene_spec(scene_tree))
+        return cloudmod.synth_scene(build_scene_spec(scene_tree, section))
     if kind == "builtin":
         name = scene_tree["name"]
         if name == "two_class":
@@ -254,7 +257,7 @@ def build_scene(scene_tree):
         raise ConfigError(f"config: unknown builtin scene {name!r}")
     if kind == "file":
         if not scene_tree["path"]:
-            raise ConfigError("config: scene.path required for kind 'file'")
+            raise ConfigError(f"config: {section}.path required for kind 'file'")
         return cloudmod.load_pointcloud(scene_tree["path"])
     raise ConfigError(f"config: unknown scene kind {kind!r}")
 

@@ -104,13 +104,15 @@ class GridCoords:
     """Continuous grid coordinates of every point on one plane.
 
     u: column, v: row, both in [0, W) x [0, H) when in_fov; depth is the
-    distance along the plane's viewing direction.
+    distance along the plane's viewing direction; pixel is the flat pixel,
+    row * W + column, of each in-FOV point in point order.
     """
 
     u: np.ndarray
     v: np.ndarray
     depth: np.ndarray
     in_fov: np.ndarray
+    pixel: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -173,35 +175,47 @@ def project_cylindrical(cloud: PointCloud, plane: PlaneSpec) -> GridCoords:
     in_fov = (elev >= -sensor.phi_down) & (elev <= sensor.phi_up)
     v = np.where(in_fov & (v == h), np.nextafter(float(h), 0.0), v)
     in_fov &= (u >= 0) & (u < w) & (v >= 0) & (v < h)
-    return GridCoords(u=u, v=v, depth=d.copy(), in_fov=in_fov)
+    return GridCoords(u=u, v=v, depth=d, in_fov=in_fov, pixel=_pixels(u, v, in_fov, w))
 
 
-def project_orthographic(cloud: PointCloud, plane: PlaneSpec) -> GridCoords:
-    """Affine map of two world axes onto the grid; depth along the view axis."""
+def _pixels(u, v, in_fov, width):
+    """Flat pixel, row * width + column, of each in-FOV point; in FOV u and
+    v are >= 0, so truncation is the floor."""
+    pixel = v[in_fov].astype(np.int64)
+    pixel *= width
+    pixel += u[in_fov].astype(np.int64)
+    return pixel
+
+
+def project_orthographic(cloud: PointCloud, plane: PlaneSpec, grids=None) -> GridCoords:
+    """Affine map of two world axes onto the grid; depth along the view axis.
+
+    `grids` keeps the read-only (u, v, in_fov, pixel) of the cloud for each
+    (in-plane axes, extent, size) it has seen, so opposite views share them.
+    """
     if plane.kind not in _ORTHO_AXES:
         raise ValueError(f"{plane.kind} is not an orthographic plane")
     ua, va, da, sign = _ORTHO_AXES[plane.kind]
-    u0, u1, v0, v1 = plane.extent
-    pu = cloud.positions[:, ua]
-    pv = cloud.positions[:, va]
-    u = (pu - u0) / (u1 - u0) * plane.width
-    v = (pv - v0) / (v1 - v0) * plane.height
+    h, w = plane.height, plane.width
+    grids = {} if grids is None else grids
+    key = (ua, va, plane.extent, h, w)
+    if key not in grids:
+        u0, u1, v0, v1 = plane.extent
+        u = (cloud.positions[:, ua] - u0) / (u1 - u0) * w
+        v = (cloud.positions[:, va] - v0) / (v1 - v0) * h
+        in_fov = (u >= 0) & (u < w) & (v >= 0) & (v < h)
+        grids[key] = (u, v, in_fov, _pixels(u, v, in_fov, w))
+        for array in grids[key]:
+            array.flags.writeable = False
+    u, v, in_fov, pixel = grids[key]
     depth = sign * (cloud.positions[:, da] - plane.depth_ref)
-    in_fov = (u >= 0) & (u < plane.width) & (v >= 0) & (v < plane.height)
-    return GridCoords(u=u, v=v, depth=depth, in_fov=in_fov)
+    return GridCoords(u=u, v=v, depth=depth, in_fov=in_fov, pixel=pixel)
 
 
-def project(cloud: PointCloud, plane: PlaneSpec) -> GridCoords:
+def project(cloud: PointCloud, plane: PlaneSpec, grids=None) -> GridCoords:
     if plane.kind == "cylindrical":
         return project_cylindrical(cloud, plane)
-    return project_orthographic(cloud, plane)
-
-
-def in_fov_pixels(coords: GridCoords, width: int) -> np.ndarray:
-    """Flat pixel index, row * width + column, of every in-FOV point."""
-    mask = coords.in_fov
-    rows = np.floor(coords.v[mask]).astype(np.int64)
-    return rows * width + np.floor(coords.u[mask]).astype(np.int64)
+    return project_orthographic(cloud, plane, grids)
 
 
 def rasterize(cloud, coords, plane, channels=DEFAULT_CHANNELS):
@@ -219,15 +233,15 @@ def rasterize(cloud, coords, plane, channels=DEFAULT_CHANNELS):
     winner = np.full((h, w), EMPTY, dtype=np.int64)
     zbuffer = np.full((h, w), np.inf, dtype=np.float64)
 
-    idx = np.where(coords.in_fov)[0]
+    idx = np.flatnonzero(coords.in_fov)
     if idx.size:
-        pix = in_fov_pixels(coords, w)
+        pix = coords.pixel
         depth = coords.depth[idx]
         # two scatter-mins: the nearest depth per pixel, then the lowest
         # point index among the points at exactly that depth
         zflat = zbuffer.ravel()
         np.minimum.at(zflat, pix, depth)
-        tie = depth == zflat[pix]
+        tie = np.flatnonzero(depth == zflat[pix])
         none = np.iinfo(np.int64).max
         wflat = np.full(h * w, none)
         np.minimum.at(wflat, pix[tie], idx[tie])
@@ -253,20 +267,17 @@ def rasterize(cloud, coords, plane, channels=DEFAULT_CHANNELS):
     return raster, index
 
 
-def _project_one(cloud, spec, channels):
-    coords = project(cloud, spec)
-    raster, index = rasterize(cloud, coords, spec, channels)
-    return PlaneData(spec=spec, raster=raster, index=index)
-
-
 def hexplane_project(cloud, specs, channels=DEFAULT_CHANNELS, threads=1):
     """Project and rasterize the cloud onto all six planes.
 
     `specs` holds one PlaneSpec per kind in PLANE_KINDS order; HexPlaneSet
     rejects any other. Planes are processed one after another; `threads` is
-    accepted and ignored.
+    accepted and ignored. Opposite views of one extent and size share one
+    read-only (u, v, in_fov, pixel) grid and differ only in depth.
     """
-    return HexPlaneSet(planes=tuple(_project_one(cloud, s, channels) for s in specs))
+    grids = {}
+    return HexPlaneSet(planes=tuple(
+        PlaneData(s, *rasterize(cloud, project(cloud, s, grids), s, channels)) for s in specs))
 
 
 def gather_offsets(cloud: PointCloud, hexset: HexPlaneSet):
@@ -284,7 +295,7 @@ def gather_offsets(cloud: PointCloud, hexset: HexPlaneSet):
         if coords.u.shape[0] != n:
             raise ValueError("hexplane set built from a different cloud")
         mask = coords.in_fov
-        win = plane.index.winner.ravel()[in_fov_pixels(coords, plane.spec.width)]
+        win = plane.index.winner.ravel()[coords.pixel]
         offsets[mask, m, :] = cloud.positions[mask] - cloud.positions[win]
         valid[:, m] = mask
     return offsets, valid

@@ -307,6 +307,14 @@ class TestCloudInvariants:
         assert feats.shape == (1, 4)
         assert feats[0, 3] == 5.0
 
+    def test_depths_match_linalg_norm_bit_for_bit(self):
+        # coordinates of mixed sign and magnitude from 1e-3 to 1e3
+        rng = np.random.default_rng(32)
+        shape = (300_000, 3)
+        pos = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-3, 3, size=shape)
+        cloud = PointCloud(positions=pos)
+        assert cloud.depths.tobytes() == np.linalg.norm(pos, axis=1).tobytes()
+
     def test_positions_read_only(self):
         cloud = PointCloud(positions=np.ones((2, 3)))
         with pytest.raises(ValueError):

@@ -91,7 +91,9 @@ class TestCasts:
                       if type(f.default) is float]
             for section, cls in (("model", ModelConfig), ("training", TrainSettings))
         }
-        user = {section: {key: 1 for key in keys} for section, keys in float_keys.items()}
+        # the betas must lie in [0, 1)
+        user = {section: {key: 0 if key.startswith("beta") else 1 for key in keys}
+                for section, keys in float_keys.items()}
         user["model"]["encoder_widths"] = [4, 8, 16]
         user["scene"] = {"room_extent": [8, 8, 3], "noise": 0, "primitives": [
             {"kind": "box", "center": [1, 0, 0.5], "size": [1, 2, 1], "class_id": 2}]}
@@ -99,11 +101,11 @@ class TestCasts:
 
         model = cfg.build_model_config(tree, 3)
         settings = cfg.build_train_settings(tree)
-        for obj, keys in ((model, float_keys["model"]), (settings, float_keys["training"])):
-            assert keys
-            for key in keys:
+        for obj, section in ((model, "model"), (settings, "training")):
+            assert float_keys[section]
+            for key in float_keys[section]:
                 value = getattr(obj, key)
-                assert value == 1.0 and type(value) is float, key
+                assert value == user[section][key] and type(value) is float, key
         assert model.encoder_widths == (4, 8, 16)
         assert type(model.encoder_widths) is tuple
 
@@ -173,6 +175,19 @@ MALFORMED = [
      "scene.primitives[0].class_id"),
     ("train", {"scene": {"primitives": [{k: v for k, v in BOX.items() if k != "class_id"}]}},
      "scene.primitives[0].class_id is required"),
+    # 1e300 escaped as an OverflowError in the optimizer, 1 failed as a
+    # non-finite loss, -1 trained; a negative seed named no key
+    *(("train", {"training": {beta: value}}, f"training.{beta}")
+      for beta in ("beta1", "beta2") for value in (1e300, 1.0, -1.0)),
+    ("train", {"seed": -1}, "config: seed must"),
+    ("train", {"scene": {"seed": -1}}, "scene.seed"),
+    ("train", {"eval_scene": {"seed": -1}}, "eval_scene.seed"),
+    # an eval_scene primitive or path used to be named as the train scene's
+    ("train", {"eval_scene": {"primitives": [{**BOX, "kind": "sphere"}]}},
+     "eval_scene.primitives[0]: unknown primitive kind"),
+    ("train", {"scene": {"primitives": [{**BOX, "kind": "sphere"}]}},
+     "config: scene.primitives[0]: unknown primitive kind"),
+    ("train", {"eval_scene": {"kind": "file"}}, "eval_scene.path required"),
 ]
 
 

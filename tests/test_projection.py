@@ -296,6 +296,47 @@ class TestRasterize:
         assert np.array_equal(idx_a.winner, relabeled)
 
 
+class TestPixel:
+    @staticmethod
+    def floored(coords, width):
+        mask = coords.in_fov
+        return (np.floor(coords.v[mask]).astype(np.int64) * width
+                + np.floor(coords.u[mask]).astype(np.int64))
+
+    def test_orthographic_pixel_is_floored_row_major(self):
+        # u = x and v = z exactly here: points on integer grid lines, one ulp
+        # below the right and top edges, on the edges (out of FOV), and -0.0
+        spec = PlaneSpec("xz_front", 4, 8, extent=(0.0, 8.0, 0.0, 4.0), depth_ref=5.0)
+        w_ulp, h_ulp = np.nextafter(8.0, 0.0), np.nextafter(4.0, 0.0)
+        pos = np.array([
+            [0.0, 0.0, 0.0], [1.0, 0.0, 1.0], [3.0, 0.0, 2.0], [7.0, 0.0, 3.0],
+            [w_ulp, 0.0, h_ulp], [w_ulp, 0.0, 0.0], [2.5, 0.0, 3.5],
+            [8.0, 0.0, 1.0], [1.0, 0.0, 4.0], [-0.0, 0.0, -0.0],
+        ])
+        coords = project_orthographic(PointCloud(positions=pos), spec)
+        assert coords.in_fov.tolist() == [True] * 7 + [False, False, True]
+        assert coords.pixel.tolist() == [0, 9, 19, 31, 31, 7, 26, 0]
+        assert np.array_equal(coords.pixel, self.floored(coords, 8))
+
+    def test_cylindrical_bottom_boundary_row(self):
+        pos = np.array([[2.0, 0.0, -1.0], [1.0, 0.0, 0.0], [0.0, 0.0, 5.0]])
+        elev = float(np.arcsin(-1.0 / np.linalg.norm(pos[0])))
+        plane = PlaneSpec("cylindrical", 64, 512,
+                          sensor=SensorConfig(phi_up=0.5, phi_down=-elev))
+        coords = project_cylindrical(PointCloud(positions=pos), plane)
+        assert coords.in_fov.tolist() == [True, True, False]
+        assert coords.pixel[0] == 63 * 512 + 256  # the last row, not row 64
+        assert np.array_equal(coords.pixel, self.floored(coords, 512))
+
+    def test_every_plane_of_a_random_cloud(self):
+        rng = np.random.default_rng(31)
+        cloud = random_cloud(rng, n=2000)
+        for spec in default_plane_specs(cloud, sensor=WIDE_SENSOR):
+            coords = project(cloud, spec)
+            assert coords.pixel.dtype == np.int64
+            assert np.array_equal(coords.pixel, self.floored(coords, spec.width)), spec.kind
+
+
 class TestHexPlaneProject:
     def test_deterministic(self):
         rng = np.random.default_rng(21)
@@ -306,6 +347,47 @@ class TestHexPlaneProject:
         for pa, pb in zip(a.planes, b.planes):
             assert np.array_equal(pa.raster, pb.raster)
             assert np.array_equal(pa.index.winner, pb.index.winner)
+
+    def test_opposite_views_share_one_read_only_grid(self):
+        rng = np.random.default_rng(25)
+        cloud = random_cloud(rng, n=300)
+        planes = dict(zip(PLANE_KINDS, hexplane_project(cloud, default_plane_specs(cloud)).planes))
+        for a, b in (("xz_front", "xz_back"), ("yz_left", "yz_right")):
+            ca, cb = planes[a].index.coords, planes[b].index.coords
+            assert not np.array_equal(ca.depth, cb.depth)
+            for name in ("u", "v", "in_fov", "pixel"):
+                array = getattr(ca, name)
+                assert array is getattr(cb, name), (a, name)
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = array[0]
+
+    @pytest.mark.parametrize("kind,change", [
+        ("xz_back", {"height": 32}),
+        ("xz_back", {"width": 100}),
+        ("xz_back", "half extent"),
+        ("yz_right", {"height": 17, "width": 9}),
+    ])
+    def test_unmatched_twin_equals_projecting_each_plane_alone(self, kind, change):
+        rng = np.random.default_rng(26)
+        cloud = random_cloud(rng, n=600)
+        specs = default_plane_specs(cloud, sensor=WIDE_SENSOR)
+        m = PLANE_KINDS.index(kind)
+        if change == "half extent":
+            u0, u1, v0, v1 = specs[m].extent
+            change = {"extent": (u0, (u0 + u1) / 2, v0, v1)}
+        specs[m] = dataclasses.replace(specs[m], **change)
+        hexset = hexplane_project(cloud, specs)
+        if "extent" in change:  # the narrowed view loses points its twin keeps
+            assert not hexset.planes[m].index.coords.in_fov.all()
+        for spec, plane in zip(specs, hexset.planes):
+            coords = project(cloud, spec)
+            raster, index = rasterize(cloud, coords, spec)
+            assert plane.raster.tobytes() == raster.tobytes(), spec.kind
+            assert np.array_equal(plane.index.winner, index.winner), spec.kind
+            assert plane.index.zbuffer.tobytes() == index.zbuffer.tobytes(), spec.kind
+            for name in ("u", "v", "depth", "in_fov", "pixel"):
+                got, want = getattr(plane.index.coords, name), getattr(coords, name)
+                assert got.tobytes() == want.tobytes(), (spec.kind, name)
 
     def test_every_point_in_fov_on_top_view(self):
         rng = np.random.default_rng(22)
