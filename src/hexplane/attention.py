@@ -57,8 +57,8 @@ def gather_plane_features(feature_maps, hexset: HexPlaneSet):
         raise ValueError("need one feature map per plane")
     n = hexset.planes[0].index.coords.u.shape[0]
     c_f = feature_maps[0].shape[2]
-    gathered = np.zeros((n, len(feature_maps), c_f))
-    valid = np.zeros((n, len(feature_maps)), dtype=bool)
+    gathered = np.empty((n, len(feature_maps), c_f))
+    valid = np.empty((n, len(feature_maps)), dtype=bool)
     caches = []
     for m, (fmap, plane) in enumerate(zip(feature_maps, hexset.planes)):
         coords = plane.index.coords
@@ -70,22 +70,25 @@ def gather_plane_features(feature_maps, hexset: HexPlaneSet):
                 f"feature map {m} is {(fh, fw)}; the {plane.spec.kind} raster "
                 f"needs {want}"
             )
+        # every point is sampled, so out-of-FOV coordinates, which may be
+        # NaN, are moved onto the grid first; their rows are zeroed after
         mask = coords.in_fov
-        u_f = coords.u[mask] * (fw / w)
-        v_f = coords.v[mask] * (fh / h)
-        sampled, cache = ops.bilinear_sample_forward(fmap, u_f, v_f)
-        gathered[mask, m, :] = sampled
+        u_f = np.where(mask, coords.u, 0.0) * (fw / w)
+        v_f = np.where(mask, coords.v, 0.0) * (fh / h)
+        gathered[:, m], cache = ops.bilinear_sample_forward(fmap, u_f, v_f)
+        gathered[~mask, m] = 0.0
         valid[:, m] = mask
-        caches.append((cache, mask))
+        caches.append(cache)
     return gathered, valid, caches
 
 
 def gather_plane_features_backward(grad, caches):
-    """Scatter per-point gradients back onto each plane's feature map."""
-    dmaps = []
-    for m, (cache, mask) in enumerate(caches):
-        dmaps.append(ops.bilinear_sample_backward(grad[mask, m, :], cache))
-    return dmaps
+    """Scatter per-point gradients back onto each plane's feature map.
+
+    Rows of out-of-FOV points carry zero gradient, so they add nothing to
+    any bin and need no mask."""
+    return [ops.bilinear_sample_backward(grad[:, m], cache)
+            for m, cache in enumerate(caches)]
 
 
 def _head_blocks(w, heads):
@@ -122,7 +125,10 @@ def cross_attention_forward(point_feats, gathered, valid, offsets, params, heads
     scores = np.where(valid[:, None, :], scores, -np.inf)
     # a point out of FOV on every plane: exps are all 0, so weights are too
     blind = ~valid.any(axis=1)
-    scores_max = scores.max(axis=2, keepdims=True)
+    # a running max over the M slices beats a reduce over the short last axis
+    scores_max = scores[:, :, :1].copy()
+    for m in range(1, scores.shape[2]):
+        np.maximum(scores_max, scores[:, :, m:m + 1], out=scores_max)
     scores_max[blind] = 0.0
     exps = np.exp(scores - scores_max)
     total = exps.sum(axis=2, keepdims=True)

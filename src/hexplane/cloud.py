@@ -428,7 +428,7 @@ def scene_surfaces(spec: SceneSpec):
         _Rect((x1, y0, 0), (0, ly, 0), (0, 0, lz), (-1, 0, 0), spec.wall_class),
     ]
     for prim in spec.primitives:
-        _check_primitive_in_room(prim, spec.room_extent)
+        check_primitive_in_room(prim, spec.room_extent)
         if prim.kind == "box":
             surfaces.extend(_box_faces(prim))
         else:
@@ -447,7 +447,7 @@ def scene_surfaces(spec: SceneSpec):
     return surfaces
 
 
-def _check_primitive_in_room(prim: Primitive, room_extent):
+def check_primitive_in_room(prim: Primitive, room_extent):
     lx, ly, lz = room_extent
     cx, cy, cz = prim.center
     if prim.kind == "box":
@@ -465,7 +465,7 @@ def _check_primitive_in_room(prim: Primitive, room_extent):
         and cz + hz <= lz
     )
     if not inside:
-        raise ValueError(f"primitive outside room: {prim}")
+        raise ValueError(f"primitive outside room {room_extent}: {prim}")
 
 
 def apportion_counts(areas, total: int) -> np.ndarray:

@@ -229,14 +229,26 @@ def _from_section(cls, section, **given):
 
 
 def build_scene_spec(scene_tree, section="scene") -> SceneSpec:
-    """The SceneSpec of a validated `section` (`scene` or `eval_scene`)."""
+    """The SceneSpec of a validated `section` (`scene` or `eval_scene`).
+
+    The class-id range and room containment that the spec and `synth_scene`
+    enforce span several keys; they are checked here, naming the key."""
+    classes = scene_tree["num_classes"]
+    room = _cast(scene_tree["room_extent"], (0.0,))
+    ids = [(f"{section}.{key}", scene_tree[key]) for key in ("floor_class", "wall_class")]
     prims = []
     for i, p in enumerate(scene_tree["primitives"]):
+        key = f"{section}.primitives[{i}]"
         try:
             prims.append(Primitive(kind=p["kind"], center=_cast(p["center"], (0.0,)),
                                    size=_cast(p["size"], (0.0,)), class_id=p["class_id"]))
+            cloudmod.check_primitive_in_room(prims[-1], room)
         except ValueError as exc:
-            raise ConfigError(f"config: {section}.primitives[{i}]: {exc}") from exc
+            raise ConfigError(f"config: {key}: {exc}") from exc
+        ids.append((f"{key}.class_id", p["class_id"]))
+    for key, cls in ids:
+        if not 0 <= cls < classes:
+            raise ConfigError(f"config: {key} must be a class id in [0, {classes})")
     return _from_section(SceneSpec, scene_tree, primitives=tuple(prims))
 
 

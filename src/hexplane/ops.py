@@ -38,35 +38,24 @@ def linear_backward(grad, cache):
 
 
 def leaky_relu_forward(x, slope=0.1):
-    pos = x >= 0
-    return np.where(pos, x, slope * x), (pos, slope)
+    """max(x, slope * x): for a slope in (0, 1] the same values as
+    `where(x >= 0, x, slope * x)`, -0.0, infinities and NaN included,
+    without `np.where`'s slower path."""
+    if not 0 < slope <= 1:
+        raise ValueError(f"leaky slope {slope} outside (0, 1]")
+    y = slope * x
+    return np.maximum(x, y, out=y), (x >= 0, slope)
 
 
 def leaky_relu_backward(grad, cache):
     pos, slope = cache
-    return np.where(pos, grad, slope * grad)
+    # one factor per element, 1.0 where x >= 0: grad * 1.0 is grad exactly
+    return grad * np.array([slope, 1.0])[pos.view(np.uint8)]
 
 
 # ---------------------------------------------------------------------------
 # Strided 3x3 convolution via im2col
 # ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=64)
-def _im2col_indices(h, w, kh, kw, stride, pad):
-    """Flat gather indices into the padded image, plus output/padded shapes."""
-    hp, wp = h + 2 * pad, w + 2 * pad
-    out_h = (hp - kh) // stride + 1
-    out_w = (wp - kw) // stride + 1
-    r0 = np.arange(out_h) * stride
-    c0 = np.arange(out_w) * stride
-    rows = (r0[:, None] + np.arange(kh)[None, :]).reshape(-1)  # (out_h*kh,)
-    cols = (c0[:, None] + np.arange(kw)[None, :]).reshape(-1)
-    rr = rows.reshape(out_h, 1, kh, 1)
-    cc = cols.reshape(1, out_w, 1, kw)
-    idx = (rr * wp + cc).reshape(out_h * out_w, kh * kw)
-    idx.setflags(write=False)
-    return idx, (out_h, out_w), (hp, wp)
 
 
 def conv2d_forward(x, w, b, stride=2, pad=1):
@@ -75,14 +64,22 @@ def conv2d_forward(x, w, b, stride=2, pad=1):
     kh, kw, wc_in, c_out = w.shape
     if wc_in != c_in:
         raise ValueError(f"kernel expects {wc_in} input channels, image has {c_in}")
-    idx, (out_h, out_w), (hp, wp) = _im2col_indices(h, wd, kh, kw, stride, pad)
-    padded = np.zeros((hp * wp, c_in))
-    padded.reshape(hp, wp, c_in)[pad : pad + h, pad : pad + wd] = x
-    cols = padded[idx].reshape(out_h * out_w, kh * kw * c_in)
+    hp, wp = h + 2 * pad, wd + 2 * pad
+    out_h, out_w = (hp - kh) // stride + 1, (wp - kw) // stride + 1
+    padded = np.zeros((hp, wp, c_in))
+    padded[pad : pad + h, pad : pad + wd] = x
+    # im2col: one copy of the (out_h, out_w, kh, kw, C_in) window view
+    s_r, s_c, s_ch = padded.strides
+    windows = np.lib.stride_tricks.as_strided(
+        padded, (out_h, out_w, kh, kw, c_in),
+        (stride * s_r, stride * s_c, s_r, s_c, s_ch), writeable=False)
+    cols = windows.reshape(out_h * out_w, kh * kw * c_in)
     wmat = w.reshape(kh * kw * c_in, c_out)
-    y = (cols @ wmat + b).reshape(out_h, out_w, c_out)
+    y = cols @ wmat
+    y += b
+    # the weight shape stays at index 2: the benchmark's FLOP counter reads it
     cache = (cols, wmat, w.shape, x.shape, (out_h, out_w), (hp, wp), pad, stride)
-    return y, cache
+    return y.reshape(out_h, out_w, c_out), cache
 
 
 def conv2d_backward(grad, cache, input_grad=True):
@@ -193,12 +190,16 @@ def bilinear_sample_forward(fmap, u, v):
     fx = (x - x0)[:, None]
     fy = (y - y0)[:, None]
     flat = np.ascontiguousarray(fmap).reshape(h * w, c)
-    out = (
-        flat[y0 * w + x0] * ((1 - fy) * (1 - fx))
-        + flat[y0 * w + x1] * ((1 - fy) * fx)
-        + flat[y1 * w + x0] * (fy * (1 - fx))
-        + flat[y1 * w + x1] * (fy * fx)
-    )
+    # ((A + B) + C) + D, each tap scaled in place in a reused buffer, so no
+    # fresh (N, C) temporary per term
+    out = np.take(flat, y0 * w + x0, axis=0)
+    out *= (1 - fy) * (1 - fx)
+    tap = np.empty_like(out)
+    for row, col, weight in ((y0, x1, (1 - fy) * fx), (y1, x0, fy * (1 - fx)),
+                             (y1, x1, fy * fx)):
+        np.take(flat, row * w + col, axis=0, out=tap)
+        tap *= weight
+        out += tap
     return out, (fmap.shape, x0, x1, y0, y1, fx, fy)
 
 

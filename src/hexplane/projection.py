@@ -288,16 +288,19 @@ def gather_offsets(cloud: PointCloud, hexset: HexPlaneSet):
     pixel has an exactly zero offset.
     """
     n = cloud.n
-    offsets = np.zeros((n, len(hexset.planes), 3), dtype=np.float64)
-    valid = np.zeros(offsets.shape[:2], dtype=bool)
+    pos = cloud.positions
+    offsets = np.empty((n, len(hexset.planes), 3))
+    valid = np.empty(offsets.shape[:2], dtype=bool)
     for m, plane in enumerate(hexset.planes):
         coords = plane.index.coords
         if coords.u.shape[0] != n:
             raise ValueError("hexplane set built from a different cloud")
-        mask = coords.in_fov
-        win = plane.index.winner.ravel()[coords.pixel]
-        offsets[mask, m, :] = cloud.positions[mask] - cloud.positions[win]
-        valid[:, m] = mask
+        # an out-of-FOV point stands as its own winner: positions are
+        # finite, so its offset is x - x = +0.0
+        win = np.arange(n)
+        win[coords.in_fov] = plane.index.winner.ravel()[coords.pixel]
+        np.subtract(pos, pos[win], out=offsets[:, m])
+        valid[:, m] = coords.in_fov
     return offsets, valid
 
 

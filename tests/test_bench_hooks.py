@@ -72,3 +72,19 @@ def test_every_workload_runs_one_operation_without_failure(perfbench):
     for name, workload in workloads.WORKLOADS.items():
         tally = workload(3, sizes).measure(spans.OpTimer(), 0.0)
         assert tally.attempted > 0 and tally.failed == 0, name
+
+
+def test_every_workload_runs_one_traced_operation_with_its_counters(perfbench):
+    # the span counters read argument and result layouts, such as the weight
+    # shape at index 2 of the conv cache; only a traced run calls them, and a
+    # counter that raises fails the operation
+    spans = perfbench("spans")
+    workloads = perfbench("workloads")
+    sizes = workloads.Sizes(train_steps=2, project_points=3000, setup_repeats=1)
+    for name, workload in workloads.WORKLOADS.items():
+        tracer = spans.Tracer()
+        with spans.patched(tracer.layer_patches()):
+            tally = workload(3, sizes).measure(tracer, 0.0)
+        assert tally.attempted > 0 and tally.failed == 0, name
+        if name != "project_large":  # projection only: no conv runs
+            assert tracer.counters["encoder.conv_flop"] > 0, name

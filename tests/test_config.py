@@ -188,6 +188,20 @@ MALFORMED = [
     ("train", {"scene": {"primitives": [{**BOX, "kind": "sphere"}]}},
      "config: scene.primitives[0]: unknown primitive kind"),
     ("train", {"eval_scene": {"kind": "file"}}, "eval_scene.path required"),
+    # cross-field rules the spec enforced in messages that named no key
+    ("train", {"scene": {"primitives": [{**BOX, "class_id": 5}]}},
+     "scene.primitives[0].class_id must be a class id in [0, 3)"),
+    ("train", {"eval_scene": {"primitives": [BOX, {**BOX, "class_id": -1}]}},
+     "eval_scene.primitives[1].class_id"),
+    ("train", {"scene": {"floor_class": 3}}, "scene.floor_class"),
+    ("train", {"scene": {"num_classes": 2, "primitives": [BOX]}},
+     "scene.primitives[0].class_id"),
+    ("train", {"eval_scene": {"wall_class": -1}}, "eval_scene.wall_class"),
+    ("train", {"scene": {"primitives": [{**BOX, "center": [40, 0, 0.5]}]}},
+     "scene.primitives[0]: primitive outside room (8.0, 8.0, 3.0)"),
+    ("train", {"eval_scene": {"primitives": [
+        {"kind": "cylinder", "center": [0, 0, 2.5], "size": [0.5, 2], "class_id": 2}]}},
+     "eval_scene.primitives[0]: primitive outside room"),
 ]
 
 
