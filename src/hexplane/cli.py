@@ -69,7 +69,8 @@ def cmd_train(args) -> int:
     if tree["eval_scene"] is not None:
         eval_cloud = cfg.build_scene(tree["eval_scene"], "eval_scene")
     num_classes = cfg.scene_num_classes(tree, train_cloud)
-    model_config = cfg.build_model_config(tree, num_classes)
+    clouds = [c for c in (train_cloud, eval_cloud) if c is not None]
+    model_config = cfg.build_model_config(tree, num_classes, clouds)
     settings = cfg.build_train_settings(tree)
     spec_fn = cfg.plane_spec_builder(tree["planes"])
 
@@ -125,7 +126,7 @@ def cmd_eval(args) -> int:
             raise ValueError("evaluation cloud must carry labels")
         num_classes = cfg.scene_num_classes(tree, train_cloud)
         num_classes = max(num_classes, int(cloud.labels.max()) + 1)
-        model = HexPlaneModel(cfg.build_model_config(tree, num_classes))
+        model = HexPlaneModel(cfg.build_model_config(tree, num_classes, [cloud]))
         model.load_parameters(load_checkpoint(args.checkpoint))
         spec_fn = cfg.plane_spec_builder(tree["planes"])
         hexset = plane_inputs(model.config, cloud, spec_fn)

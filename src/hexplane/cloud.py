@@ -71,6 +71,11 @@ class PointCloud:
             bad = int(np.argwhere(~np.isfinite(pos))[0, 0])
             raise ValueError(f"non-finite position at point {bad}")
         object.__setattr__(self, "positions", _readonly(pos))
+        with np.errstate(over="ignore"):
+            far = np.isinf(self.depths)
+        if far.any():
+            raise ValueError(f"point {int(np.argmax(far))} is too far from the origin: "
+                             "its distance overflows")
 
         if self.features is not None:
             feats = np.ascontiguousarray(self.features, dtype=np.float64)

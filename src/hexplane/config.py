@@ -20,7 +20,7 @@ import yaml
 
 from . import cloud as cloudmod
 from .cloud import Primitive, SceneSpec
-from .model import ModelConfig
+from .model import ModelConfig, input_channels
 from .projection import (
     DEFAULT_RESOLUTIONS,
     DEFAULT_SENSOR,
@@ -252,18 +252,27 @@ def build_scene_spec(scene_tree, section="scene") -> SceneSpec:
     return _from_section(SceneSpec, scene_tree, primitives=tuple(prims))
 
 
+def _synth_scene(spec: SceneSpec, section):
+    """`synth_scene(spec)`, its point budget checked against its classes."""
+    classes = len(spec.class_ids())
+    if spec.num_points < classes:
+        raise ConfigError(f"config: {section}.num_points: {spec.num_points} points "
+                          f"cannot cover {classes} classes")
+    return cloudmod.synth_scene(spec)
+
+
 def build_scene(scene_tree, section="scene"):
     """Materialize the scene tree of `section` into a labeled PointCloud."""
     kind = scene_tree["kind"]
     if kind == "synth":
-        return cloudmod.synth_scene(build_scene_spec(scene_tree, section))
+        return _synth_scene(build_scene_spec(scene_tree, section), section)
     if kind == "builtin":
         name = scene_tree["name"]
         if name == "two_class":
             spec = cloudmod.two_class_spec(
                 seed=scene_tree["seed"], num_points=scene_tree["num_points"]
             )
-            return cloudmod.synth_scene(spec)
+            return _synth_scene(spec, section)
         if name == "occlusion":
             return cloudmod.make_occlusion_scene()[0]
         raise ConfigError(f"config: unknown builtin scene {name!r}")
@@ -306,9 +315,17 @@ def plane_spec_builder(planes_tree):
     return build
 
 
-def build_model_config(tree, num_classes) -> ModelConfig:
-    return _from_section(ModelConfig, tree["model"], num_classes=num_classes,
-                         seed=tree["seed"])
+def build_model_config(tree, num_classes, clouds=()) -> ModelConfig:
+    """The model of a validated tree; each of `clouds` must provide the
+    `model.point_channels` input channels it reads."""
+    config = _from_section(ModelConfig, tree["model"], num_classes=num_classes,
+                           seed=tree["seed"])
+    for cloud in clouds:
+        channels = input_channels(cloud)
+        if channels != config.point_channels:
+            raise ConfigError(f"config: model.point_channels is {config.point_channels}, "
+                              f"but the cloud provides {channels} input channels")
+    return config
 
 
 def build_train_settings(tree) -> TrainSettings:

@@ -57,6 +57,12 @@ class ModelOutput:
     cache: tuple
 
 
+def input_channels(cloud: PointCloud) -> int:
+    """Width of the per-point input the model reads from `cloud`: the position
+    and the extra feature columns, or the position and depth without them."""
+    return 3 + (1 if cloud.features is None else cloud.features.shape[1])
+
+
 def _named(groups):
     """Flatten {group: {key: array}} to {"group/key": array}: the one naming
     rule of parameters, gradients and checkpoints."""
@@ -124,14 +130,15 @@ class HexPlaneModel:
             arr[...] = values[name]
 
     def input_features(self, cloud: PointCloud) -> np.ndarray:
-        feats = (default_features(cloud) if cloud.features is None
-                 else np.concatenate([cloud.positions, cloud.features], axis=1))
-        if feats.shape[1] != self.config.point_channels:
+        channels = input_channels(cloud)
+        if channels != self.config.point_channels:
             raise ValueError(
-                f"cloud provides {feats.shape[1]} input channels, model expects "
+                f"cloud provides {channels} input channels, model expects "
                 f"{self.config.point_channels}"
             )
-        return feats
+        if cloud.features is None:
+            return default_features(cloud)
+        return np.concatenate([cloud.positions, cloud.features], axis=1)
 
     def forward(self, cloud: PointCloud, hexset: HexPlaneSet | None) -> ModelOutput:
         c, groups = self.config, self.groups

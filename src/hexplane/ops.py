@@ -58,35 +58,45 @@ def leaky_relu_backward(grad, cache):
 # ---------------------------------------------------------------------------
 
 
-def conv2d_forward(x, w, b, stride=2, pad=1):
-    """2D convolution, x (H, W, C_in), w (kh, kw, C_in, C_out), b (C_out,)."""
-    h, wd, c_in = x.shape
-    kh, kw, wc_in, c_out = w.shape
-    if wc_in != c_in:
-        raise ValueError(f"kernel expects {wc_in} input channels, image has {c_in}")
+def im2col(x, kh, kw, stride, pad):
+    """The (out_h * out_w, kh * kw * C) window matrix of x (H, W, C) zero-padded
+    by `pad`: one copy of the (out_h, out_w, kh, kw, C) strided window view.
+    Returns (cols, (out_h, out_w))."""
+    h, wd, c = x.shape
     hp, wp = h + 2 * pad, wd + 2 * pad
     out_h, out_w = (hp - kh) // stride + 1, (wp - kw) // stride + 1
-    padded = np.zeros((hp, wp, c_in))
+    padded = np.zeros((hp, wp, c))
     padded[pad : pad + h, pad : pad + wd] = x
-    # im2col: one copy of the (out_h, out_w, kh, kw, C_in) window view
     s_r, s_c, s_ch = padded.strides
     windows = np.lib.stride_tricks.as_strided(
-        padded, (out_h, out_w, kh, kw, c_in),
+        padded, (out_h, out_w, kh, kw, c),
         (stride * s_r, stride * s_c, s_r, s_c, s_ch), writeable=False)
-    cols = windows.reshape(out_h * out_w, kh * kw * c_in)
-    wmat = w.reshape(kh * kw * c_in, c_out)
+    return windows.reshape(out_h * out_w, kh * kw * c), (out_h, out_w)
+
+
+def conv2d_forward(x, w, b, stride=2, pad=1):
+    """2D convolution, x (H, W, C_in), w (kh, kw, C_in, C_out), b (C_out,).
+
+    The cache holds x, not its im2col matrix: the backward rebuilds that from
+    x, which must not be written to in between, so a forward that is never
+    differentiated (eval) keeps no derived copy."""
+    kh, kw, wc_in, c_out = w.shape
+    if wc_in != x.shape[2]:
+        raise ValueError(f"kernel expects {wc_in} input channels, image has {x.shape[2]}")
+    cols, (out_h, out_w) = im2col(x, kh, kw, stride, pad)
+    wmat = w.reshape(kh * kw * wc_in, c_out)
     y = cols @ wmat
     y += b
     # the weight shape stays at index 2: the benchmark's FLOP counter reads it
-    cache = (cols, wmat, w.shape, x.shape, (out_h, out_w), (hp, wp), pad, stride)
-    return y.reshape(out_h, out_w, c_out), cache
+    return y.reshape(out_h, out_w, c_out), (x, wmat, w.shape, stride, pad)
 
 
 def conv2d_backward(grad, cache, input_grad=True):
     """Returns (dx, dw, db); dx is None, and not computed, without input_grad."""
-    cols, wmat, wshape, xshape, (out_h, out_w), (hp, wp), pad, stride = cache
-    h, wd, c_in = xshape
+    x, wmat, wshape, stride, pad = cache
+    h, wd, c_in = x.shape
     kh, kw, _, c_out = wshape
+    cols, (out_h, out_w) = im2col(x, kh, kw, stride, pad)
     g2 = grad.reshape(-1, c_out)
     dw = (cols.T @ g2).reshape(wshape)
     db = g2.sum(axis=0)
@@ -95,7 +105,7 @@ def conv2d_backward(grad, cache, input_grad=True):
     dcols = (g2 @ wmat.T).reshape(out_h, out_w, kh, kw, c_in)
     # col2im: within one kernel tap the target pixels are disjoint, so each
     # tap is a plain strided slice-add
-    dpadded = np.zeros((hp, wp, c_in))
+    dpadded = np.zeros((h + 2 * pad, wd + 2 * pad, c_in))
     for ki in range(kh):
         for kj in range(kw):
             dpadded[

@@ -297,6 +297,14 @@ class TestCloudInvariants:
         with pytest.raises(ValueError, match="non-finite"):
             PointCloud(positions=pos)
 
+    def test_rejects_a_distance_that_overflows(self):
+        # each coordinate is finite but the squared distance is not; the check
+        # itself warns of no overflow (warnings are errors here)
+        pos = np.array([[1.0, 2.0, 3.0], [0.0, 1.5e308, 0.0]])
+        with pytest.raises(ValueError, match="point 1 is too far from the origin"):
+            PointCloud(positions=pos)
+        assert np.isfinite(PointCloud(positions=np.full((1, 3), 1e153)).depths).all()
+
     def test_rejects_row_mismatch(self):
         with pytest.raises(ValueError):
             PointCloud(positions=np.ones((3, 3)), labels=np.zeros(2, dtype=int))

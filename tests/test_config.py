@@ -202,6 +202,16 @@ MALFORMED = [
     ("train", {"eval_scene": {"primitives": [
         {"kind": "cylinder", "center": [0, 0, 2.5], "size": [0.5, 2], "class_id": 2}]}},
      "eval_scene.primitives[0]: primitive outside room"),
+    # a point budget below the class count, and an input width the cloud does
+    # not have, failed in the sampler and the model in messages naming no key
+    ("train", {"scene": {"num_classes": 3, "num_points": 2, "primitives": [BOX]}},
+     "scene.num_points: 2 points cannot cover 3 classes"),
+    ("train", {"eval_scene": {"num_points": 2, "primitives": [BOX]}},
+     "eval_scene.num_points: 2 points cannot cover 3 classes"),
+    ("train", {"scene": {"kind": "builtin", "name": "two_class", "num_points": 1}},
+     "scene.num_points: 1 points cannot cover 2 classes"),
+    ("train", {"model": {"point_channels": 5}},
+     "model.point_channels is 5, but the cloud provides 4 input channels"),
 ]
 
 
@@ -234,3 +244,16 @@ def test_flags_are_laid_over_the_file_before_validation(tmp_path):
     assert tree == cfg.validate_config({"seed": 3, "scene": {"seed": 9, "num_points": 100}})
     with pytest.raises(cfg.ConfigError, match="config: scene.num_points must be"):
         cfg.load_config(path, {"scene": {"num_points": 0}})
+
+
+def test_a_distance_that_overflows_exits_1_without_a_warning(tmp_path, capsys):
+    # coordinates near 1e300 are finite, but their squared distance is not:
+    # they used to train into a non-finite loss (exit 2) after five warnings
+    path = tmp_path / "far.yaml"
+    path.write_text(yaml.safe_dump({"scene": {"noise": 1.0e300, "num_points": 300}}))
+    code = main(["train", "--config", str(path), "--steps", "1",
+                 "--output-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: point ") and "too far from the origin" in err
+    assert err.count("\n") == 1

@@ -1,9 +1,13 @@
-"""Plane encoder: stage shapes, zero propagation, oracles, and fusion."""
+"""Plane encoder: stage shapes, zero propagation, oracles, fusion, and the
+bytes an eval forward keeps for its backward."""
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
+from hexplane import config as cfg
 from hexplane import ops
 from hexplane.encoder import (
     encode_plane,
@@ -14,6 +18,8 @@ from hexplane.encoder import (
     init_encoder_params,
 )
 from hexplane.gradcheck import grad_check
+from hexplane.model import HexPlaneModel
+from hexplane.training import plane_inputs
 
 
 class TestEncodePlane:
@@ -210,3 +216,52 @@ class TestScatterRows:
         got = ops.bilinear_sample_backward(grad, cache)
         want = oracles.bilinear_sample_backward_reference(grad, fmap.shape, u, v)
         assert np.array_equal(got, want)
+
+
+def _cached_arrays(obj, found):
+    """Every array reachable from a forward cache, keyed by the buffer it
+    keeps alive: a view counts as its base, so a shared array counts once."""
+    if isinstance(obj, np.ndarray):
+        while isinstance(obj.base, np.ndarray):
+            obj = obj.base
+        found[id(obj)] = obj
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            _cached_arrays(item, found)
+    elif isinstance(obj, dict):
+        for item in obj.values():
+            _cached_arrays(item, found)
+    return found
+
+
+# bytes reachable from the cache of one occlusion_transfer eval forward when
+# each conv layer kept its im2col matrix rather than its input
+CACHE_BYTES_WITH_IM2COL = 18_135_456
+
+
+def test_eval_forward_cache_keeps_no_im2col_copy():
+    # a forward that is never differentiated pays for its whole cache, so a
+    # copy the backward can rebuild must not be kept
+    tree = cfg.load_config(Path(__file__).resolve().parents[1] / "configs"
+                           / "occlusion_transfer.yaml")
+    cloud = cfg.build_scene(tree["eval_scene"], "eval_scene")
+    num_classes = max(cfg.scene_num_classes(tree), int(cloud.labels.max()) + 1)
+    model = HexPlaneModel(cfg.build_model_config(tree, num_classes))
+    hexset = plane_inputs(model.config, cloud, cfg.plane_spec_builder(tree["planes"]))
+    out = model.forward(cloud, hexset)
+
+    im2col_bytes = input_bytes = 0
+    for plane, (enc_cache, _, _) in zip(hexset.planes, out.cache[1]):
+        in_shape = plane.raster.shape
+        for conv_cache, act_cache in enc_cache:
+            kh, kw, c_in, _ = conv_cache[2]
+            out_h, out_w, _ = act_cache[0].shape
+            layer_im2col = out_h * out_w * kh * kw * c_in * 8
+            im2col_bytes += layer_im2col
+            input_bytes += int(np.prod(in_shape)) * 8
+            in_shape = act_cache[0].shape
+            for entry in conv_cache:
+                assert np.asarray(entry).nbytes < layer_im2col
+    total = sum(a.nbytes for a in _cached_arrays(out.cache, {}).values())
+    # the im2col matrices (5.0 MB) are gone; the inputs (2.2 MB) are kept
+    assert total <= CACHE_BYTES_WITH_IM2COL - im2col_bytes + input_bytes

@@ -1,11 +1,12 @@
-"""The forward hot path, pinned bit for bit to its plain numpy statement.
+"""The forward hot path, and the conv backward that rebuilds its im2col,
+pinned bit for bit to their plain numpy statement.
 
 Each kernel below makes one pass over reused buffers instead of building
 fresh temporaries. Each test writes the straightforward expression inline
 and requires the same bits: -0.0, infinities and NaN included.
 """
 
-import warnings
+import dataclasses
 
 import numpy as np
 import pytest
@@ -20,7 +21,12 @@ from hexplane.attention import (
 )
 from hexplane.cloud import PointCloud
 from hexplane.model import HexPlaneModel, ModelConfig
-from hexplane.projection import default_plane_specs, gather_offsets, hexplane_project
+from hexplane.projection import (
+    HexPlaneSet,
+    default_plane_specs,
+    gather_offsets,
+    hexplane_project,
+)
 
 EDGES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
                   1e-300, -1e-300, 1e300, -1e300, 1.0, -1.0])
@@ -63,23 +69,59 @@ def im2col_by_index(x, kh, kw, stride, pad):
     return padded[idx].reshape(out_h * out_w, kh * kw * c), (out_h, out_w)
 
 
+CONV_GRID = pytest.mark.parametrize("h,w,c_in,k,pad", [
+    (7, 5, 3, 3, 1), (7, 5, 3, 3, 0), (5, 7, 1, 3, 1), (5, 7, 1, 3, 0),
+    (1, 1, 2, 3, 1), (9, 4, 2, 1, 0), (9, 4, 2, 1, 1), (6, 6, 4, 2, 0)])
+
+
+def conv_case(h, w, c_in, k):
+    rng = np.random.default_rng(h * 100 + w * 10 + k)
+    x = rng.normal(size=(h, w, c_in))
+    x[0, 0, 0] = -0.0
+    return x, rng.normal(size=(k, k, c_in, 5)), rng.normal(size=5)
+
+
 class TestConv2d:
-    @pytest.mark.parametrize("h,w,c_in,k,pad", [
-        (7, 5, 3, 3, 1), (7, 5, 3, 3, 0), (5, 7, 1, 3, 1), (5, 7, 1, 3, 0),
-        (1, 1, 2, 3, 1), (9, 4, 2, 1, 0), (9, 4, 2, 1, 1), (6, 6, 4, 2, 0)])
+    @CONV_GRID
     @pytest.mark.parametrize("stride", [1, 2])
     def test_forward_matches_index_im2col(self, h, w, c_in, k, stride, pad):
-        rng = np.random.default_rng(h * 100 + w * 10 + k)
-        x = rng.normal(size=(h, w, c_in))
-        x[0, 0, 0] = -0.0
-        wt = rng.normal(size=(k, k, c_in, 5))
-        b = rng.normal(size=5)
+        x, wt, b = conv_case(h, w, c_in, k)
         cols, (out_h, out_w) = im2col_by_index(x, k, k, stride, pad)
         want = (cols @ wt.reshape(-1, 5) + b).reshape(out_h, out_w, 5)
         got, cache = ops.conv2d_forward(x, wt, b, stride=stride, pad=pad)
         assert same_bits(got, want)
-        assert same_bits(cache[0], cols)
+        # the cache holds the input; the backward rebuilds this im2col from it
+        rebuilt, _ = ops.im2col(cache[0], k, k, stride, pad)
+        assert same_bits(rebuilt, cols)
         assert cache[2] == wt.shape  # the benchmark's FLOP counter reads it
+
+    @CONV_GRID
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("input_grad", [True, False])
+    def test_backward_matches_cached_im2col(self, h, w, c_in, k, stride, pad, input_grad):
+        # the backward as it read a cached im2col matrix, written inline
+        x, wt, b = conv_case(h, w, c_in, k)
+        cols, (out_h, out_w) = im2col_by_index(x, k, k, stride, pad)
+        grad = np.random.default_rng(k).normal(size=(out_h, out_w, 5))
+        grad[0, 0, 0] = -0.0
+        g2 = grad.reshape(-1, 5)
+        want_dw = (cols.T @ g2).reshape(wt.shape)
+        want_db = g2.sum(axis=0)
+        dcols = (g2 @ wt.reshape(-1, 5).T).reshape(out_h, out_w, k, k, c_in)
+        dpadded = np.zeros((h + 2 * pad, w + 2 * pad, c_in))
+        for ki in range(k):
+            for kj in range(k):
+                dpadded[ki : ki + stride * out_h : stride,
+                        kj : kj + stride * out_w : stride] += dcols[:, :, ki, kj]
+        want_dx = dpadded[pad : pad + h, pad : pad + w]
+
+        _, cache = ops.conv2d_forward(x, wt, b, stride=stride, pad=pad)
+        dx, dw, db = ops.conv2d_backward(grad, cache, input_grad=input_grad)
+        assert same_bits(dw, want_dw) and same_bits(db, want_db)
+        if input_grad:
+            assert same_bits(dx, want_dx)
+        else:
+            assert dx is None
 
 
 def sample_by_fancy_index(fmap, u, v):
@@ -189,22 +231,27 @@ class TestGatherAndOffsets:
 
 
 def test_forward_never_samples_a_non_finite_coordinate():
-    # x = +-1.5e308 makes every xy_top and xz_* `u` NaN; the gather samples
-    # every point, so an unguarded NaN coordinate would become an
-    # out-of-range index and an IndexError out of the forward
-    rng = np.random.default_rng(0)
-    pos = rng.uniform(-1, 1, size=(50, 3))
-    pos[:, 0] = np.where(pos[:, 0] < 0, -1.5e308, 1.5e308)
-    cloud = PointCloud(positions=pos)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        hexset = hexplane_project(cloud, default_plane_specs(cloud))
-        assert np.isnan(hexset.planes[0].index.coords.u).all()
-        model = HexPlaneModel(ModelConfig(num_classes=3))
-        out = model.forward(cloud, hexset)
-        gathered, valid, caches = gather_plane_features(feature_maps(hexset, 4), hexset)
-    assert out.point_logits.shape == (50, 3)
+    # out of FOV a point's grid coordinates are unconstrained and may be NaN
+    # or infinite; the gather samples every point, so an unguarded one would
+    # become an out-of-range index and an IndexError out of the forward
+    cloud, hexset = occluded_cloud()
+    planes = []
+    for plane in hexset.planes:
+        coords = plane.index.coords
+        out_fov = ~coords.in_fov
+        u, v = coords.u.copy(), coords.v.copy()
+        u[out_fov] = np.resize([np.nan, np.inf, -np.inf], out_fov.sum())
+        v[out_fov] = np.resize([-np.inf, np.nan, np.inf], out_fov.sum())
+        index = dataclasses.replace(plane.index,
+                                    coords=dataclasses.replace(coords, u=u, v=v))
+        planes.append(dataclasses.replace(plane, index=index))
+    hexset = HexPlaneSet(tuple(planes))
+    model = HexPlaneModel(ModelConfig(num_classes=3))
+    out = model.forward(cloud, hexset)
+    gathered, valid, caches = gather_plane_features(feature_maps(hexset, 4), hexset)
+    assert np.isfinite(out.point_logits).all()
     assert np.all(gathered[~valid] == 0.0) and np.isfinite(gathered).all()
-    for m, (_, _, _, _, _, fx, fy) in enumerate(caches):
+    for m, (plane, (_, _, _, _, _, fx, fy)) in enumerate(zip(hexset.planes, caches)):
+        assert not np.isfinite(plane.index.coords.u).all(), m
         # every coordinate the sampler saw was finite
         assert np.isfinite(fx).all() and np.isfinite(fy).all(), m
