@@ -18,6 +18,11 @@ g_m its feature and o_m its offset on plane m:
     context_h = (sum_m w_hm g_m) W_value_h
 
 so no (N*M, h*d) key or value tensor is formed.
+
+The forward cache holds the inputs, the queries q, the softmax weights and
+the context, but no (N, h, C_f) tensor: the backward rebuilds
+a_h = W_key_h q_h and g_bar_h = sum_m w_hm g_m, one product each and bit
+for bit, and frees each whole-batch temporary once it is consumed.
 """
 
 from __future__ import annotations
@@ -121,6 +126,7 @@ def cross_attention_forward(point_feats, gathered, valid, offsets, params, heads
     # per-point (h, C_f) @ (C_f, M) products
     scores = a @ gathered.transpose(0, 2, 1)
     scores += b @ offsets.transpose(0, 2, 1)
+    del a, b  # the backward rebuilds a from q
     scores /= np.sqrt(d)
     scores = np.where(valid[:, None, :], scores, -np.inf)
     # a point out of FOV on every plane: exps are all 0, so weights are too
@@ -139,13 +145,13 @@ def cross_attention_forward(point_feats, gathered, valid, offsets, params, heads
     context = g_bar.transpose(1, 0, 2) @ _head_blocks(params["w_value"], h)
     context = context.transpose(1, 0, 2).reshape(n, h * d)
     fused = context @ params["w_out"]
-    cache = (point_feats, gathered, offsets, q, a, g_bar, weights, context, params)
+    cache = (point_feats, gathered, offsets, q, weights, context, params)
     return fused, cache
 
 
 def attention_weights(cache):
     """(N, heads, M) softmax weights from a forward cache; zero on masked planes."""
-    return cache[6]
+    return cache[4]
 
 
 def cross_attention_backward(grad, cache):
@@ -155,23 +161,26 @@ def cross_attention_backward(grad, cache):
     invalid planes carry exactly zero gradient. The offsets get none: they
     come from the cloud's positions, which nothing trains.
     """
-    point_feats, gathered, offsets, q, a, g_bar, weights, context, params = cache
+    point_feats, gathered, offsets, q, weights, context, params = cache
     h, n, d = q.shape
     w_key, w_value, w_pos = (_head_blocks(params[k], h) for k in ("w_key", "w_value", "w_pos"))
 
     d_context = (grad @ params["w_out"].T).reshape(n, h, d).transpose(1, 0, 2)
     dw_out = context.T @ grad
-    d_g_bar = (d_context @ w_value.transpose(0, 2, 1)).transpose(1, 0, 2)
-    dw_value = g_bar.transpose(1, 2, 0) @ d_context
+    dw_value = (weights @ gathered).transpose(1, 2, 0) @ d_context  # g_bar rebuilt
+    # d_g_bar beside the rebuilt a: w^T d_g_bar + d_scores^T a is one product
+    d_g_bar_a = np.empty((n, 2 * h, gathered.shape[2]))
+    d_g_bar = d_g_bar_a[:, :h]
+    np.matmul(d_context, w_value.transpose(0, 2, 1), out=d_g_bar.transpose(1, 0, 2))
+    np.matmul(q, w_key.transpose(0, 2, 1), out=d_g_bar_a[:, h:].transpose(1, 0, 2))
 
     # softmax backward; rows of `weights` are zero exactly on masked planes
     d_weights = d_g_bar @ gathered.transpose(0, 2, 1)
     inner = (d_weights * weights).sum(axis=2, keepdims=True)
     d_scores = weights * (d_weights - inner) / np.sqrt(d)
 
-    # w^T d_g_bar + d_scores^T a as one product with inner width 2h
-    d_gathered = (np.concatenate([weights, d_scores], axis=1).transpose(0, 2, 1)
-                  @ np.concatenate([d_g_bar, a], axis=1))
+    d_gathered = np.concatenate([weights, d_scores], axis=1).transpose(0, 2, 1) @ d_g_bar_a
+    del d_g_bar_a, d_g_bar
     d_a = (d_scores @ gathered).transpose(1, 0, 2)  # (h, n, C_f)
     d_b = (d_scores @ offsets).transpose(1, 0, 2)  # (h, n, 3)
 

@@ -42,7 +42,12 @@ class CloudFormatError(ValueError):
     """Malformed point-cloud file (bad header, record, or value)."""
 
 
-def _readonly(arr: np.ndarray) -> np.ndarray:
+def _frozen(value, dtype) -> np.ndarray:
+    """Read-only C-contiguous `value`; a caller's array is copied unless it is
+    read-only and owns its data, so no writable caller array aliases it."""
+    arr = np.ascontiguousarray(value, dtype=dtype)
+    if arr is value and (arr.flags.writeable or arr.base is not None):
+        arr = arr.copy()
     arr.setflags(write=False)
     return arr
 
@@ -62,7 +67,7 @@ class PointCloud:
     labels: np.ndarray | None = None
 
     def __post_init__(self):
-        pos = np.ascontiguousarray(self.positions, dtype=np.float64)
+        pos = _frozen(self.positions, np.float64)
         if pos.ndim != 2 or pos.shape[1] != 3:
             raise ValueError(f"positions must be (N, 3), got {pos.shape}")
         if pos.shape[0] < 1:
@@ -70,7 +75,7 @@ class PointCloud:
         if not np.all(np.isfinite(pos)):
             bad = int(np.argwhere(~np.isfinite(pos))[0, 0])
             raise ValueError(f"non-finite position at point {bad}")
-        object.__setattr__(self, "positions", _readonly(pos))
+        object.__setattr__(self, "positions", pos)
         with np.errstate(over="ignore"):
             far = np.isinf(self.depths)
         if far.any():
@@ -78,15 +83,15 @@ class PointCloud:
                              "its distance overflows")
 
         if self.features is not None:
-            feats = np.ascontiguousarray(self.features, dtype=np.float64)
+            feats = _frozen(self.features, np.float64)
             if feats.ndim != 2 or feats.shape[0] != pos.shape[0]:
                 raise ValueError(
                     f"features must have {pos.shape[0]} rows, got shape {feats.shape}"
                 )
-            object.__setattr__(self, "features", _readonly(feats))
+            object.__setattr__(self, "features", feats)
 
         if self.labels is not None:
-            labels = np.ascontiguousarray(self.labels, dtype=np.int64)
+            labels = _frozen(self.labels, np.int64)
             if labels.ndim != 1 or labels.shape[0] != pos.shape[0]:
                 raise ValueError(
                     f"labels must have {pos.shape[0]} entries, got shape {labels.shape}"
@@ -94,7 +99,7 @@ class PointCloud:
             if labels.min(initial=0) < UNLABELED:
                 bad = int(np.argwhere(labels < UNLABELED)[0, 0])
                 raise ValueError(f"label out of range at point {bad}")
-            object.__setattr__(self, "labels", _readonly(labels))
+            object.__setattr__(self, "labels", labels)
 
     @property
     def n(self) -> int:
@@ -568,6 +573,7 @@ def augment(
     c, s = math.cos(rotate_z), math.sin(rotate_z)
     rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
     pos = pos @ rot.T
+    pos.setflags(write=False)  # owned and read-only: the cloud needs no copy
     return PointCloud(positions=pos, features=cloud.features, labels=cloud.labels)
 
 

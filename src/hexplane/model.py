@@ -192,7 +192,7 @@ class HexPlaneModel:
             grads["attn"] = {key: attn_grads[key] for key in self.groups["attn"]}
             d_f_p = attn_grads["point_feats"]
 
-            dmaps = gather_plane_features_backward(attn_grads["gathered"], gather_cache)
+            dmaps = gather_plane_features_backward(attn_grads.pop("gathered"), gather_cache)
             d_aux_logits = d_aux_logits or [None] * len(plane_caches)
             enc = grads["enc"] = {}
             for m, (plane_cache, d_fused) in enumerate(zip(plane_caches, dmaps)):

@@ -243,6 +243,10 @@ class TestCrossAttentionBackward:
         arrays = [x for x in cache if isinstance(x, np.ndarray)]
         assert max(x.size for x in arrays) <= gathered.size
         assert gathered.size < gathered.shape[0] * gathered.shape[1] * params["w_key"].shape[1]
+        # nor a = q W_key^T or g_bar = weights @ gathered, (N, h, C_f) each,
+        # which one product rebuilds
+        n, _, c_f = gathered.shape
+        assert n * HEADS * c_f not in {x.size for x in arrays}
 
     # the GEMM/matmul code sums in a different order than the einsum oracle;
     # each output must agree to 1e-13 of its largest entry

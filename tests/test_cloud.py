@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from hexplane import cloud as cloud_module
 from hexplane.cloud import (
     CloudFormatError,
     PointCloud,
@@ -327,6 +328,40 @@ class TestCloudInvariants:
         cloud = PointCloud(positions=np.ones((2, 3)))
         with pytest.raises(ValueError):
             cloud.positions[0, 0] = 2.0
+
+    def test_caller_arrays_stay_writable_and_unshared(self):
+        # contiguous arrays of the right dtype, so np.ascontiguousarray hands
+        # back the caller's own objects
+        pos, feats, labels = np.zeros((3, 3)), np.ones((3, 2)), np.zeros(3, dtype=np.int64)
+        base = np.zeros((4, 3))
+        view = base[1:]
+        view.setflags(write=False)  # a read-only view of a writable array
+        cloud = PointCloud(positions=pos, features=feats, labels=labels)
+        pos[0, 0], feats[0, 0], labels[0] = 5.0, 5.0, 5
+        assert cloud.positions[0, 0] == 0.0 and cloud.features[0, 0] == 1.0
+        assert cloud.labels[0] == 0
+        from_view = PointCloud(positions=view)
+        base[1, 0] = 5.0
+        assert from_view.positions[0, 0] == 0.0
+        for arr in (cloud.positions, cloud.features, cloud.labels, from_view.positions):
+            assert not arr.flags.writeable
+
+    def test_augment_keeps_its_arrays_without_a_copy(self, monkeypatch):
+        # the train loop builds one augmented cloud per step
+        cloud = random_cloud(np.random.default_rng(14), with_features=True, with_labels=True)
+        kept = []
+        frozen = cloud_module._frozen
+
+        def spy(value, dtype):
+            arr = frozen(value, dtype)
+            kept.append(arr is value)
+            return arr
+
+        monkeypatch.setattr(cloud_module, "_frozen", spy)
+        out = augment(cloud, flip_x=True, rotate_z=0.3)
+        assert kept == [True, True, True]
+        assert out.features is cloud.features and out.labels is cloud.labels
+        assert not out.positions.flags.writeable
 
 
 def test_occlusion_scene_probe_geometry():

@@ -1,6 +1,7 @@
-"""Plane encoder: stage shapes, zero propagation, oracles, fusion, and the
-bytes an eval forward keeps for its backward."""
+"""Plane encoder: stage shapes, zero propagation, oracles, fusion, the
+bytes an eval forward keeps for its backward, and a train step's peak."""
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 import oracles
 from hexplane import config as cfg
-from hexplane import ops
+from hexplane import heads, ops
 from hexplane.encoder import (
     encode_plane,
     encode_plane_backward,
@@ -19,6 +20,7 @@ from hexplane.encoder import (
 )
 from hexplane.gradcheck import grad_check
 from hexplane.model import HexPlaneModel
+from hexplane.projection import rasterize_labels
 from hexplane.training import plane_inputs
 
 
@@ -263,5 +265,36 @@ def test_eval_forward_cache_keeps_no_im2col_copy():
             for entry in conv_cache:
                 assert np.asarray(entry).nbytes < layer_im2col
     total = sum(a.nbytes for a in _cached_arrays(out.cache, {}).values())
-    # the im2col matrices (5.0 MB) are gone; the inputs (2.2 MB) are kept
-    assert total <= CACHE_BYTES_WITH_IM2COL - im2col_bytes + input_bytes
+    # the im2col matrices (5.0 MB) are gone and the inputs (2.2 MB) kept; the
+    # attention keeps neither a nor g_bar, (N, h, C_f) each, 2.0 MB together
+    attention_bytes = 2 * cloud.n * model.config.heads * model.config.feature_channels * 8
+    assert total <= CACHE_BYTES_WITH_IM2COL - im2col_bytes + input_bytes - attention_bytes
+
+
+# tracemalloc peak above its start of one occlusion_transfer train step:
+# 26.3 MB when the attention cached a and g_bar and its backward joined both
+# halves of its 2h-wide product by concatenation, 20.1 MB without
+TRAIN_STEP_PEAK_BYTES = 23_000_000
+
+
+def test_train_step_peak_memory():
+    tree = cfg.load_config(Path(__file__).resolve().parents[1] / "configs"
+                           / "occlusion_transfer.yaml")
+    cloud = cfg.build_scene(tree["scene"], "scene")
+    num_classes = cfg.scene_num_classes(tree)
+    model = HexPlaneModel(cfg.build_model_config(tree, num_classes))
+    hexset = plane_inputs(model.config, cloud, cfg.plane_spec_builder(tree["planes"]))
+    aux_labels = heads.aux_label_grids(rasterize_labels(cloud, hexset), num_classes)
+    aux_weight = cfg.build_train_settings(tree).aux_weight
+
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = model.forward(cloud, hexset)
+        _, d_point, d_aux = heads.composite_loss(out.point_logits, cloud.labels,
+                                                 out.aux_logits, aux_labels, aux_weight)
+        model.backward(out, d_point, d_aux)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= TRAIN_STEP_PEAK_BYTES

@@ -1,5 +1,6 @@
-"""The forward hot path, and the conv backward that rebuilds its im2col,
-pinned bit for bit to their plain numpy statement.
+"""The forward hot path, and the conv and attention backward passes that
+rebuild what their forward no longer caches, pinned bit for bit to their
+plain numpy statement.
 
 Each kernel below makes one pass over reused buffers instead of building
 fresh temporaries. Each test writes the straightforward expression inline
@@ -13,6 +14,7 @@ import pytest
 
 from hexplane import ops
 from hexplane.attention import (
+    attention_weights,
     cross_attention_backward,
     cross_attention_forward,
     gather_plane_features,
@@ -27,6 +29,7 @@ from hexplane.projection import (
     gather_offsets,
     hexplane_project,
 )
+from test_attention import make_instance
 
 EDGES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
                   1e-300, -1e-300, 1e300, -1e300, 1.0, -1.0])
@@ -122,6 +125,89 @@ class TestConv2d:
             assert same_bits(dx, want_dx)
         else:
             assert dx is None
+
+
+def attention_caching_key_and_value(point_feats, gathered, valid, offsets, params,
+                                    heads, grad):
+    """The attention forward and backward as they were when the forward
+    cached a and g_bar, (N, h, C_f) each, and the backward joined both
+    halves of its 2h-wide product with two concatenates.
+
+    Returns (fused, weights, grads)."""
+    n = gathered.shape[0]
+    h, d = heads, params["w_query"].shape[1] // heads
+    blocks = {k: params[k].reshape(params[k].shape[0], h, -1).transpose(1, 0, 2)
+              for k in ("w_key", "w_value", "w_pos")}
+    w_key, w_value, w_pos = blocks["w_key"], blocks["w_value"], blocks["w_pos"]
+
+    q = (point_feats @ params["w_query"]).reshape(n, h, d).transpose(1, 0, 2)
+    a = (q @ w_key.transpose(0, 2, 1)).transpose(1, 0, 2)
+    b = (q @ w_pos.transpose(0, 2, 1)).transpose(1, 0, 2)
+    scores = a @ gathered.transpose(0, 2, 1)
+    scores += b @ offsets.transpose(0, 2, 1)
+    scores /= np.sqrt(d)
+    scores = np.where(valid[:, None, :], scores, -np.inf)
+    blind = ~valid.any(axis=1)
+    scores_max = scores[:, :, :1].copy()
+    for m in range(1, scores.shape[2]):
+        np.maximum(scores_max, scores[:, :, m:m + 1], out=scores_max)
+    scores_max[blind] = 0.0
+    exps = np.exp(scores - scores_max)
+    total = exps.sum(axis=2, keepdims=True)
+    total[blind] = 1.0
+    weights = exps / total
+    g_bar = weights @ gathered
+    context = (g_bar.transpose(1, 0, 2) @ w_value).transpose(1, 0, 2).reshape(n, h * d)
+    fused = context @ params["w_out"]
+
+    d_context = (grad @ params["w_out"].T).reshape(n, h, d).transpose(1, 0, 2)
+    d_g_bar = (d_context @ w_value.transpose(0, 2, 1)).transpose(1, 0, 2)
+    d_weights = d_g_bar @ gathered.transpose(0, 2, 1)
+    inner = (d_weights * weights).sum(axis=2, keepdims=True)
+    d_scores = weights * (d_weights - inner) / np.sqrt(d)
+    d_gathered = (np.concatenate([weights, d_scores], axis=1).transpose(0, 2, 1)
+                  @ np.concatenate([d_g_bar, a], axis=1))
+    d_a = (d_scores @ gathered).transpose(1, 0, 2)
+    d_b = (d_scores @ offsets).transpose(1, 0, 2)
+    dq = (d_a @ w_key + d_b @ w_pos).transpose(1, 0, 2).reshape(n, h * d)
+
+    def join(x):
+        return x.transpose(1, 0, 2).reshape(x.shape[1], -1)
+
+    grads = {
+        "point_feats": dq @ params["w_query"].T,
+        "gathered": d_gathered,
+        "w_query": point_feats.T @ dq,
+        "w_key": join(d_a.transpose(0, 2, 1) @ q),
+        "w_value": join(g_bar.transpose(1, 2, 0) @ d_context),
+        "w_pos": join(d_b.transpose(0, 2, 1) @ q),
+        "w_out": context.T @ grad,
+    }
+    return fused, weights, grads
+
+
+class TestCrossAttention:
+    @pytest.mark.parametrize("dims", [
+        {},
+        dict(n=2000, c_p=32, c_f=32, heads=4, head_dim=8, c_out=32),
+        dict(n=40, blind=(0, 17, 39)),
+    ], ids=["micro", "occlusion_transfer", "blind_points"])
+    def test_rebuilt_key_and_value_match_cached(self, dims):
+        point_feats, gathered, valid, offsets, params = make_instance(20, **dims)
+        heads = dims.get("heads", 2)
+        grad = np.random.default_rng(5).normal(size=(gathered.shape[0],
+                                                     params["w_out"].shape[1]))
+        grad[0, 0] = -0.0
+        want_fused, want_weights, want_grads = attention_caching_key_and_value(
+            point_feats, gathered, valid, offsets, params, heads, grad)
+        fused, cache = cross_attention_forward(point_feats, gathered, valid, offsets,
+                                               params, heads)
+        assert same_bits(fused, want_fused)
+        assert same_bits(attention_weights(cache), want_weights)
+        grads = cross_attention_backward(grad, cache)
+        assert grads.keys() == want_grads.keys()
+        for key, value in grads.items():
+            assert same_bits(value, want_grads[key]), key
 
 
 def sample_by_fancy_index(fmap, u, v):
