@@ -125,9 +125,9 @@ _SHAPES = {
     **dict.fromkeys(("seed", "steps", "eval_every"),
                     ("a non-negative integer", _int_from(0))),
     "num_classes": ("an integer of at least 2", _int_from(2)),
-    **dict.fromkeys(("voxel_size", "fov_up_deg", "fov_down_deg"),
+    **dict.fromkeys(("voxel_size", "fov_up_deg", "fov_down_deg", "lr_max"),
                     ("a positive number", lambda v: _is_number(v) and v > 0)),
-    **dict.fromkeys(("noise", "aux_weight"),
+    **dict.fromkeys(("noise", "aux_weight", "weight_decay"),
                     ("a non-negative number", lambda v: _is_number(v) and v >= 0)),
     **dict.fromkeys(("beta1", "beta2"),
                     ("a number in [0, 1)", lambda v: _is_number(v) and 0 <= v < 1)),

@@ -292,12 +292,12 @@ def micro_model_check(rng, eps):
     model, cloud, hexset = micro_model_instance(rng)
     aux_labels = aux_label_grids(rasterize_labels(cloud, hexset), 3)
 
-    def loss():
-        out = model.forward(cloud, hexset)
+    def loss(grad=False):
+        out = model.forward(cloud, hexset, grad=grad)
         return out, composite_loss(out.point_logits, cloud.labels, out.aux_logits,
                                    aux_labels, aux_weight=0.4)
 
-    out, (_, d_point, d_aux) = loss()
+    out, (_, d_point, d_aux) = loss(grad=True)
     analytic = model.backward(out, d_point, d_aux)
     return _compare_groups(lambda: loss()[1][0].total, model.parameters(), analytic, eps)
 

@@ -54,7 +54,7 @@ class ModelConfig:
 class ModelOutput:
     point_logits: np.ndarray
     aux_logits: list
-    cache: tuple
+    cache: tuple | None  # None unless the forward ran with grad=True
 
 
 def input_channels(cloud: PointCloud) -> int:
@@ -140,30 +140,35 @@ class HexPlaneModel:
             return default_features(cloud)
         return np.concatenate([cloud.positions, cloud.features], axis=1)
 
-    def forward(self, cloud: PointCloud, hexset: HexPlaneSet | None) -> ModelOutput:
+    def forward(self, cloud: PointCloud, hexset: HexPlaneSet | None,
+                grad: bool = False) -> ModelOutput:
+        """Logits for `cloud`. Only with `grad` does the output carry the
+        cache `backward` reads; without it each layer's cache dies as the
+        layer returns and `cache` is None."""
         c, groups = self.config, self.groups
+        kept = (lambda result: result) if grad else (lambda result: (*result[:-1], None))
         feats = self.input_features(cloud)
-        f_p, point_cache = encode_points(
+        f_p, point_cache = kept(encode_points(
             cloud.positions, feats, groups["point"], voxel_size=c.voxel_size
-        )
+        ))
 
         if c.use_planes:
             if hexset is None:
                 raise ValueError("plane branch enabled but no hexplane set given")
             fused_maps, aux_logits, plane_caches = [], [], []
             for m, plane in enumerate(hexset.planes):
-                pyramid, enc_cache = encode_plane(plane.raster, groups["enc"])
-                fmap, fuse_cache = fuse_scales(pyramid, groups["enc"])
+                pyramid, enc_cache = kept(encode_plane(plane.raster, groups["enc"]))
+                fmap, fuse_cache = kept(fuse_scales(pyramid, groups["enc"]))
                 aux = groups[f"head/aux{m}"]
-                logits, aux_cache = heads.aux_head_forward(fmap, aux["W"], aux["b"])
+                logits, aux_cache = kept(heads.aux_head_forward(fmap, aux["W"], aux["b"]))
                 fused_maps.append(fmap)
                 aux_logits.append(logits)
                 plane_caches.append((enc_cache, fuse_cache, aux_cache))
-            gathered, valid, gather_cache = gather_plane_features(fused_maps, hexset)
+            gathered, valid, gather_cache = kept(gather_plane_features(fused_maps, hexset))
             offsets, _ = gather_offsets(cloud, hexset)
-            fused, attn_cache = cross_attention_forward(
+            fused, attn_cache = kept(cross_attention_forward(
                 f_p, gathered, valid, offsets, groups["attn"], c.heads
-            )
+            ))
             head_in = fused
         else:
             plane_caches = gather_cache = attn_cache = None
@@ -171,9 +176,11 @@ class HexPlaneModel:
             head_in = f_p
 
         head = groups["head/point"]
-        point_logits, head_cache = heads.point_head_forward(head_in, head["W"], head["b"])
+        point_logits, head_cache = kept(
+            heads.point_head_forward(head_in, head["W"], head["b"]))
         cache = (point_cache, plane_caches, gather_cache, attn_cache, head_cache)
-        return ModelOutput(point_logits=point_logits, aux_logits=aux_logits, cache=cache)
+        return ModelOutput(point_logits=point_logits, aux_logits=aux_logits,
+                           cache=cache if grad else None)
 
     def backward(self, output: ModelOutput, d_point_logits, d_aux_logits=None):
         """Gradients for every parameter, keyed like `parameters()`.
@@ -181,6 +188,8 @@ class HexPlaneModel:
         d_aux_logits holds one gradient per plane; None or empty means the
         auxiliary heads are not supervised and get zero gradients.
         """
+        if output.cache is None:
+            raise ValueError("backward needs the output of forward(..., grad=True)")
         point_cache, plane_caches, gather_cache, attn_cache, head_cache = output.cache
         grads = {}
 
@@ -192,7 +201,7 @@ class HexPlaneModel:
             grads["attn"] = {key: attn_grads[key] for key in self.groups["attn"]}
             d_f_p = attn_grads["point_feats"]
 
-            dmaps = gather_plane_features_backward(attn_grads.pop("gathered"), gather_cache)
+            dmaps = gather_plane_features_backward(attn_grads["gathered"], gather_cache)
             d_aux_logits = d_aux_logits or [None] * len(plane_caches)
             enc = grads["enc"] = {}
             for m, (plane_cache, d_fused) in enumerate(zip(plane_caches, dmaps)):

@@ -122,6 +122,42 @@ def _evaluate(model, cloud, plane_spec_fn):
     return segmentation_scores(cm)
 
 
+def _train_step(model, params, state, train_cloud, settings, plane_spec_fn,
+                aug_rng, step, lr):
+    """One step: augment, re-project, forward, composite loss, backward and
+    AdamW. Returns the loss report; the forward cache, the gradients, the
+    hexplane set and the augmented cloud die when it returns."""
+    cloud = train_cloud
+    if settings.augment:
+        cloud = augment(
+            train_cloud,
+            flip_x=bool(aug_rng.integers(0, 2)),
+            flip_y=bool(aug_rng.integers(0, 2)),
+            rotate_z=float(aug_rng.uniform(0.0, 2.0 * math.pi)),
+        )
+    hexset = plane_inputs(model.config, cloud, plane_spec_fn)
+    aux_logits, aux_labels = [], []
+    out = model.forward(cloud, hexset, grad=True)
+    if hexset is not None and settings.aux_weight > 0:
+        aux_logits = out.aux_logits
+        aux_labels = heads.aux_label_grids(
+            rasterize_labels(cloud, hexset), model.config.num_classes
+        )
+    report, d_point, d_aux = heads.composite_loss(
+        out.point_logits, cloud.labels, aux_logits, aux_labels, settings.aux_weight
+    )
+    if not math.isfinite(report.total):
+        raise DivergenceError(step, report.total)
+
+    grads = model.backward(out, d_point, d_aux)
+    adamw_step(
+        params, grads, state, lr,
+        weight_decay=settings.weight_decay,
+        beta1=settings.beta1, beta2=settings.beta2,
+    )
+    return report
+
+
 def train_toy(
     train_cloud: PointCloud,
     model_config: ModelConfig,
@@ -163,38 +199,10 @@ def train_toy(
     last_report = None
     for step in range(settings.steps):
         lr = lr_schedule(step, settings.steps, settings.lr_max)
-        cloud = train_cloud
-        if settings.augment:
-            cloud = augment(
-                train_cloud,
-                flip_x=bool(aug_rng.integers(0, 2)),
-                flip_y=bool(aug_rng.integers(0, 2)),
-                rotate_z=float(aug_rng.uniform(0.0, 2.0 * math.pi)),
-            )
-        hexset = plane_inputs(model_config, cloud, plane_spec_fn)
-        aux_logits, aux_labels = [], []
-        out = model.forward(cloud, hexset)
-        if hexset is not None and settings.aux_weight > 0:
-            aux_logits = out.aux_logits
-            aux_labels = heads.aux_label_grids(
-                rasterize_labels(cloud, hexset), model_config.num_classes
-            )
-        report, d_point, d_aux = heads.composite_loss(
-            out.point_logits, cloud.labels, aux_logits, aux_labels, settings.aux_weight
-        )
-        if not math.isfinite(report.total):
-            raise DivergenceError(step, report.total)
-        last_report = report
-
-        grads = model.backward(out, d_point, d_aux)
-        adamw_step(
-            params, grads, state, lr,
-            weight_decay=settings.weight_decay,
-            beta1=settings.beta1, beta2=settings.beta2,
-        )
-
+        last_report = _train_step(model, params, state, train_cloud, settings,
+                                  plane_spec_fn, aug_rng, step, lr)
         if settings.eval_every and (step + 1) % settings.eval_every == 0:
-            eval_record(step + 1, lr, report)
+            eval_record(step + 1, lr, last_report)
 
     if not log or log[-1]["step"] != settings.steps:
         final_lr = lr_schedule(settings.steps, settings.steps, settings.lr_max)

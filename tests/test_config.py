@@ -212,6 +212,12 @@ MALFORMED = [
      "scene.num_points: 1 points cannot cover 2 classes"),
     ("train", {"model": {"point_channels": 5}},
      "model.point_channels is 5, but the cloud provides 4 input channels"),
+    # a negative rate trained by gradient ascent and a negative decay grew
+    # every weight each step, both exiting 0
+    ("train", {"training": {"lr_max": -0.003}}, "training.lr_max must be a positive number"),
+    ("train", {"training": {"lr_max": 0}}, "training.lr_max must be a positive number"),
+    ("train", {"training": {"weight_decay": -0.5}},
+     "training.weight_decay must be a non-negative number"),
 ]
 
 

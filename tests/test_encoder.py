@@ -1,6 +1,10 @@
 """Plane encoder: stage shapes, zero propagation, oracles, fusion, the
-bytes an eval forward keeps for its backward, and a train step's peak."""
+bytes a forward keeps for its backward, the memory peaks of a train step,
+a training run and an inference forward, and heap re-faulting."""
 
+import dataclasses
+import os
+import resource
 import tracemalloc
 from pathlib import Path
 
@@ -21,7 +25,7 @@ from hexplane.encoder import (
 from hexplane.gradcheck import grad_check
 from hexplane.model import HexPlaneModel
 from hexplane.projection import rasterize_labels
-from hexplane.training import plane_inputs
+from hexplane.training import plane_inputs, train_toy
 
 
 class TestEncodePlane:
@@ -250,7 +254,7 @@ def test_eval_forward_cache_keeps_no_im2col_copy():
     num_classes = max(cfg.scene_num_classes(tree), int(cloud.labels.max()) + 1)
     model = HexPlaneModel(cfg.build_model_config(tree, num_classes))
     hexset = plane_inputs(model.config, cloud, cfg.plane_spec_builder(tree["planes"]))
-    out = model.forward(cloud, hexset)
+    out = model.forward(cloud, hexset, grad=True)
 
     im2col_bytes = input_bytes = 0
     for plane, (enc_cache, _, _) in zip(hexset.planes, out.cache[1]):
@@ -290,7 +294,7 @@ def test_train_step_peak_memory():
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        out = model.forward(cloud, hexset)
+        out = model.forward(cloud, hexset, grad=True)
         _, d_point, d_aux = heads.composite_loss(out.point_logits, cloud.labels,
                                                  out.aux_logits, aux_labels, aux_weight)
         model.backward(out, d_point, d_aux)
@@ -298,3 +302,79 @@ def test_train_step_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak - start <= TRAIN_STEP_PEAK_BYTES
+
+
+def _shipped(name="occlusion_transfer"):
+    return cfg.load_config(Path(__file__).resolve().parents[1] / "configs" / f"{name}.yaml")
+
+
+def _traced_peak(fn):
+    """tracemalloc peak above its start while fn() runs."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+# tracemalloc peak above its start of a 3-step occlusion_transfer train_toy
+# run with its final evaluation: 28.3 MB when each step's output, cache and
+# gradients outlived the step into the next projection and the evaluation,
+# 22.9 MB when they die with the step
+TRAIN_RUN_PEAK_BYTES = 25_500_000
+
+
+def test_train_run_peak_memory_holds_one_step_at_a_time():
+    tree = _shipped()
+    cloud = cfg.build_scene(tree["scene"], "scene")
+    eval_cloud = cfg.build_scene(tree["eval_scene"], "eval_scene")
+    config = cfg.build_model_config(tree, cfg.scene_num_classes(tree))
+    settings = dataclasses.replace(cfg.build_train_settings(tree), steps=3)
+    peak = _traced_peak(lambda: train_toy(
+        cloud, config, settings, cfg.plane_spec_builder(tree["planes"]),
+        eval_cloud=eval_cloud, seed=tree["seed"]))
+    assert peak <= TRAIN_RUN_PEAK_BYTES
+
+
+# tracemalloc peak above its start of one occlusion_transfer eval-scene
+# forward, projection excluded: 12.8 MB when an inference forward kept every
+# layer's cache, 9.3 MB when each cache dies as its layer returns
+EVAL_FORWARD_PEAK_BYTES = 11_000_000
+
+
+def test_inference_forward_peak_memory():
+    tree = _shipped()
+    cloud = cfg.build_scene(tree["eval_scene"], "eval_scene")
+    num_classes = max(cfg.scene_num_classes(tree), int(cloud.labels.max()) + 1)
+    model = HexPlaneModel(cfg.build_model_config(tree, num_classes))
+    hexset = plane_inputs(model.config, cloud, cfg.plane_spec_builder(tree["planes"]))
+    assert _traced_peak(lambda: model.forward(cloud, hexset)) <= EVAL_FORWARD_PEAK_BYTES
+
+
+def _glibc():
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+# minor page faults per steady-state occlusion_transfer train step: 490-690
+# while glibc handed freed heap pages back to the kernel, under 1 since the
+# package keeps them mapped
+TRAIN_STEP_FAULTS = 50
+
+
+@pytest.mark.skipif(not _glibc(), reason="the allocator policy is set on glibc only")
+def test_train_steps_do_not_refault_the_heap():
+    tree = _shipped()
+    cloud = cfg.build_scene(tree["scene"], "scene")
+    config = cfg.build_model_config(tree, cfg.scene_num_classes(tree))
+    settings = dataclasses.replace(cfg.build_train_settings(tree), steps=10, eval_every=0)
+    spec_fn = cfg.plane_spec_builder(tree["planes"])
+    train_toy(cloud, config, dataclasses.replace(settings, steps=2), spec_fn)  # warm up
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    train_toy(cloud, config, settings, spec_fn)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults <= TRAIN_STEP_FAULTS * settings.steps

@@ -82,6 +82,22 @@ class TestModel:
         assert out.point_logits.shape == (cloud.n, 3)
         assert len(out.aux_logits) == 6
 
+    @pytest.mark.parametrize("use_planes", [True, False])
+    def test_inference_forward_keeps_no_cache(self, use_planes):
+        cloud = tiny_scene()
+        model = HexPlaneModel(tiny_model_config(use_planes=use_planes))
+        hexset = hexplane_project(cloud, tiny_spec_fn(cloud)) if use_planes else None
+        out = model.forward(cloud, hexset)
+        assert out.cache is None
+        kept = model.forward(cloud, hexset, grad=True)
+        assert kept.cache is not None
+        assert out.point_logits.tobytes() == kept.point_logits.tobytes()
+        for lean, full in zip(out.aux_logits, kept.aux_logits):
+            assert lean.tobytes() == full.tobytes()
+        d_point = np.ones_like(out.point_logits)
+        with pytest.raises(ValueError, match="grad=True"):
+            model.backward(out, d_point)
+
     def test_ablation_skips_planes(self):
         cloud = tiny_scene()
         model = HexPlaneModel(tiny_model_config(use_planes=False))
@@ -100,12 +116,12 @@ class TestModel:
             downsample_labels(img, (img.shape[0] + 3) // 4, (img.shape[1] + 3) // 4, 3)
             for img in label_images
         ]
-        out = model.forward(cloud, hexset)
+        out = model.forward(cloud, hexset, grad=True)
         _, d_point, d_aux = composite_loss(
             out.point_logits, cloud.labels, out.aux_logits, aux_labels, 0.4
         )
         grads_with = model.backward(out, d_point, d_aux)
-        out2 = model.forward(cloud, hexset)
+        out2 = model.forward(cloud, hexset, grad=True)
         _, d_point0, d_aux0 = composite_loss(
             out2.point_logits, cloud.labels, out2.aux_logits, aux_labels, 0.0
         )
@@ -126,7 +142,7 @@ class TestModel:
             downsample_labels(img, (img.shape[0] + 3) // 4, (img.shape[1] + 3) // 4, 3)
             for img in label_images
         ]
-        out = model.forward(cloud, hexset)
+        out = model.forward(cloud, hexset, grad=True)
         _, d_point, d_aux = composite_loss(
             out.point_logits, cloud.labels, out.aux_logits, aux_labels, 0.4
         )
@@ -156,7 +172,7 @@ class TestModel:
         rng = np.random.default_rng(4)
         model, cloud, hexset = micro_model_instance(rng)
         aux_labels = aux_label_grids(rasterize_labels(cloud, hexset), 3)
-        out = model.forward(cloud, hexset)
+        out = model.forward(cloud, hexset, grad=True)
         _, d_point, d_aux = composite_loss(
             out.point_logits, cloud.labels, out.aux_logits, aux_labels, 0.4
         )
