@@ -28,7 +28,28 @@ def _keep_freed_pages_mapped():
     mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
 
 
+def _one_blas_thread():
+    """Run the OpenBLAS that numpy loaded on one thread, for the whole process.
+
+    The model's GEMMs (2,000 x 32 x 32, im2col on 32 x 192 planes) are too
+    small to share: a second thread doubles the CPU time per op at equal
+    wall time, and the thread count changes the bits of every sum. On one
+    thread the outputs do not depend on the core count. The setter is looked
+    up through numpy's own extension, so the library found is the one numpy
+    linked; where it does not export the symbol, nothing changes.
+    """
+    try:
+        from numpy._core import _multiarray_umath
+        set_threads = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        return
+    set_threads.argtypes = (ctypes.c_int,)
+    set_threads.restype = None
+    set_threads(1)
+
+
 _keep_freed_pages_mapped()
+_one_blas_thread()
 
 from .cloud import (
     PointCloud,

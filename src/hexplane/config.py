@@ -5,9 +5,9 @@ tree builds (`ModelConfig`, `TrainSettings`, `SceneSpec`): every plane's
 size, the cylindrical one included, from `DEFAULT_RESOLUTIONS` and the
 cylindrical FOV from `DEFAULT_SENSOR`. `load_config` parses a file, lays the
 CLI flags over it, and validates the result in one walk that merges and
-checks each key in `DEFAULTS` order, naming the first bad key by dotted path;
-the `build_*` functions turn the validated tree into concrete scene specs,
-plane specs, and model settings.
+checks each key in `DEFAULTS` order, naming the first bad key by dotted path,
+then the training rate-times-decay rule, which spans two keys; the `build_*`
+functions turn the validated tree into scene specs, plane specs and settings.
 """
 
 from __future__ import annotations
@@ -174,7 +174,13 @@ def _validate(defaults, user, path="", required=False):
 
 def validate_config(user: dict | None) -> dict:
     """Merge a user tree over the defaults, checking every key on the way."""
-    return _validate(DEFAULTS, user or {})
+    tree = _validate(DEFAULTS, user or {})
+    lr_max, decay = tree["training"]["lr_max"], tree["training"]["weight_decay"]
+    # at lr * wd >= 1 the decoupled-decay factor 1 - lr * wd is <= 0
+    if lr_max * decay >= 1:
+        raise ConfigError(f"config: training.lr_max * training.weight_decay must be "
+                          f"below 1, got {lr_max:g} * {decay:g}")
+    return tree
 
 
 def _overlay(user, flags):
@@ -258,7 +264,10 @@ def _synth_scene(spec: SceneSpec, section):
     if spec.num_points < classes:
         raise ConfigError(f"config: {section}.num_points: {spec.num_points} points "
                           f"cannot cover {classes} classes")
-    return cloudmod.synth_scene(spec)
+    try:
+        return cloudmod.synth_scene(spec)
+    except ValueError as exc:  # e.g. noise so large a distance overflows
+        raise ConfigError(f"config: {section}: {exc}") from exc
 
 
 def build_scene(scene_tree, section="scene"):
@@ -275,12 +284,12 @@ def build_scene(scene_tree, section="scene"):
             return _synth_scene(spec, section)
         if name == "occlusion":
             return cloudmod.make_occlusion_scene()[0]
-        raise ConfigError(f"config: unknown builtin scene {name!r}")
+        raise ConfigError(f"config: {section}.name: unknown builtin scene {name!r}")
     if kind == "file":
         if not scene_tree["path"]:
             raise ConfigError(f"config: {section}.path required for kind 'file'")
         return cloudmod.load_pointcloud(scene_tree["path"])
-    raise ConfigError(f"config: unknown scene kind {kind!r}")
+    raise ConfigError(f"config: {section}.kind: unknown scene kind {kind!r}")
 
 
 def build_sensor(planes_tree) -> SensorConfig:

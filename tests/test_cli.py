@@ -305,7 +305,9 @@ class TestTrainEval:
         import yaml as _yaml
 
         tree = dict(TINY_CONFIG)
-        tree["training"] = dict(TINY_CONFIG["training"], lr_max=1e150, steps=40)
+        # no decay: lr_max * weight_decay >= 1 is a config error (exit 1)
+        tree["training"] = dict(TINY_CONFIG["training"], lr_max=1e150, weight_decay=0.0,
+                                steps=40)
         tree["model"] = dict(TINY_CONFIG["model"], use_planes=False)
         bad = tmp_path / "bad.yaml"
         bad.write_text(_yaml.safe_dump(tree))

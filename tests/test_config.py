@@ -91,8 +91,9 @@ class TestCasts:
                       if type(f.default) is float]
             for section, cls in (("model", ModelConfig), ("training", TrainSettings))
         }
-        # the betas must lie in [0, 1)
-        user = {section: {key: 0 if key.startswith("beta") else 1 for key in keys}
+        # the betas must lie in [0, 1), and lr_max * weight_decay below 1
+        zero = ("beta1", "beta2", "weight_decay")
+        user = {section: {key: 0 if key in zero else 1 for key in keys}
                 for section, keys in float_keys.items()}
         user["model"]["encoder_widths"] = [4, 8, 16]
         user["scene"] = {"room_extent": [8, 8, 3], "noise": 0, "primitives": [
@@ -218,6 +219,21 @@ MALFORMED = [
     ("train", {"training": {"lr_max": 0}}, "training.lr_max must be a positive number"),
     ("train", {"training": {"weight_decay": -0.5}},
      "training.weight_decay must be a non-negative number"),
+    # at lr * wd >= 1 the decay factor 1 - lr * wd is <= 0: each of these
+    # printed overflow warnings, then exited 2 as a non-finite loss
+    ("train", {"training": {"lr_max": 1e300}},
+     "training.lr_max * training.weight_decay must be below 1"),
+    ("train", {"training": {"weight_decay": 1e300}},
+     "training.lr_max * training.weight_decay must be below 1"),
+    ("train", {"training": {"lr_max": 2.0, "weight_decay": 0.5}},
+     "training.lr_max * training.weight_decay must be below 1, got 2 * 0.5"),
+    # an unknown builtin or kind named the value, not the key
+    ("train", {"eval_scene": {"kind": "builtin", "name": "nope"}},
+     "config: eval_scene.name: unknown builtin scene 'nope'"),
+    ("train", {"scene": {"kind": "nope"}}, "config: scene.kind: unknown scene kind 'nope'"),
+    # a synthesised point too far from the origin named no key
+    ("train", {"scene": {"noise": 1e300, "num_points": 300}},
+     "config: scene: point 0 is too far from the origin"),
 ]
 
 
@@ -261,5 +277,5 @@ def test_a_distance_that_overflows_exits_1_without_a_warning(tmp_path, capsys):
                  "--output-dir", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith("error: point ") and "too far from the origin" in err
+    assert err.startswith("error: config: scene: point ") and "too far from the origin" in err
     assert err.count("\n") == 1
