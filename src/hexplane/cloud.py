@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 UNLABELED = -1
+_LABEL_MAX = np.iinfo(np.int32).max  # labels are stored as <i4
 
 _MAGIC = b"HEXPC\x00"
 _VERSION = 1
@@ -193,9 +194,9 @@ def _finish_load(values: np.ndarray, labels: np.ndarray | None) -> PointCloud:
     values = values.astype(np.float64)
     if labels is not None:
         labels = labels.astype(np.int64)
-        if labels.min(initial=0) < UNLABELED:
-            bad_i = int(np.argwhere(labels < UNLABELED)[0, 0])
-            raise CloudFormatError(f"record {bad_i}: label out of range")
+        bad = (labels < UNLABELED) | (labels > _LABEL_MAX)
+        if bad.any():
+            raise CloudFormatError(f"record {int(np.argwhere(bad)[0, 0])}: label out of range")
     feats = values[:, 3:] if values.shape[1] > 3 else None
     return PointCloud(positions=values[:, :3], features=feats, labels=labels)
 
@@ -242,6 +243,8 @@ def _load_ascii(text: str) -> PointCloud:
                 labels[i] = int(parts[c])
             except ValueError:
                 raise CloudFormatError(f"record {i}: unparseable label") from None
+            except OverflowError:  # beyond int64, so beyond the stored int32 too
+                raise CloudFormatError(f"record {i}: label out of range") from None
     # canonicalize through the 32-bit storage type; a value beyond its range
     # becomes inf, which _finish_load rejects
     with np.errstate(over="ignore"):

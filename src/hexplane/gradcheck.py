@@ -1,9 +1,10 @@
 """Finite-difference verification of every analytic backward pass.
 
-Each registered check builds a small seeded instance, reduces the forward
-output against a fixed random projection so the objective is scalar, and
-compares the analytic gradient of every parameter group with 64-bit central
-differences.
+Each registered check builds a small seeded instance. Single ops go through
+one probe, `_probe`, which reduces the forward output against a fixed random
+projection so the objective is scalar; the loss and the whole model have
+scalar objectives already. Every check compares the analytic gradient of
+each parameter group with 64-bit central differences.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .attention import (
 from .encoder import (
     encode_plane,
     encode_plane_backward,
+    feature_grid,
     fuse_scales,
     fuse_scales_backward,
     init_encoder_params,
@@ -94,6 +96,17 @@ def _compare_groups(objective, groups, analytic, eps):
     return errors
 
 
+def _probe(eps, r, groups, forward, backward):
+    """Check one op against central differences of sum(forward()[0] * r).
+
+    forward() runs the op on the arrays in groups and returns (out, cache);
+    backward(r, cache) returns the analytic gradients keyed like groups.
+    """
+    _, cache = forward()
+    analytic = backward(r, cache)
+    return _compare_groups(lambda: float((forward()[0] * r).sum()), groups, analytic, eps)
+
+
 # ---------------------------------------------------------------------------
 # Registered checks
 # ---------------------------------------------------------------------------
@@ -104,25 +117,16 @@ def _check_linear(rng, eps):
     w = rng.normal(size=(5, 4))
     b = rng.normal(size=4)
     r = rng.normal(size=(7, 4))
-
-    def objective():
-        return float((ops.linear_forward(x, w, b)[0] * r).sum())
-
-    out, cache = ops.linear_forward(x, w, b)
-    dx, dw, db = ops.linear_backward(r, cache)
-    analytic = {"input": dx, "weight": dw, "bias": db}
-    return _compare_groups(objective, {"input": x, "weight": w, "bias": b}, analytic, eps)
+    groups = {"input": x, "weight": w, "bias": b}
+    return _probe(eps, r, groups, lambda: ops.linear_forward(x, w, b),
+                  lambda g, cache: dict(zip(groups, ops.linear_backward(g, cache))))
 
 
 def _check_leaky_relu(rng, eps):
     x = rng.normal(size=(6, 5)) + np.sign(rng.normal(size=(6, 5))) * 0.05
     r = rng.normal(size=(6, 5))
-
-    def objective():
-        return float((ops.leaky_relu_forward(x, 0.1)[0] * r).sum())
-
-    _, cache = ops.leaky_relu_forward(x, 0.1)
-    return _compare_groups(objective, {"input": x}, {"input": ops.leaky_relu_backward(r, cache)}, eps)
+    return _probe(eps, r, {"input": x}, lambda: ops.leaky_relu_forward(x, 0.1),
+                  lambda g, cache: {"input": ops.leaky_relu_backward(g, cache)})
 
 
 def _check_conv(rng, eps):
@@ -130,27 +134,16 @@ def _check_conv(rng, eps):
     w = rng.normal(size=(3, 3, 3, 4)) * 0.5
     b = rng.normal(size=4)
     r = rng.normal(size=(3, 4, 4))
-
-    def objective():
-        return float((ops.conv2d_forward(x, w, b)[0] * r).sum())
-
-    _, cache = ops.conv2d_forward(x, w, b)
-    dx, dw, db = ops.conv2d_backward(r, cache)
-    analytic = {"input": dx, "weight": dw, "bias": db}
-    return _compare_groups(objective, {"input": x, "weight": w, "bias": b}, analytic, eps)
+    groups = {"input": x, "weight": w, "bias": b}
+    return _probe(eps, r, groups, lambda: ops.conv2d_forward(x, w, b),
+                  lambda g, cache: dict(zip(groups, ops.conv2d_backward(g, cache))))
 
 
 def _check_bilinear_resize(rng, eps):
     x = rng.normal(size=(5, 6, 3))
     r = rng.normal(size=(9, 11, 3))
-
-    def objective():
-        return float((ops.bilinear_resize_forward(x, 9, 11)[0] * r).sum())
-
-    _, cache = ops.bilinear_resize_forward(x, 9, 11)
-    return _compare_groups(
-        objective, {"input": x}, {"input": ops.bilinear_resize_backward(r, cache)}, eps
-    )
+    return _probe(eps, r, {"input": x}, lambda: ops.bilinear_resize_forward(x, 9, 11),
+                  lambda g, cache: {"input": ops.bilinear_resize_backward(g, cache)})
 
 
 def _check_bilinear_sample(rng, eps):
@@ -158,14 +151,8 @@ def _check_bilinear_sample(rng, eps):
     u = rng.uniform(0.3, 6.7, size=12)
     v = rng.uniform(0.3, 4.7, size=12)
     r = rng.normal(size=(12, 4))
-
-    def objective():
-        return float((ops.bilinear_sample_forward(fmap, u, v)[0] * r).sum())
-
-    _, cache = ops.bilinear_sample_forward(fmap, u, v)
-    return _compare_groups(
-        objective, {"fmap": fmap}, {"fmap": ops.bilinear_sample_backward(r, cache)}, eps
-    )
+    return _probe(eps, r, {"fmap": fmap}, lambda: ops.bilinear_sample_forward(fmap, u, v),
+                  lambda g, cache: {"fmap": ops.bilinear_sample_backward(g, cache)})
 
 
 def _check_point_encoder(rng, eps):
@@ -176,14 +163,12 @@ def _check_point_encoder(rng, eps):
     params["b2"] += rng.normal(scale=0.05, size=params["b2"].shape)
     r = rng.normal(size=(10, 6))
 
-    def objective():
-        out, _ = encode_points(positions, feats, params, voxel_size=1.3)
-        return float((out * r).sum())
+    def backward(g, cache):
+        dfeats, grads = encode_points_backward(g, cache)
+        return {"feats": dfeats, **grads}
 
-    out, cache = encode_points(positions, feats, params, voxel_size=1.3)
-    dfeats, grads = encode_points_backward(r, cache)
-    return _compare_groups(objective, {"feats": feats, **params},
-                           {"feats": dfeats, **grads}, eps)
+    return _probe(eps, r, {"feats": feats, **params},
+                  lambda: encode_points(positions, feats, params, voxel_size=1.3), backward)
 
 
 def _attention_instance(rng, n=7, m=6, c_p=5, c_f=4, heads=2, head_dim=3):
@@ -204,15 +189,11 @@ def _check_attention(rng, eps):
     heads = 2
     point_feats, gathered, valid, offsets, params = _attention_instance(rng, heads=heads)
     r = rng.normal(size=(point_feats.shape[0], params["w_out"].shape[1]))
-    groups = {"point_feats": point_feats, "gathered": gathered, **params}
-
-    def objective():
-        out, _ = cross_attention_forward(point_feats, gathered, valid, offsets, params, heads)
-        return float((out * r).sum())
-
-    out, cache = cross_attention_forward(point_feats, gathered, valid, offsets, params, heads)
-    analytic = cross_attention_backward(r, cache)
-    return _compare_groups(objective, groups, analytic, eps)
+    return _probe(
+        eps, r, {"point_feats": point_feats, "gathered": gathered, **params},
+        lambda: cross_attention_forward(point_feats, gathered, valid, offsets, params, heads),
+        cross_attention_backward,
+    )
 
 
 def _check_encoder(rng, eps):
@@ -221,20 +202,20 @@ def _check_encoder(rng, eps):
     # biases off zero so no pre-activation sits on the rectifier kink
     for b in (arr for key, arr in params.items() if key.endswith("/b")):
         b += rng.normal(scale=0.05, size=b.shape)
+    r = rng.normal(size=(*feature_grid(7, 9), 4))
 
-    pyramid, enc_cache = encode_plane(raster, params)
-    fused, fuse_cache = fuse_scales(pyramid, params)
-    r = rng.normal(size=fused.shape)
+    def forward():
+        pyramid, enc_cache = encode_plane(raster, params)
+        fused, fuse_cache = fuse_scales(pyramid, params)
+        return fused, (enc_cache, fuse_cache)
 
-    def objective():
-        pyr, _ = encode_plane(raster, params)
-        f, _ = fuse_scales(pyr, params)
-        return float((f * r).sum())
+    def backward(g, cache):
+        enc_cache, fuse_cache = cache
+        grad_pyramid, mix_grads = fuse_scales_backward(g, fuse_cache)
+        draster, conv_grads = encode_plane_backward(grad_pyramid, enc_cache)
+        return {"raster": draster, **conv_grads, **mix_grads}
 
-    grad_pyramid, mix_grads = fuse_scales_backward(r, fuse_cache)
-    draster, conv_grads = encode_plane_backward(grad_pyramid, enc_cache)
-    analytic = {"raster": draster, **conv_grads, **mix_grads}
-    return _compare_groups(objective, {"raster": raster, **params}, analytic, eps)
+    return _probe(eps, r, {"raster": raster, **params}, forward, backward)
 
 
 def _check_loss(rng, eps):

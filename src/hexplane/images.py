@@ -30,6 +30,8 @@ _IDX_VERSION = 1
 
 def write_pgm(path, image, maxval=65535) -> None:
     """Greyscale binary PGM; 8-bit when maxval < 256, else 16-bit big-endian."""
+    if not 1 <= maxval <= 65535:
+        raise ValueError(f"{path}: PGM maxval must be in 1..65535, got {maxval}")
     image = np.asarray(image)
     if image.min() < 0 or image.max() > maxval:
         raise ValueError("image values outside [0, maxval]")

@@ -25,7 +25,8 @@ class DivergenceError(RuntimeError):
 
 
 class NonFiniteGradientError(ValueError):
-    """A gradient handed to the optimizer has a non-finite entry."""
+    """A gradient handed to the optimizer has a non-finite entry, or one whose
+    square overflows the second-moment estimate."""
 
 
 def adamw_init(params: dict) -> dict:
@@ -51,15 +52,20 @@ def adamw_step(params, grads, state, lr, weight_decay=0.01,
     bc2 = 1.0 - beta2**t
     for name in sorted(params):
         g = grads[name]
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteGradientError(f"non-finite gradient for parameter {name!r}")
         m = state["m"][name]
         v = state["v"][name]
         m *= beta1
         m += (1.0 - beta1) * g
         v *= beta2
-        v += (1.0 - beta2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + eps)
+        # one finiteness check catches a nan or inf gradient and a finite one
+        # whose square overflows the second moment
+        with np.errstate(over="ignore"):
+            v += (1.0 - beta2) * g * g
+            v_hat = v / bc2
+        if not np.all(np.isfinite(v_hat)):
+            raise NonFiniteGradientError(
+                f"gradient for parameter {name!r} is non-finite or overflows its second moment")
+        update = (m / bc1) / (np.sqrt(v_hat) + eps)
         p = params[name]
         p *= 1.0 - lr * weight_decay  # decoupled decay, exact multiplicative form
         p -= lr * update

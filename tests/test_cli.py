@@ -109,6 +109,19 @@ class TestSynthAndProject:
         ppm = (out_dir / "t.xy_top.class.ppm").read_bytes()
         assert ppm.startswith(b"P6\n24 24\n255\n")
 
+    def test_class_id_past_16_bit_label_pgm_exits_1(self, tmp_path, tiny_config, capsys):
+        # labels + 1 are the label PGM's pixels; a PGM stores at most 65535
+        cloud = PointCloud(positions=np.array([[0.5, 0.5, 0.5], [1.5, 1.5, 0.5]]),
+                           labels=np.array([0, 70000]))
+        cloud_path = tmp_path / "wide.bin"
+        save_pointcloud(cloud_path, cloud)
+        code = main(["project", str(cloud_path), "--config", str(tiny_config),
+                     "--out-dir", str(tmp_path / "imgs"), "--stem", "w"])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "maxval" in lines[0] and "70001" in lines[0]
+
     def test_project_byte_identical_runs(self, tmp_path, tiny_config):
         code = main(["synth", "--config", str(tiny_config), "--out",
                      str(tmp_path / "scene.bin")])
@@ -331,6 +344,24 @@ class TestTrainEval:
         code = main(["train", "--config", str(tiny_config),
                      "--output-dir", str(tmp_path / "nan")])
         assert code == 2
+
+    @pytest.mark.parametrize("keys", [("training", "aux_weight"),
+                                      ("planes", "xy_top", "depth_ref")])
+    def test_gradient_whose_square_overflows_exits_2(self, tmp_path, capsys, keys):
+        # finite gradients near 1e300: their second moment overflows in AdamW
+        tree = copy.deepcopy(TINY_CONFIG)
+        node = tree
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = 1.0e300
+        config = tmp_path / "big.yaml"
+        config.write_text(yaml.safe_dump(tree))
+        code = main(["train", "--config", str(config),
+                     "--output-dir", str(tmp_path / "big")])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "gradient for parameter" in lines[0]
 
 
 class TestValidation:

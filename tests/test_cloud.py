@@ -81,10 +81,14 @@ class TestAsciiFormat:
                 load_pointcloud(path, format="ascii")
 
     def test_label_out_of_range_names_record(self, tmp_path):
+        # labels are stored as int32; -1 marks an unlabelled point
         path = tmp_path / "lbl.txt"
-        path.write_text("hexpc ascii 2 3 1\n0 0 0 0\n1 1 1 -4\n")
-        with pytest.raises(CloudFormatError, match="record 1.*label"):
-            load_pointcloud(path)
+        for label in ("-4", "2147483648", "99999999999999999999999"):
+            path.write_text(f"hexpc ascii 2 3 1\n0 0 0 0\n1 1 1 {label}\n")
+            with pytest.raises(CloudFormatError, match="record 1: label out of range"):
+                load_pointcloud(path)
+        path.write_text("hexpc ascii 2 3 1\n0 0 0 -1\n1 1 1 2147483647\n")
+        assert load_pointcloud(path).labels.tolist() == [-1, 2**31 - 1]
 
     def test_wrong_column_count_names_record(self, tmp_path):
         path = tmp_path / "cols.txt"

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from hexplane.gradcheck import (
+    CHECKS,
     finite_difference,
     grad_check,
     max_relative_error,
+    micro_model_instance,
 )
 
 
@@ -47,3 +49,28 @@ def test_non_finite_probe_detected():
 def test_relative_error_symmetric_and_zero_safe():
     assert max_relative_error(np.zeros(3), np.zeros(3)) == 0.0
     assert max_relative_error(np.array([1.0]), np.array([2.0])) == 0.5
+
+
+GROUPS = {
+    "linear": ["input", "weight", "bias"],
+    "leaky_relu": ["input"],
+    "conv": ["input", "weight", "bias"],
+    "bilinear_resize": ["input"],
+    "bilinear_sample": ["fmap"],
+    "point_encoder": ["feats", "w1", "b1", "w2", "b2"],
+    "attention": ["point_feats", "gathered", "w_query", "w_key", "w_value", "w_pos",
+                  "w_out"],
+    "encoder": ["raster", "conv0/W", "conv0/b", "conv1/W", "conv1/b", "conv2/W",
+                "conv2/b", "mix/W", "mix/b"],
+    "loss": ["logits"],
+}
+
+
+@pytest.mark.parametrize("op", list(CHECKS))
+def test_each_component_reports_exactly_its_groups_in_order(op):
+    if op == "model":
+        model, _, _ = micro_model_instance(np.random.default_rng(0))
+        want = list(model.parameters())
+    else:
+        want = GROUPS[op]
+    assert list(grad_check(op, seed=0).errors) == want
