@@ -22,7 +22,10 @@ so no (N*M, h*d) key or value tensor is formed.
 The forward cache holds the inputs, the queries q, the softmax weights and
 the context, but no (N, h, C_f) tensor: the backward rebuilds
 a_h = W_key_h q_h and g_bar_h = sum_m w_hm g_m, one product each and bit
-for bit, and frees each whole-batch temporary once it is consumed.
+for bit, and frees each whole-batch temporary once it is consumed. Its
+per-point products run over blocks of POINT_BLOCK points in one reused
+buffer, bit for bit as on the whole batch; products that sum over the
+points run on the whole batch.
 """
 
 from __future__ import annotations
@@ -106,6 +109,11 @@ def _join_heads(blocks):
     return blocks.transpose(1, 0, 2).reshape(blocks.shape[1], -1)
 
 
+# points per block of the attention backward's per-point products, so their
+# (block, 2h, C_f) buffer does not grow with the point count
+POINT_BLOCK = 256
+
+
 def cross_attention_forward(point_feats, gathered, valid, offsets, params, heads):
     """Fuse the six gathered plane features into one vector per point.
 
@@ -168,30 +176,44 @@ def cross_attention_backward(grad, cache):
     d_context = (grad @ params["w_out"].T).reshape(n, h, d).transpose(1, 0, 2)
     dw_out = context.T @ grad
     dw_value = (weights @ gathered).transpose(1, 2, 0) @ d_context  # g_bar rebuilt
-    # d_g_bar beside the rebuilt a: w^T d_g_bar + d_scores^T a is one product
-    d_g_bar_a = np.empty((n, 2 * h, gathered.shape[2]))
-    d_g_bar = d_g_bar_a[:, :h]
-    np.matmul(d_context, w_value.transpose(0, 2, 1), out=d_g_bar.transpose(1, 0, 2))
-    np.matmul(q, w_key.transpose(0, 2, 1), out=d_g_bar_a[:, h:].transpose(1, 0, 2))
 
-    # softmax backward; rows of `weights` are zero exactly on masked planes
-    d_weights = d_g_bar @ gathered.transpose(0, 2, 1)
-    inner = (d_weights * weights).sum(axis=2, keepdims=True)
-    d_scores = weights * (d_weights - inner) / np.sqrt(d)
+    # per point, over POINT_BLOCK rows at a time: d_g_bar beside the rebuilt
+    # a, so that w^T d_g_bar + d_scores^T a is one product
+    d_scores = np.empty_like(weights)
+    d_gathered = np.empty_like(gathered)
+    d_g_bar_a = np.empty((min(n, POINT_BLOCK), 2 * h, gathered.shape[2]))
+    for s in range(0, n, POINT_BLOCK):
+        rows = slice(s, s + POINT_BLOCK)
+        w = weights[rows]
+        block = d_g_bar_a[:len(w)]
+        d_g_bar = block[:, :h]
+        np.matmul(d_context[:, rows], w_value.transpose(0, 2, 1), out=d_g_bar.transpose(1, 0, 2))
+        np.matmul(q[:, rows], w_key.transpose(0, 2, 1), out=block[:, h:].transpose(1, 0, 2))
 
-    d_gathered = np.concatenate([weights, d_scores], axis=1).transpose(0, 2, 1) @ d_g_bar_a
-    del d_g_bar_a, d_g_bar
+        # softmax backward; rows of `weights` are zero exactly on masked planes
+        d_weights = d_g_bar @ gathered[rows].transpose(0, 2, 1)
+        inner = (d_weights * w).sum(axis=2, keepdims=True)
+        np.divide(w * (d_weights - inner), np.sqrt(d), out=d_scores[rows])
+        np.matmul(np.concatenate([w, d_scores[rows]], axis=1).transpose(0, 2, 1), block,
+                  out=d_gathered[rows])
+        del block, d_g_bar  # views of the buffer, which dies below
+    del d_context, d_g_bar_a
+
+    # products that sum over the points run on the whole batch
     d_a = (d_scores @ gathered).transpose(1, 0, 2)  # (h, n, C_f)
     d_b = (d_scores @ offsets).transpose(1, 0, 2)  # (h, n, 3)
-
-    dq = (d_a @ w_key + d_b @ w_pos).transpose(1, 0, 2).reshape(n, h * d)
-    d_point = dq @ params["w_query"].T
-    dw_query = point_feats.T @ dq
+    del d_scores
+    dq = np.empty((n, h, d))  # d_a w_key + d_b w_pos, laid out as (n, h*d)
+    np.matmul(d_a, w_key, out=dq.transpose(1, 0, 2))
+    dw_key = _join_heads(d_a.transpose(0, 2, 1) @ q)
+    del d_a
+    dq += (d_b @ w_pos).transpose(1, 0, 2)
+    dq = dq.reshape(n, h * d)
     return {
-        "point_feats": d_point,
+        "point_feats": dq @ params["w_query"].T,
         "gathered": d_gathered,
-        "w_query": dw_query,
-        "w_key": _join_heads(d_a.transpose(0, 2, 1) @ q),
+        "w_query": point_feats.T @ dq,
+        "w_key": dw_key,
         "w_value": _join_heads(dw_value),
         "w_pos": _join_heads(d_b.transpose(0, 2, 1) @ q),
         "w_out": dw_out,

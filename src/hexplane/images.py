@@ -28,10 +28,14 @@ _IDX_MAGIC = b"HXPIDX\x00\x00"
 _IDX_VERSION = 1
 
 
-def write_pgm(path, image, maxval=65535) -> None:
-    """Greyscale binary PGM; 8-bit when maxval < 256, else 16-bit big-endian."""
+def _check_pgm_maxval(path, maxval) -> None:
     if not 1 <= maxval <= 65535:
         raise ValueError(f"{path}: PGM maxval must be in 1..65535, got {maxval}")
+
+
+def write_pgm(path, image, maxval=65535) -> None:
+    """Greyscale binary PGM; 8-bit when maxval < 256, else 16-bit big-endian."""
+    _check_pgm_maxval(path, maxval)
     image = np.asarray(image)
     if image.min() < 0 or image.max() > maxval:
         raise ValueError("image values outside [0, maxval]")
@@ -85,9 +89,13 @@ def export_plane_images(out_dir, stem, hexset: HexPlaneSet, label_images=None,
                         num_classes=None):
     """Write depth PGMs (and label PGM/PPMs when labels are given) per plane.
 
-    Returns the list of written paths.
+    Returns the list of written paths. A label count past the 16-bit PGM
+    range is refused before any file is written.
     """
     out_dir = Path(out_dir)
+    classes = [num_classes or int(labels.max()) + 1 for labels in label_images or ()]
+    for plane, k in zip(hexset.planes, classes):
+        _check_pgm_maxval(out_dir / f"{stem}.{plane.spec.kind}.label.pgm", max(k, 1))
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for m, plane in enumerate(hexset.planes):
@@ -96,8 +104,7 @@ def export_plane_images(out_dir, stem, hexset: HexPlaneSet, label_images=None,
         write_pgm(depth_path, depth_to_pgm_values(plane.index.zbuffer))
         written.append(depth_path)
         if label_images is not None:
-            labels = label_images[m]
-            k = num_classes or int(labels.max()) + 1
+            labels, k = label_images[m], classes[m]
             label_path = out_dir / f"{stem}.{kind}.label.pgm"
             write_pgm(label_path, labels + 1, maxval=max(k, 1))  # 0 = empty
             written.append(label_path)

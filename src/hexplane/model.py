@@ -186,18 +186,22 @@ class HexPlaneModel:
         """Gradients for every parameter, keyed like `parameters()`.
 
         d_aux_logits holds one gradient per plane; None or empty means the
-        auxiliary heads are not supervised and get zero gradients.
+        auxiliary heads are not supervised and get zero gradients. The
+        output's cache is consumed, so a second backward on it raises.
         """
         if output.cache is None:
             raise ValueError("backward needs the output of forward(..., grad=True)")
         point_cache, plane_caches, gather_cache, attn_cache, head_cache = output.cache
+        output.cache = None  # consumed: each part's cache dies after its backward
         grads = {}
 
         d_head_in, dw, db = heads.point_head_backward(d_point_logits, head_cache)
         grads["head/point"] = {"W": dw, "b": db}
+        del head_cache
 
         if self.config.use_planes:
             attn_grads = cross_attention_backward(d_head_in, attn_cache)
+            del attn_cache
             grads["attn"] = {key: attn_grads[key] for key in self.groups["attn"]}
             d_f_p = attn_grads["point_feats"]
 

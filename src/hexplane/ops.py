@@ -129,7 +129,7 @@ def scatter_rows(ids, vals, n_rows):
     and runs several times faster.
     """
     width = int(np.prod(vals.shape[1:], dtype=np.int64))
-    bins = (ids[:, None] * width + np.arange(width)).ravel()
+    bins = np.add.outer(ids * width, np.arange(width)).ravel()
     out = np.bincount(bins, weights=vals.ravel(), minlength=n_rows * width)
     return out.reshape((n_rows,) + vals.shape[1:])
 

@@ -121,6 +121,8 @@ class TestSynthAndProject:
         assert code == 1
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert "maxval" in lines[0] and "70001" in lines[0]
+        # refused before the first plane's depth PGM: nothing is written
+        assert list((tmp_path / "imgs").glob("*")) == []
 
     def test_project_byte_identical_runs(self, tmp_path, tiny_config):
         code = main(["synth", "--config", str(tiny_config), "--out",

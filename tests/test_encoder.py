@@ -277,8 +277,10 @@ def test_eval_forward_cache_keeps_no_im2col_copy():
 
 # tracemalloc peak above its start of one occlusion_transfer train step:
 # 26.3 MB when the attention cached a and g_bar and its backward joined both
-# halves of its 2h-wide product by concatenation, 20.1 MB without
-TRAIN_STEP_PEAK_BYTES = 23_000_000
+# halves of its 2h-wide product by concatenation; 20.2 MB when its backward
+# built the (N, 2h, C_f) buffer on the whole batch beside the whole forward
+# cache, 16.3 MB with point blocks and a cache that dies part by part
+TRAIN_STEP_PEAK_BYTES = 18_000_000
 
 
 def test_train_step_peak_memory():

@@ -8,12 +8,14 @@ and requires the same bits: -0.0, infinities and NaN included.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hexplane import ops
 from hexplane.attention import (
+    POINT_BLOCK,
     attention_weights,
     cross_attention_backward,
     cross_attention_forward,
@@ -130,8 +132,9 @@ class TestConv2d:
 def attention_caching_key_and_value(point_feats, gathered, valid, offsets, params,
                                     heads, grad):
     """The attention forward and backward as they were when the forward
-    cached a and g_bar, (N, h, C_f) each, and the backward joined both
-    halves of its 2h-wide product with two concatenates.
+    cached a and g_bar, (N, h, C_f) each, and the backward ran on the whole
+    batch at once and joined both halves of its 2h-wide product with two
+    concatenates.
 
     Returns (fused, weights, grads)."""
     n = gathered.shape[0]
@@ -186,18 +189,36 @@ def attention_caching_key_and_value(point_feats, gathered, valid, offsets, param
     return fused, weights, grads
 
 
+SHIPPED_ATTENTION = dict(c_p=32, c_f=32, heads=4, head_dim=8, c_out=32)
+
+# the backward's traced peak above its inputs may exceed d_gathered + d_a +
+# d_scores by the (N, h*d) dq and (N, h, 3) d_b that form beside d_a: 0.42 MB
+# at N = 8 * POINT_BLOCK and the shipped widths, where one (N, 2h, C_f)
+# buffer is 4.2 MB and the whole-batch backward peaked 3.89 MB above the three
+ATTENTION_BACKWARD_ALLOWANCE = 1_000_000
+
+
+def point_blocks(n):
+    """Shipped widths at n points, blind at both ends and in the middle."""
+    blind = sorted({0, n // 2, n - 1}) if n > 1 else ()
+    return pytest.param(dict(n=n, blind=blind, **SHIPPED_ATTENTION), id=f"points_{n}")
+
+
 class TestCrossAttention:
+    # the reference runs on the whole batch; the backward under test runs its
+    # per-point products over POINT_BLOCK points at a time
     @pytest.mark.parametrize("dims", [
-        {},
-        dict(n=2000, c_p=32, c_f=32, heads=4, head_dim=8, c_out=32),
-        dict(n=40, blind=(0, 17, 39)),
-    ], ids=["micro", "occlusion_transfer", "blind_points"])
+        pytest.param({}, id="micro"),
+        pytest.param(dict(n=2000, **SHIPPED_ATTENTION), id="occlusion_transfer"),
+        pytest.param(dict(n=40, blind=(0, 17, 39)), id="blind_points"),
+        *(point_blocks(n) for n in (0, 1, POINT_BLOCK - 1, POINT_BLOCK, POINT_BLOCK + 1, 2000)),
+    ])
     def test_rebuilt_key_and_value_match_cached(self, dims):
         point_feats, gathered, valid, offsets, params = make_instance(20, **dims)
         heads = dims.get("heads", 2)
         grad = np.random.default_rng(5).normal(size=(gathered.shape[0],
                                                      params["w_out"].shape[1]))
-        grad[0, 0] = -0.0
+        grad[:1, :1] = -0.0
         want_fused, want_weights, want_grads = attention_caching_key_and_value(
             point_feats, gathered, valid, offsets, params, heads, grad)
         fused, cache = cross_attention_forward(point_feats, gathered, valid, offsets,
@@ -208,6 +229,26 @@ class TestCrossAttention:
         assert grads.keys() == want_grads.keys()
         for key, value in grads.items():
             assert same_bits(value, want_grads[key]), key
+
+    def test_backward_peak_holds_no_whole_batch_buffer(self):
+        n = 8 * POINT_BLOCK
+        point_feats, gathered, valid, offsets, params = make_instance(
+            21, n=n, blind=(0, n // 2, n - 1), **SHIPPED_ATTENTION)
+        heads, c_f = SHIPPED_ATTENTION["heads"], SHIPPED_ATTENTION["c_f"]
+        fused, cache = cross_attention_forward(point_feats, gathered, valid, offsets,
+                                               params, heads)
+        grad = np.random.default_rng(6).normal(size=fused.shape)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            grads = cross_attention_backward(grad, cache)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        d_a_bytes = n * heads * c_f * 8
+        assert grads["gathered"].nbytes == gathered.nbytes
+        assert peak <= (gathered.nbytes + d_a_bytes + attention_weights(cache).nbytes
+                        + ATTENTION_BACKWARD_ALLOWANCE)
 
 
 def sample_by_fancy_index(fmap, u, v):

@@ -187,11 +187,25 @@ class TestModel:
             return draster, grads
 
         monkeypatch.setattr(model_module, "encode_plane_backward", with_input_grad)
-        full = model.backward(out, d_point, d_aux)
+        # the first backward consumed its output's cache; the forward is
+        # deterministic, so a second one gives the same cache
+        full = model.backward(model.forward(cloud, hexset, grad=True), d_point, d_aux)
         assert calls == [False] * len(hexset.planes)
         assert set(full) == set(skipped)
         for name, g in full.items():
             assert g.tobytes() == skipped[name].tobytes(), name
+
+    @pytest.mark.parametrize("use_planes", [True, False])
+    def test_backward_consumes_the_output_cache(self, use_planes):
+        cloud = tiny_scene()
+        model = HexPlaneModel(tiny_model_config(use_planes=use_planes))
+        hexset = hexplane_project(cloud, tiny_spec_fn(cloud)) if use_planes else None
+        out = model.forward(cloud, hexset, grad=True)
+        d_point = np.ones_like(out.point_logits)
+        model.backward(out, d_point)
+        assert out.cache is None
+        with pytest.raises(ValueError, match="grad=True"):
+            model.backward(out, d_point)
 
     def test_checkpoint_round_trip_into_model(self, tmp_path):
         model = HexPlaneModel(tiny_model_config(seed=5))
