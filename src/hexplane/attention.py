@@ -53,23 +53,16 @@ def init_attention_params(c_point, c_feat, heads=4, head_dim=16, c_out=64, rng=N
     }
 
 
-def gather_plane_features(feature_maps, hexset: HexPlaneSet):
-    """Bilinear sample of each plane's fused features at every point.
-
-    feature_maps: one fused (H_f, W_f, C_f) map per plane, in plane order,
-    on the stride-4 grid of `feature_grid`. Returns
-    (gathered (N, M, C_f), valid (N, M), cache); out-of-FOV entries are
-    zero-filled and flagged invalid.
-    """
+def _feature_coords(feature_maps, hexset: HexPlaneSet):
+    """Grid coordinates (u, v) of every point on each plane's fused map,
+    and valid, each (N, M). Every point is sampled, so out-of-FOV
+    coordinates, which may be NaN, are moved onto the grid at 0; the
+    gathers zero those rows after."""
     if len(feature_maps) != len(hexset.planes):
         raise ValueError("need one feature map per plane")
-    n = hexset.planes[0].index.coords.u.shape[0]
-    c_f = feature_maps[0].shape[2]
-    gathered = np.empty((n, len(feature_maps), c_f))
-    valid = np.empty((n, len(feature_maps)), dtype=bool)
-    caches = []
+    valid = np.stack([plane.index.coords.in_fov for plane in hexset.planes], axis=1)
+    u, v = np.empty(valid.shape), np.empty(valid.shape)
     for m, (fmap, plane) in enumerate(zip(feature_maps, hexset.planes)):
-        coords = plane.index.coords
         h, w = plane.raster.shape[:2]
         fh, fw = fmap.shape[:2]
         want = feature_grid(h, w)
@@ -78,16 +71,50 @@ def gather_plane_features(feature_maps, hexset: HexPlaneSet):
                 f"feature map {m} is {(fh, fw)}; the {plane.spec.kind} raster "
                 f"needs {want}"
             )
-        # every point is sampled, so out-of-FOV coordinates, which may be
-        # NaN, are moved onto the grid first; their rows are zeroed after
-        mask = coords.in_fov
-        u_f = np.where(mask, coords.u, 0.0) * (fw / w)
-        v_f = np.where(mask, coords.v, 0.0) * (fh / h)
-        gathered[:, m], cache = ops.bilinear_sample_forward(fmap, u_f, v_f)
-        gathered[~mask, m] = 0.0
-        valid[:, m] = mask
+        np.multiply(plane.index.coords.u, fw / w, out=u[:, m])
+        np.multiply(plane.index.coords.v, fh / h, out=v[:, m])
+    np.copyto(u, 0.0, where=~valid)
+    np.copyto(v, 0.0, where=~valid)
+    return u, v, valid
+
+
+def gather_plane_features(feature_maps, hexset: HexPlaneSet):
+    """Bilinear sample of each plane's fused features at every point.
+
+    feature_maps: one fused (H_f, W_f, C_f) map per plane, in plane order,
+    on the stride-4 grid of `feature_grid`. Returns
+    (gathered (N, M, C_f), valid (N, M), cache); out-of-FOV entries are
+    zero-filled and flagged invalid.
+    """
+    u, v, valid = _feature_coords(feature_maps, hexset)
+    gathered = np.empty(valid.shape + feature_maps[0].shape[2:])
+    caches = []
+    for m, fmap in enumerate(feature_maps):
+        gathered[:, m], cache = ops.bilinear_sample_forward(fmap, u[:, m], v[:, m])
         caches.append(cache)
+    gathered[~valid] = 0.0
     return gathered, valid, caches
+
+
+def stack_planes(feature_maps, hexset: HexPlaneSet):
+    """What `gather_plane_rows` reads: the fused maps as one
+    (sum of H_f * W_f, C_f) table, each map's first row and (H_f, W_f) in
+    it, and every point's (u, v, valid) of `_feature_coords`."""
+    shapes = np.array([fmap.shape[:2] for fmap in feature_maps])
+    sizes = shapes[:, 0] * shapes[:, 1]
+    table = np.concatenate([fmap.reshape(-1, fmap.shape[2]) for fmap in feature_maps])
+    return table, (np.cumsum(sizes) - sizes, *shapes.T), _feature_coords(feature_maps, hexset)
+
+
+def gather_plane_rows(planes, rows):
+    """`gather_plane_features` of the points in `rows` only, with the same
+    bits per row but no cache: one take per bilinear tap from the table of
+    `stack_planes`. Returns (gathered (B, M, C_f), valid (B, M))."""
+    table, grid, (u, v, valid) = planes
+    valid = valid[rows]
+    gathered, _ = ops.bilinear_sample_forward(table, u[rows], v[rows], grid)
+    gathered[~valid] = 0.0
+    return gathered, valid
 
 
 def gather_plane_features_backward(grad, caches):
@@ -109,8 +136,9 @@ def _join_heads(blocks):
     return blocks.transpose(1, 0, 2).reshape(blocks.shape[1], -1)
 
 
-# points per block of the attention backward's per-point products, so their
-# (block, 2h, C_f) buffer does not grow with the point count
+# points per block of the attention backward's per-point products and of the
+# inference forward's point tail (`HexPlaneModel.forward`), so that their
+# (block, 2h, C_f) and (block, 6, C_f) tensors do not grow with the point count
 POINT_BLOCK = 256
 
 

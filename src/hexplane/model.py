@@ -14,14 +14,17 @@ import numpy as np
 
 from . import heads, ops
 from .attention import (
+    POINT_BLOCK,
     cross_attention_backward,
     cross_attention_forward,
     encode_points,
     encode_points_backward,
     gather_plane_features,
     gather_plane_features_backward,
+    gather_plane_rows,
     init_attention_params,
     init_point_encoder,
+    stack_planes,
 )
 from .cloud import PointCloud, default_features
 from .encoder import (
@@ -144,7 +147,13 @@ class HexPlaneModel:
                 grad: bool = False) -> ModelOutput:
         """Logits for `cloud`. Only with `grad` does the output carry the
         cache `backward` reads; without it each layer's cache dies as the
-        layer returns and `cache` is None."""
+        layer returns and `cache` is None.
+
+        The point encoder, the planes and the (N, 6, 3) offsets run on the
+        whole cloud. The plane gather, attention and point head run over
+        blocks of POINT_BLOCK points without `grad`, so their (block, 6, C_f)
+        tensors do not grow with the point count, and as one block of every
+        point with it, so that the backward gets whole-batch caches."""
         c, groups = self.config, self.groups
         kept = (lambda result: result) if grad else (lambda result: (*result[:-1], None))
         feats = self.input_features(cloud)
@@ -152,10 +161,12 @@ class HexPlaneModel:
             cloud.positions, feats, groups["point"], voxel_size=c.voxel_size
         ))
 
+        plane_caches = gather_cache = attn_cache = None
+        aux_logits = []
         if c.use_planes:
             if hexset is None:
                 raise ValueError("plane branch enabled but no hexplane set given")
-            fused_maps, aux_logits, plane_caches = [], [], []
+            fused_maps, plane_caches = [], []
             for m, plane in enumerate(hexset.planes):
                 pyramid, enc_cache = kept(encode_plane(plane.raster, groups["enc"]))
                 fmap, fuse_cache = kept(fuse_scales(pyramid, groups["enc"]))
@@ -164,20 +175,25 @@ class HexPlaneModel:
                 fused_maps.append(fmap)
                 aux_logits.append(logits)
                 plane_caches.append((enc_cache, fuse_cache, aux_cache))
-            gathered, valid, gather_cache = kept(gather_plane_features(fused_maps, hexset))
+            planes = None if grad else stack_planes(fused_maps, hexset)
             offsets, _ = gather_offsets(cloud, hexset)
-            fused, attn_cache = kept(cross_attention_forward(
-                f_p, gathered, valid, offsets, groups["attn"], c.heads
-            ))
-            head_in = fused
-        else:
-            plane_caches = gather_cache = attn_cache = None
-            aux_logits = []
-            head_in = f_p
 
         head = groups["head/point"]
-        point_logits, head_cache = kept(
-            heads.point_head_forward(head_in, head["W"], head["b"]))
+        point_logits = np.empty((cloud.n, head["W"].shape[1]))
+        block = cloud.n if grad else POINT_BLOCK
+        for start in range(0, cloud.n, block):
+            rows = slice(start, start + block)
+            head_in = f_p[rows]
+            if c.use_planes:
+                if grad:
+                    gathered, valid, gather_cache = gather_plane_features(fused_maps, hexset)
+                else:
+                    gathered, valid = gather_plane_rows(planes, rows)
+                head_in, attn_cache = kept(cross_attention_forward(
+                    head_in, gathered, valid, offsets[rows], groups["attn"], c.heads
+                ))
+            point_logits[rows], head_cache = kept(
+                heads.point_head_forward(head_in, head["W"], head["b"]))
         cache = (point_cache, plane_caches, gather_cache, attn_cache, head_cache)
         return ModelOutput(point_logits=point_logits, aux_logits=aux_logits,
                            cache=cache if grad else None)
@@ -205,11 +221,14 @@ class HexPlaneModel:
             grads["attn"] = {key: attn_grads[key] for key in self.groups["attn"]}
             d_f_p = attn_grads["point_feats"]
 
-            dmaps = gather_plane_features_backward(attn_grads["gathered"], gather_cache)
+            dmaps = gather_plane_features_backward(attn_grads.pop("gathered"), gather_cache)
+            del gather_cache
             d_aux_logits = d_aux_logits or [None] * len(plane_caches)
             enc = grads["enc"] = {}
-            for m, (plane_cache, d_fused) in enumerate(zip(plane_caches, dmaps)):
-                enc_cache, fuse_cache, aux_cache = plane_cache
+            for m in range(len(plane_caches)):
+                enc_cache, fuse_cache, aux_cache = plane_caches[m]
+                d_fused = dmaps[m]
+                plane_caches[m] = dmaps[m] = None  # each dies with its plane's backward
                 if d_aux_logits[m] is None:
                     aux = self.groups[f"head/aux{m}"]
                     dw_aux, db_aux = np.zeros_like(aux["W"]), np.zeros_like(aux["b"])
@@ -224,6 +243,7 @@ class HexPlaneModel:
                 _, conv_grads = encode_plane_backward(grad_pyramid, enc_cache, input_grad=False)
                 for key, value in {**conv_grads, **mix_grads}.items():
                     enc[key] = enc[key] + value if key in enc else value
+                del enc_cache, fuse_cache, aux_cache, d_fused, grad_pyramid
         else:
             d_f_p = d_head_in
 

@@ -184,30 +184,40 @@ def bilinear_resize_backward(grad, cache):
     return (r_h.T @ cols.reshape(out_h, w * c)).reshape(-1, w, c)
 
 
-def bilinear_sample_forward(fmap, u, v):
+def bilinear_sample_forward(fmap, u, v, grid=None):
     """Sample (H, W, C) at fractional grid coordinates; integer (u, v) hit nodes.
 
     Coordinates are clamped to the grid, so queries on or past the border
-    read the edge value.
+    read the edge value. The output has shape u.shape + (C,).
+
+    With `grid` = (base, h, w), `fmap` is instead a (rows, C) table of maps
+    stacked row-major, and each sample reads the h x w map that starts at
+    table row `base`; the three broadcast against u and v. The taps and
+    their arithmetic are the same, so each sample has the same bits as from
+    its own map. Only the single-map cache feeds `bilinear_sample_backward`.
     """
-    h, w, c = fmap.shape
+    if grid is None:
+        h, w, c = fmap.shape
+        base, table = 0, np.ascontiguousarray(fmap).reshape(h * w, c)
+    else:
+        (base, h, w), table = grid, fmap
     x = np.clip(u, 0.0, w - 1.0)
     y = np.clip(v, 0.0, h - 1.0)
     x0 = np.minimum(np.floor(x).astype(np.int64), w - 1)
     y0 = np.minimum(np.floor(y).astype(np.int64), h - 1)
     x1 = np.minimum(x0 + 1, w - 1)
     y1 = np.minimum(y0 + 1, h - 1)
-    fx = (x - x0)[:, None]
-    fy = (y - y0)[:, None]
-    flat = np.ascontiguousarray(fmap).reshape(h * w, c)
+    fx = (x - x0)[..., None]
+    fy = (y - y0)[..., None]
     # ((A + B) + C) + D, each tap scaled in place in a reused buffer, so no
-    # fresh (N, C) temporary per term
-    out = np.take(flat, y0 * w + x0, axis=0)
+    # fresh (N, C) temporary per term. Every index is in range, so "clip"
+    # changes no value; it lets `take` write to `out` without a buffer.
+    out = np.take(table, base + y0 * w + x0, axis=0, mode="clip")
     out *= (1 - fy) * (1 - fx)
     tap = np.empty_like(out)
     for row, col, weight in ((y0, x1, (1 - fy) * fx), (y1, x0, fy * (1 - fx)),
                              (y1, x1, fy * fx)):
-        np.take(flat, row * w + col, axis=0, out=tap)
+        np.take(table, base + row * w + col, axis=0, out=tap, mode="clip")
         tap *= weight
         out += tap
     return out, (fmap.shape, x0, x1, y0, y1, fx, fy)

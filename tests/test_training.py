@@ -1,8 +1,11 @@
 """Model assembly, training loop, checkpoints, and gradient flow."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from hexplane import config as cfg
 from hexplane.checkpoint import load_checkpoint, save_checkpoint
 from hexplane.cloud import PointCloud, SceneSpec, synth_scene
 from hexplane import model as model_module
@@ -30,6 +33,9 @@ TINY_RES = {
     "yz_right": (16, 48),
     "cylindrical": (16, 48),
 }
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def tiny_model_config(use_planes=True, seed=0):
@@ -73,6 +79,33 @@ def tiny_settings(**kw):
     return TrainSettings(**base)
 
 
+def _blind_at_block_edge(points):
+    """Model, cloud and hexplane set with the points at rows 255 and 256
+    (those that exist) moved out of FOV on every plane: far outside the
+    orthographic extents, which come from the cloud before the move, and
+    straight above the cylinder's field of view. `points` is a point count
+    for the tiny model and scene, or "eval" for the shipped config's model
+    and its 1,931-point eval scene."""
+    if points == "eval":
+        tree = cfg.load_config(CONFIGS / "occlusion_transfer.yaml")
+        cloud = cfg.build_scene(tree["eval_scene"], "eval_scene")
+        num_classes = max(cfg.scene_num_classes(tree), int(cloud.labels.max()) + 1)
+        model = HexPlaneModel(cfg.build_model_config(tree, num_classes))
+        specs = cfg.plane_spec_builder(tree["planes"])(cloud)
+    else:
+        cloud = tiny_scene(n=points)
+        model = HexPlaneModel(tiny_model_config())
+        specs = tiny_spec_fn(cloud)
+    positions = cloud.positions.copy()
+    blind = [row for row in (255, 256) if row < cloud.n]
+    positions[blind] = (50.0, 50.0, 5000.0)
+    cloud = PointCloud(positions, cloud.features, cloud.labels)
+    hexset = hexplane_project(cloud, specs, channels=model.config.raster_channels)
+    for plane in hexset.planes:
+        assert not plane.index.coords.in_fov[blind].any()
+    return model, cloud, hexset
+
+
 class TestModel:
     def test_forward_shapes(self):
         cloud = tiny_scene()
@@ -82,11 +115,20 @@ class TestModel:
         assert out.point_logits.shape == (cloud.n, 3)
         assert len(out.aux_logits) == 6
 
-    @pytest.mark.parametrize("use_planes", [True, False])
-    def test_inference_forward_keeps_no_cache(self, use_planes):
-        cloud = tiny_scene()
-        model = HexPlaneModel(tiny_model_config(use_planes=use_planes))
-        hexset = hexplane_project(cloud, tiny_spec_fn(cloud)) if use_planes else None
+    # the inference forward runs its point tail over POINT_BLOCK (256) rows
+    # at a time, the grad=True forward as one block: the cases put the last
+    # block at one row short, exact, and one row over, with a point out of
+    # FOV on every plane at the rows either side of the first block edge
+    @pytest.mark.parametrize("use_planes, points", [
+        (True, None), (False, None), (True, 255), (True, 256), (True, 257), (True, "eval"),
+    ], ids=["True", "False", "points_255", "points_256", "points_257", "eval_scene"])
+    def test_inference_forward_keeps_no_cache(self, use_planes, points):
+        if points is None:
+            cloud = tiny_scene()
+            model = HexPlaneModel(tiny_model_config(use_planes=use_planes))
+            hexset = hexplane_project(cloud, tiny_spec_fn(cloud)) if use_planes else None
+        else:
+            model, cloud, hexset = _blind_at_block_edge(points)
         out = model.forward(cloud, hexset)
         assert out.cache is None
         kept = model.forward(cloud, hexset, grad=True)
