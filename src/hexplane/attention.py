@@ -53,11 +53,13 @@ def init_attention_params(c_point, c_feat, heads=4, head_dim=16, c_out=64, rng=N
     }
 
 
-def _feature_coords(feature_maps, hexset: HexPlaneSet):
-    """Grid coordinates (u, v) of every point on each plane's fused map,
-    and valid, each (N, M). Every point is sampled, so out-of-FOV
-    coordinates, which may be NaN, are moved onto the grid at 0; the
-    gathers zero those rows after."""
+def stack_planes(feature_maps, hexset: HexPlaneSet):
+    """What `gather_plane_features` reads: the fused maps as one
+    (sum of H_f * W_f, C_f) table, the grid (each map's first row and
+    (H_f, W_f) in it), and every point's grid coordinates (u, v) on each
+    plane's fused map and valid, each (N, M). Every point is sampled, so
+    out-of-FOV coordinates, which may be NaN, are moved onto the grid at 0;
+    the gather zeroes those rows after."""
     if len(feature_maps) != len(hexset.planes):
         raise ValueError("need one feature map per plane")
     valid = np.stack([plane.index.coords.in_fov for plane in hexset.planes], axis=1)
@@ -75,55 +77,38 @@ def _feature_coords(feature_maps, hexset: HexPlaneSet):
         np.multiply(plane.index.coords.v, fh / h, out=v[:, m])
     np.copyto(u, 0.0, where=~valid)
     np.copyto(v, 0.0, where=~valid)
-    return u, v, valid
-
-
-def gather_plane_features(feature_maps, hexset: HexPlaneSet):
-    """Bilinear sample of each plane's fused features at every point.
-
-    feature_maps: one fused (H_f, W_f, C_f) map per plane, in plane order,
-    on the stride-4 grid of `feature_grid`. Returns
-    (gathered (N, M, C_f), valid (N, M), cache); out-of-FOV entries are
-    zero-filled and flagged invalid.
-    """
-    u, v, valid = _feature_coords(feature_maps, hexset)
-    gathered = np.empty(valid.shape + feature_maps[0].shape[2:])
-    caches = []
-    for m, fmap in enumerate(feature_maps):
-        gathered[:, m], cache = ops.bilinear_sample_forward(fmap, u[:, m], v[:, m])
-        caches.append(cache)
-    gathered[~valid] = 0.0
-    return gathered, valid, caches
-
-
-def stack_planes(feature_maps, hexset: HexPlaneSet):
-    """What `gather_plane_rows` reads: the fused maps as one
-    (sum of H_f * W_f, C_f) table, each map's first row and (H_f, W_f) in
-    it, and every point's (u, v, valid) of `_feature_coords`."""
     shapes = np.array([fmap.shape[:2] for fmap in feature_maps])
     sizes = shapes[:, 0] * shapes[:, 1]
     table = np.concatenate([fmap.reshape(-1, fmap.shape[2]) for fmap in feature_maps])
-    return table, (np.cumsum(sizes) - sizes, *shapes.T), _feature_coords(feature_maps, hexset)
+    return table, (np.cumsum(sizes) - sizes, *shapes.T), (u, v, valid)
 
 
-def gather_plane_rows(planes, rows):
-    """`gather_plane_features` of the points in `rows` only, with the same
-    bits per row but no cache: one take per bilinear tap from the table of
-    `stack_planes`. Returns (gathered (B, M, C_f), valid (B, M))."""
+def gather_plane_features(planes, rows=slice(None)):
+    """Bilinear sample of each plane's fused features at the points in `rows`.
+
+    planes: the output of `stack_planes`; every plane is read with one
+    take per bilinear tap from its table. Returns (gathered (B, M, C_f),
+    valid (B, M), cache); out-of-FOV entries are zero-filled and flagged
+    invalid. The cache is each map's (H_f, W_f), as ints, and the
+    sampler's taps, x0, x1, y0, y1 (B, M) and fx, fy (B, M, 1).
+    """
     table, grid, (u, v, valid) = planes
     valid = valid[rows]
-    gathered, _ = ops.bilinear_sample_forward(table, u[rows], v[rows], grid)
+    gathered, (_, *taps) = ops.bilinear_sample_forward(table, u[rows], v[rows], grid)
     gathered[~valid] = 0.0
-    return gathered, valid
+    return gathered, valid, (list(zip(grid[1].tolist(), grid[2].tolist())), *taps)
 
 
-def gather_plane_features_backward(grad, caches):
+def gather_plane_features_backward(grad, cache):
     """Scatter per-point gradients back onto each plane's feature map.
 
-    Rows of out-of-FOV points carry zero gradient, so they add nothing to
-    any bin and need no mask."""
-    return [ops.bilinear_sample_backward(grad[:, m], cache)
-            for m, cache in enumerate(caches)]
+    Plane m's columns of the taps are the cache of its own (h_m, w_m, C_f)
+    sample. Rows of out-of-FOV points carry zero gradient, so they add
+    nothing to any bin and need no mask."""
+    shapes, *taps = cache
+    return [ops.bilinear_sample_backward(
+                grad[:, m], ((h, w, grad.shape[2]), *(tap[:, m] for tap in taps)))
+            for m, (h, w) in enumerate(shapes)]
 
 
 def _head_blocks(w, heads):

@@ -24,6 +24,21 @@ _MAGIC = b"HXCKPT\x00\x00"
 _VERSION = 1
 
 
+class ByteReader:
+    """Reads `raw` front to back from `offset`; a read past its end is
+    refused as a truncated `what`."""
+
+    def __init__(self, raw, offset, what):
+        self.raw, self.offset, self.what = raw, offset, what
+
+    def take(self, nbytes):
+        end = self.offset + nbytes
+        if end > len(self.raw):
+            raise ValueError(f"truncated {self.what}: needs {end} bytes, has {len(self.raw)}")
+        self.offset = end
+        return self.raw[end - nbytes : end]
+
+
 def save_checkpoint(path, params: dict) -> None:
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
@@ -43,17 +58,8 @@ def load_checkpoint(path) -> dict:
         raw = fh.read()
     if not raw.startswith(_MAGIC):
         raise ValueError("not a checkpoint file (bad magic)")
-    offset = len(_MAGIC)
-
-    def take(nbytes):
-        nonlocal offset
-        if offset + nbytes > len(raw):
-            raise ValueError(
-                f"truncated checkpoint: needs {offset + nbytes} bytes, has {len(raw)}"
-            )
-        offset += nbytes
-        return raw[offset - nbytes : offset]
-
+    reader = ByteReader(raw, len(_MAGIC), "checkpoint")
+    take = reader.take
     version, count = struct.unpack("<HI", take(6))
     if version != _VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
@@ -69,6 +75,6 @@ def load_checkpoint(path) -> dict:
         if not np.isfinite(arr).all():
             raise ValueError(f"checkpoint tensor {name} is not finite")
         params[name] = arr
-    if offset != len(raw):
+    if reader.offset != len(raw):
         raise ValueError("trailing bytes after last tensor")
     return params

@@ -104,6 +104,8 @@ def cmd_eval(args) -> int:
     if args.pred is not None or args.gt is not None:
         if not (args.pred and args.gt):
             raise ValueError("--pred and --gt must be given together")
+        if args.on_range_image:
+            raise ValueError("--on-range-image needs --checkpoint")
         pred = load_pointcloud(args.pred)
         gt = load_pointcloud(args.gt)
         if pred.labels is None or gt.labels is None:

@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .checkpoint import ByteReader
 from .projection import PLANE_KINDS, HexPlaneSet
 
 _IDX_MAGIC = b"HXPIDX\x00\x00"
@@ -136,18 +137,8 @@ def load_projection_index(path):
         raw = fh.read()
     if not raw.startswith(_IDX_MAGIC):
         raise ValueError("not a projection index file (bad magic)")
-    offset = len(_IDX_MAGIC)
-
-    def take(nbytes):
-        nonlocal offset
-        if offset + nbytes > len(raw):
-            raise ValueError(
-                f"truncated projection index: needs {offset + nbytes} bytes, "
-                f"has {len(raw)}"
-            )
-        offset += nbytes
-        return raw[offset - nbytes : offset]
-
+    reader = ByteReader(raw, len(_IDX_MAGIC), "projection index")
+    take = reader.take
     version, count, n = struct.unpack("<HBQ", take(11))
     if version != _IDX_VERSION:
         raise ValueError(f"unsupported index version {version}")
@@ -166,6 +157,6 @@ def load_projection_index(path):
                 "in_fov": np.frombuffer(take(n), "u1").astype(bool),
             }
         )
-    if offset != len(raw):
+    if reader.offset != len(raw):
         raise ValueError("trailing bytes after last plane")
     return planes

@@ -21,7 +21,6 @@ from .attention import (
     encode_points_backward,
     gather_plane_features,
     gather_plane_features_backward,
-    gather_plane_rows,
     init_attention_params,
     init_point_encoder,
     stack_planes,
@@ -175,7 +174,7 @@ class HexPlaneModel:
                 fused_maps.append(fmap)
                 aux_logits.append(logits)
                 plane_caches.append((enc_cache, fuse_cache, aux_cache))
-            planes = None if grad else stack_planes(fused_maps, hexset)
+            planes = stack_planes(fused_maps, hexset)
             offsets, _ = gather_offsets(cloud, hexset)
 
         head = groups["head/point"]
@@ -185,10 +184,7 @@ class HexPlaneModel:
             rows = slice(start, start + block)
             head_in = f_p[rows]
             if c.use_planes:
-                if grad:
-                    gathered, valid, gather_cache = gather_plane_features(fused_maps, hexset)
-                else:
-                    gathered, valid = gather_plane_rows(planes, rows)
+                gathered, valid, gather_cache = kept(gather_plane_features(planes, rows))
                 head_in, attn_cache = kept(cross_attention_forward(
                     head_in, gathered, valid, offsets[rows], groups["attn"], c.heads
                 ))

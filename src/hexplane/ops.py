@@ -194,7 +194,8 @@ def bilinear_sample_forward(fmap, u, v, grid=None):
     stacked row-major, and each sample reads the h x w map that starts at
     table row `base`; the three broadcast against u and v. The taps and
     their arithmetic are the same, so each sample has the same bits as from
-    its own map. Only the single-map cache feeds `bilinear_sample_backward`.
+    its own map, and the taps of the samples from one map, with that map's
+    (h, w, C), are the cache `bilinear_sample_backward` reads.
     """
     if grid is None:
         h, w, c = fmap.shape

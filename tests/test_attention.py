@@ -13,6 +13,7 @@ from hexplane.attention import (
     gather_plane_features,
     init_attention_params,
     init_point_encoder,
+    stack_planes,
 )
 from hexplane.cloud import PointCloud
 from hexplane.gradcheck import (
@@ -61,7 +62,7 @@ class TestGatherPlaneFeatures:
 
     def test_node_exact(self):
         cloud, hexset, fmaps = self.build()
-        gathered, valid, _ = gather_plane_features(fmaps, hexset)
+        gathered, valid, _ = gather_plane_features(stack_planes(fmaps, hexset))
         # craft one query exactly on a feature node via the coordinate map
         plane = hexset.planes[0]
         fmap = fmaps[0]
@@ -82,7 +83,7 @@ class TestGatherPlaneFeatures:
 
     def test_invalid_entries_masked_and_zeroed(self):
         cloud, hexset, fmaps = self.build(seed=1)
-        gathered, valid, _ = gather_plane_features(fmaps, hexset)
+        gathered, valid, _ = gather_plane_features(stack_planes(fmaps, hexset))
         for m, plane in enumerate(hexset.planes):
             assert np.array_equal(valid[:, m], plane.index.coords.in_fov)
         assert np.all(gathered[~valid] == 0.0)

@@ -86,5 +86,6 @@ def test_every_workload_runs_one_traced_operation_with_its_counters(perfbench):
         with spans.patched(tracer.layer_patches()):
             tally = workload(3, sizes).measure(tracer, 0.0)
         assert tally.attempted > 0 and tally.failed == 0, name
-        if name != "project_large":  # projection only: no conv runs
+        if name != "project_large":  # projection only: no conv runs or gather
             assert tracer.counters["encoder.conv_flop"] > 0, name
+            assert tracer.counters.get("attention.valid", 0) > 0, name

@@ -208,6 +208,18 @@ class TestTrainEval:
         report = json.loads(report_path.read_text())
         assert report["miou"] == 1.0 and report["oa"] == 1.0
 
+    def test_eval_pred_gt_on_range_image_exits_1(self, tmp_path, tiny_config, capsys):
+        # a prediction cloud has no range image to score on
+        scene = tmp_path / "scene.bin"
+        main(["synth", "--config", str(tiny_config), "--out", str(scene)])
+        capsys.readouterr()
+        report_path = tmp_path / "report.json"
+        code = main(["eval", "--pred", str(scene), "--gt", str(scene),
+                     "--on-range-image", "--out", str(report_path)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: --on-range-image needs --checkpoint\n"
+        assert not report_path.exists()
+
     def test_eval_report_validates_schema(self, tmp_path, tiny_config):
         import jsonschema
 

@@ -22,6 +22,7 @@ from hexplane.attention import (
     gather_plane_features,
     gather_plane_features_backward,
     init_attention_params,
+    stack_planes,
 )
 from hexplane.cloud import PointCloud
 from hexplane.model import HexPlaneModel, ModelConfig
@@ -312,10 +313,20 @@ class TestGatherAndOffsets:
         assert (~valid[:, 5]).sum() > 5 and valid[:-5].all(axis=1).sum() > 0
         assert not valid[-5:].any()
 
-    def test_gather_matches_masked_gather(self):
-        _, hexset = occluded_cloud()
+    @pytest.mark.parametrize("block", [None, POINT_BLOCK], ids=["whole_batch", "point_blocks"])
+    def test_gather_matches_masked_gather(self, block):
+        # 305 points: the last POINT_BLOCK block is partial and holds the blind rows
+        cloud, hexset = occluded_cloud()
         fmaps = feature_maps(hexset, 4)
-        gathered, valid, caches = gather_plane_features(fmaps, hexset)
+        planes = stack_planes(fmaps, hexset)
+        if block is None:
+            gathered, valid, _ = gather_plane_features(planes)
+        else:
+            assert cloud.n % block
+            parts = [gather_plane_features(planes, slice(s, s + block))
+                     for s in range(0, cloud.n, block)]
+            gathered = np.concatenate([part[0] for part in parts])
+            valid = np.concatenate([part[1] for part in parts])
         want = np.zeros_like(gathered)
         for m, (fmap, plane) in enumerate(zip(fmaps, hexset.planes)):
             c, (h, w) = plane.index.coords, plane.raster.shape[:2]
@@ -330,18 +341,22 @@ class TestGatherAndOffsets:
         # scattering every row adds nothing to any bin
         cloud, hexset = occluded_cloud()
         rng = np.random.default_rng(2)
-        gathered, valid, caches = gather_plane_features(feature_maps(hexset, 4), hexset)
+        fmaps = feature_maps(hexset, 4)
+        gathered, valid, gather_cache = gather_plane_features(stack_planes(fmaps, hexset))
         offsets, _ = gather_offsets(cloud, hexset)
         params = init_attention_params(5, 4, heads=2, head_dim=3, c_out=6, rng=rng)
         fused, cache = cross_attention_forward(rng.normal(size=(cloud.n, 5)), gathered,
                                                valid, offsets, params, 2)
         d_gathered = cross_attention_backward(rng.normal(size=fused.shape), cache)["gathered"]
         assert np.all(d_gathered[~valid] == 0.0)
-        dmaps = gather_plane_features_backward(d_gathered, caches)
-        for m, (dmap, plane) in enumerate(zip(dmaps, hexset.planes)):
-            mask = plane.index.coords.in_fov
-            # the masked sample's cache: the same per-point taps, in-FOV rows only
-            masked = (caches[m][0], *(a[mask] for a in caches[m][1:]))
+        dmaps = gather_plane_features_backward(d_gathered, gather_cache)
+        for m, (dmap, fmap, plane) in enumerate(zip(dmaps, fmaps, hexset.planes)):
+            c, (h, w) = plane.index.coords, plane.raster.shape[:2]
+            mask = c.in_fov
+            # the masked sample's cache: the single-map sampler's taps of the
+            # in-FOV rows, not the cache under test
+            _, masked = ops.bilinear_sample_forward(
+                fmap, c.u[mask] * (fmap.shape[1] / w), c.v[mask] * (fmap.shape[0] / h))
             want = ops.bilinear_sample_backward(d_gathered[mask, m], masked)
             assert same_bits(dmap, want), plane.spec.kind
 
@@ -375,10 +390,11 @@ def test_forward_never_samples_a_non_finite_coordinate():
     hexset = HexPlaneSet(tuple(planes))
     model = HexPlaneModel(ModelConfig(num_classes=3))
     out = model.forward(cloud, hexset)
-    gathered, valid, caches = gather_plane_features(feature_maps(hexset, 4), hexset)
+    gathered, valid, (_, _, _, _, _, fx, fy) = gather_plane_features(
+        stack_planes(feature_maps(hexset, 4), hexset))
     assert np.isfinite(out.point_logits).all()
     assert np.all(gathered[~valid] == 0.0) and np.isfinite(gathered).all()
-    for m, (plane, (_, _, _, _, _, fx, fy)) in enumerate(zip(hexset.planes, caches)):
+    for m, plane in enumerate(hexset.planes):
         assert not np.isfinite(plane.index.coords.u).all(), m
         # every coordinate the sampler saw was finite
-        assert np.isfinite(fx).all() and np.isfinite(fy).all(), m
+        assert np.isfinite(fx[:, m]).all() and np.isfinite(fy[:, m]).all(), m
