@@ -37,12 +37,11 @@ from .encoder import feature_grid
 from .projection import HexPlaneSet
 
 
-def init_attention_params(c_point, c_feat, heads=4, head_dim=16, c_out=64, rng=None):
+def init_attention_params(c_point, c_feat, heads, head_dim, c_out, rng):
     """Projection heads of the plane-fusion attention, keyed like the
     gradients of `cross_attention_backward`: w_query (C_p, h*d),
     w_key/w_value (C_f, h*d), w_pos (3, h*d) bias-free so a zero offset
     embeds to zero, w_out (h*d, C_out)."""
-    rng = np.random.default_rng(0) if rng is None else rng
     hd = heads * head_dim
     return {
         "w_query": ops.uniform_init(rng, (c_point, hd), c_point),
@@ -238,10 +237,9 @@ def cross_attention_backward(grad, cache):
 # ---------------------------------------------------------------------------
 
 
-def init_point_encoder(c_in, c_point, rng=None):
+def init_point_encoder(c_in, c_point, rng):
     """Point MLP weights, keyed like the gradients of
     `encode_points_backward`: w1 (C_in, C_p), b1, w2 (2*C_p, C_p), b2."""
-    rng = np.random.default_rng(0) if rng is None else rng
     return {
         "w1": ops.uniform_init(rng, (c_in, c_point), c_in),
         "b1": np.zeros(c_point),
@@ -250,17 +248,27 @@ def init_point_encoder(c_in, c_point, rng=None):
     }
 
 
-def encode_points(positions, feats, params, voxel_size=0.4):
+def _cell_mean(rows, inverse, counts):
+    """Each row replaced by the mean of the rows in its voxel cell. The map
+    is symmetric, so it is also its own backward."""
+    return ops.scatter_rows(inverse, rows, counts.shape[0])[inverse] / counts[inverse][:, None]
+
+
+def encode_points(positions, feats, params, voxel_size):
     """Per-point features with local context, (N, C_p).
 
     Lift each point's input vector with a linear layer, average the lifted
     features over the point's voxel cell, and mix point + neighborhood
-    through a second layer.
+    through a second layer. Raises ValueError when a cell index along an
+    axis does not fit in int64.
     """
     pre1, lin1 = ops.linear_forward(feats, params["w1"], params["b1"])
     h1, act1 = ops.leaky_relu_forward(pre1)
 
-    cells = np.floor((positions - positions.min(axis=0)) / voxel_size).astype(np.int64)
+    cells = np.floor((positions - positions.min(axis=0)) / voxel_size)
+    if not cells.max() < 2.0**63:
+        raise ValueError(f"voxel size {voxel_size:g} gives a cell index past int64")
+    cells = cells.astype(np.int64)
     # the mixed-radix cell key sorts like the rows, so `inverse` is the same
     try:
         key = np.ravel_multi_index(cells.T, cells.max(axis=0) + 1)
@@ -269,10 +277,8 @@ def encode_points(positions, feats, params, voxel_size=0.4):
     else:
         _, inverse = np.unique(key, return_inverse=True)
     counts = np.bincount(inverse).astype(np.float64)
-    sums = ops.scatter_rows(inverse, h1, counts.shape[0])
-    pooled = sums[inverse] / counts[inverse][:, None]
 
-    both = np.concatenate([h1, pooled], axis=1)
+    both = np.concatenate([h1, _cell_mean(h1, inverse, counts)], axis=1)
     pre2, lin2 = ops.linear_forward(both, params["w2"], params["b2"])
     out, act2 = ops.leaky_relu_forward(pre2)
     cache = (lin1, act1, inverse, counts, lin2, act2, h1.shape[1])
@@ -285,11 +291,7 @@ def encode_points_backward(grad, cache):
     g = ops.leaky_relu_backward(grad, act2)
     dboth, dw2, db2 = ops.linear_backward(g, lin2)
     dh1 = dboth[:, :width].copy()
-    dpooled = dboth[:, width:]
-
-    # mean-pool backward: per-cell sum of the pooled gradient spread evenly
-    cell_sum = ops.scatter_rows(inverse, dpooled, counts.shape[0])
-    dh1 += cell_sum[inverse] / counts[inverse][:, None]
+    dh1 += _cell_mean(dboth[:, width:], inverse, counts)
 
     g1 = ops.leaky_relu_backward(dh1, act1)
     dfeats, dw1, db1 = ops.linear_backward(g1, lin1)

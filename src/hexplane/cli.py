@@ -106,6 +106,9 @@ def cmd_eval(args) -> int:
             raise ValueError("--pred and --gt must be given together")
         if args.on_range_image:
             raise ValueError("--on-range-image needs --checkpoint")
+        for flag in ("checkpoint", "cloud"):
+            if getattr(args, flag) is not None:
+                raise ValueError(f"--{flag} cannot be used with --pred/--gt")
         pred = load_pointcloud(args.pred)
         gt = load_pointcloud(args.gt)
         if pred.labels is None or gt.labels is None:

@@ -16,6 +16,7 @@ import copy
 import dataclasses
 import math
 
+import numpy as np
 import yaml
 
 from . import cloud as cloudmod
@@ -326,7 +327,8 @@ def plane_spec_builder(planes_tree):
 
 def build_model_config(tree, num_classes, clouds=()) -> ModelConfig:
     """The model of a validated tree; each of `clouds` must provide the
-    `model.point_channels` input channels it reads."""
+    `model.point_channels` input channels it reads, and number its voxel
+    cells along each axis in int64, augmented or not."""
     config = _from_section(ModelConfig, tree["model"], num_classes=num_classes,
                            seed=tree["seed"])
     for cloud in clouds:
@@ -334,6 +336,12 @@ def build_model_config(tree, num_classes, clouds=()) -> ModelConfig:
         if channels != config.point_channels:
             raise ConfigError(f"config: model.point_channels is {config.point_channels}, "
                               f"but the cloud provides {channels} input channels")
+        # flips and rotations about z keep each point's norm, so an augmented
+        # copy spans at most twice the largest; 2**62 leaves int64 room to round
+        span = 2.0 * float(np.hypot.reduce(cloud.positions, axis=1).max())
+        if not span / config.voxel_size < 2.0**62:
+            raise ConfigError(f"config: model.voxel_size {config.voxel_size:g} gives more "
+                              f"than 2**62 cells across the scene's {span:g} m")
     return config
 
 

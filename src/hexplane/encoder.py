@@ -13,19 +13,19 @@ import numpy as np
 
 from . import ops
 
-FUSE_STRIDE = 4  # stride of pyramid level 1, the grid the scales are fused on
+FUSE_STRIDE = ops.CONV_STRIDE**2  # stride of pyramid level 1, the fused grid
 
 
 def feature_grid(h, w):
-    """(rows, cols) of the fused stride-4 feature grid of an h x w raster."""
+    """(rows, cols) of the fused stride-4 feature grid of an h x w raster;
+    each stage maps n pixels to ceil(n / 2)."""
     return -(-h // FUSE_STRIDE), -(-w // FUSE_STRIDE)
 
 
-def init_encoder_params(in_channels, widths=(16, 32, 64), out_channels=64, rng=None):
+def init_encoder_params(in_channels, widths, out_channels, rng):
     """Stage kernels/biases and the scale-fusion mixing layer, keyed like
     the gradients of the backward passes: conv{i}/W (3, 3, c_in, c_out),
     conv{i}/b, mix/W (sum(widths), c_f), mix/b."""
-    rng = np.random.default_rng(0) if rng is None else rng
     params = {}
     c_prev = in_channels
     for i, c_out in enumerate(widths):
@@ -46,8 +46,7 @@ def encode_plane(raster, params):
     x = raster
     pyramid, caches = [], []
     for i in range(len(params) // 2 - 1):  # W and b per stage, then mix/W, mix/b
-        pre, conv_cache = ops.conv2d_forward(x, params[f"conv{i}/W"], params[f"conv{i}/b"],
-                                             stride=2, pad=1)
+        pre, conv_cache = ops.conv2d_forward(x, params[f"conv{i}/W"], params[f"conv{i}/b"])
         x, act_cache = ops.leaky_relu_forward(pre)
         pyramid.append(x)
         caches.append((conv_cache, act_cache))
@@ -80,7 +79,7 @@ def fuse_scales(pyramid, params):
     if len(pyramid) < 2:
         raise ValueError(f"pyramid needs two or more levels, got {len(pyramid)}")
     for finer, coarser in zip(pyramid, pyramid[1:]):
-        want = tuple((s + 1) // 2 for s in finer.shape[:2])
+        want = tuple(-(-s // ops.CONV_STRIDE) for s in finer.shape[:2])
         if coarser.shape[:2] != want:
             raise ValueError(
                 f"pyramid levels disagree ({finer.shape[:2]} -> "

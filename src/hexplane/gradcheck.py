@@ -125,7 +125,7 @@ def _check_linear(rng, eps):
 def _check_leaky_relu(rng, eps):
     x = rng.normal(size=(6, 5)) + np.sign(rng.normal(size=(6, 5))) * 0.05
     r = rng.normal(size=(6, 5))
-    return _probe(eps, r, {"input": x}, lambda: ops.leaky_relu_forward(x, 0.1),
+    return _probe(eps, r, {"input": x}, lambda: ops.leaky_relu_forward(x),
                   lambda g, cache: {"input": ops.leaky_relu_backward(g, cache)})
 
 

@@ -58,15 +58,12 @@ def composite_loss(point_logits, point_labels, aux_logits, aux_labels, aux_weigh
     if len(aux_logits) != len(aux_labels):
         raise ValueError("aux logits/labels length mismatch")
 
-    main, d_point, n_main = ops.softmax_cross_entropy(
-        point_logits, point_labels, ignore=IGNORE
-    )
+    main, d_point, n_main = ops.softmax_cross_entropy(point_logits, point_labels)
     aux_terms, d_aux, supervised = [], [], n_main
     for logits, labels in zip(aux_logits, aux_labels):
         k = logits.shape[-1]
         loss, dflat, count = ops.softmax_cross_entropy(
-            logits.reshape(-1, k), labels.reshape(-1), ignore=IGNORE
-        )
+            logits.reshape(-1, k), labels.reshape(-1))
         aux_terms.append(loss)
         d_aux.append(aux_weight * dflat.reshape(logits.shape))
         supervised += count
@@ -80,14 +77,16 @@ def composite_loss(point_logits, point_labels, aux_logits, aux_labels, aux_weigh
     return report, d_point, d_aux
 
 
-def downsample_labels(label_image, out_h, out_w, num_classes, block=4):
-    """Majority-vote pooling of a label image onto the feature grid.
+def downsample_labels(label_image, num_classes):
+    """Majority-vote pooling of a label image onto its feature grid, one
+    FUSE_STRIDE x FUSE_STRIDE block per cell.
 
     IGNORE pixels do not vote; blocks with no votes stay IGNORE; vote ties
     go to the smallest class id. The image is padded with IGNORE so partial
     edge blocks are handled.
     """
     h, w = label_image.shape
+    (out_h, out_w), block = feature_grid(h, w), FUSE_STRIDE
     padded = np.full((out_h * block, out_w * block), IGNORE, dtype=np.int64)
     padded[:h, :w] = label_image
     blocks = padded.reshape(out_h, block, out_w, block).transpose(0, 2, 1, 3)
@@ -102,7 +101,4 @@ def downsample_labels(label_image, out_h, out_w, num_classes, block=4):
 
 def aux_label_grids(label_images, num_classes):
     """Each plane's label image pooled onto its fused feature grid."""
-    return [
-        downsample_labels(img, *feature_grid(*img.shape), num_classes, FUSE_STRIDE)
-        for img in label_images
-    ]
+    return [downsample_labels(img, num_classes) for img in label_images]

@@ -15,8 +15,6 @@ import numpy as np
 
 from .cloud import UNLABELED
 
-IGNORE = UNLABELED
-
 
 class ConfusionMatrix:
     """K x K accumulator; rows are ground truth, columns are predictions."""
@@ -29,12 +27,12 @@ class ConfusionMatrix:
         self.ignored = 0
 
     def update(self, predictions, labels):
-        """Tally a batch; samples labeled IGNORE are skipped."""
+        """Tally a batch; samples labeled UNLABELED are skipped."""
         predictions = np.asarray(predictions).reshape(-1)
         labels = np.asarray(labels).reshape(-1)
         if predictions.shape != labels.shape:
             raise ValueError("predictions/labels length mismatch")
-        keep = labels != IGNORE
+        keep = labels != UNLABELED
         self.ignored += int((~keep).sum())
         preds = predictions[keep]
         labs = labels[keep]

@@ -12,45 +12,41 @@ from functools import lru_cache
 
 import numpy as np
 
+from .cloud import UNLABELED
+
 
 # ---------------------------------------------------------------------------
 # Dense / elementwise
 # ---------------------------------------------------------------------------
 
 
-def linear_forward(x, w, b=None):
-    """y = x @ w (+ b). x may have any leading shape; w is (C_in, C_out)."""
-    y = x @ w
-    if b is not None:
-        y = y + b
-    return y, (x, w, b is not None)
+def linear_forward(x, w, b):
+    """y = x @ w + b. x may have any leading shape; w is (C_in, C_out)."""
+    return x @ w + b, (x, w)
 
 
 def linear_backward(grad, cache):
-    """Returns (dx, dw, db); db is None when the layer has no bias."""
-    x, w, has_bias = cache
+    """Returns (dx, dw, db)."""
+    x, w = cache
     x2 = x.reshape(-1, x.shape[-1])
     g2 = grad.reshape(-1, grad.shape[-1])
     dx = (g2 @ w.T).reshape(x.shape)
-    dw = x2.T @ g2
-    db = g2.sum(axis=0) if has_bias else None
-    return dx, dw, db
+    return dx, x2.T @ g2, g2.sum(axis=0)
 
 
-def leaky_relu_forward(x, slope=0.1):
-    """max(x, slope * x): for a slope in (0, 1] the same values as
-    `where(x >= 0, x, slope * x)`, -0.0, infinities and NaN included,
-    without `np.where`'s slower path."""
-    if not 0 < slope <= 1:
-        raise ValueError(f"leaky slope {slope} outside (0, 1]")
-    y = slope * x
-    return np.maximum(x, y, out=y), (x >= 0, slope)
+LEAKY_SLOPE = 0.1  # in (0, 1], so that max(x, slope * x) is the rectifier
+
+
+def leaky_relu_forward(x):
+    """max(x, LEAKY_SLOPE * x): the same values as the rectifier's `np.where`
+    form, -0.0, infinities and NaN included, without `np.where`'s slower path."""
+    y = LEAKY_SLOPE * x
+    return np.maximum(x, y, out=y), x >= 0
 
 
 def leaky_relu_backward(grad, cache):
-    pos, slope = cache
     # one factor per element, 1.0 where x >= 0: grad * 1.0 is grad exactly
-    return grad * np.array([slope, 1.0])[pos.view(np.uint8)]
+    return grad * np.array([LEAKY_SLOPE, 1.0])[cache.view(np.uint8)]
 
 
 # ---------------------------------------------------------------------------
@@ -58,23 +54,27 @@ def leaky_relu_backward(grad, cache):
 # ---------------------------------------------------------------------------
 
 
-def im2col(x, kh, kw, stride, pad):
+CONV_STRIDE = 2
+CONV_PAD = 1  # with a 3x3 kernel, an h-wide input gives ceil(h / 2) outputs
+
+
+def im2col(x, kh, kw):
     """The (out_h * out_w, kh * kw * C) window matrix of x (H, W, C) zero-padded
-    by `pad`: one copy of the (out_h, out_w, kh, kw, C) strided window view.
+    by CONV_PAD: one copy of the (out_h, out_w, kh, kw, C) strided window view.
     Returns (cols, (out_h, out_w))."""
     h, wd, c = x.shape
-    hp, wp = h + 2 * pad, wd + 2 * pad
-    out_h, out_w = (hp - kh) // stride + 1, (wp - kw) // stride + 1
+    hp, wp = h + 2 * CONV_PAD, wd + 2 * CONV_PAD
+    out_h, out_w = (hp - kh) // CONV_STRIDE + 1, (wp - kw) // CONV_STRIDE + 1
     padded = np.zeros((hp, wp, c))
-    padded[pad : pad + h, pad : pad + wd] = x
+    padded[CONV_PAD : CONV_PAD + h, CONV_PAD : CONV_PAD + wd] = x
     s_r, s_c, s_ch = padded.strides
     windows = np.lib.stride_tricks.as_strided(
         padded, (out_h, out_w, kh, kw, c),
-        (stride * s_r, stride * s_c, s_r, s_c, s_ch), writeable=False)
+        (CONV_STRIDE * s_r, CONV_STRIDE * s_c, s_r, s_c, s_ch), writeable=False)
     return windows.reshape(out_h * out_w, kh * kw * c), (out_h, out_w)
 
 
-def conv2d_forward(x, w, b, stride=2, pad=1):
+def conv2d_forward(x, w, b):
     """2D convolution, x (H, W, C_in), w (kh, kw, C_in, C_out), b (C_out,).
 
     The cache holds x, not its im2col matrix: the backward rebuilds that from
@@ -83,20 +83,20 @@ def conv2d_forward(x, w, b, stride=2, pad=1):
     kh, kw, wc_in, c_out = w.shape
     if wc_in != x.shape[2]:
         raise ValueError(f"kernel expects {wc_in} input channels, image has {x.shape[2]}")
-    cols, (out_h, out_w) = im2col(x, kh, kw, stride, pad)
+    cols, (out_h, out_w) = im2col(x, kh, kw)
     wmat = w.reshape(kh * kw * wc_in, c_out)
     y = cols @ wmat
     y += b
     # the weight shape stays at index 2: the benchmark's FLOP counter reads it
-    return y.reshape(out_h, out_w, c_out), (x, wmat, w.shape, stride, pad)
+    return y.reshape(out_h, out_w, c_out), (x, wmat, w.shape)
 
 
 def conv2d_backward(grad, cache, input_grad=True):
     """Returns (dx, dw, db); dx is None, and not computed, without input_grad."""
-    x, wmat, wshape, stride, pad = cache
+    x, wmat, wshape = cache
     h, wd, c_in = x.shape
     kh, kw, _, c_out = wshape
-    cols, (out_h, out_w) = im2col(x, kh, kw, stride, pad)
+    cols, (out_h, out_w) = im2col(x, kh, kw)
     g2 = grad.reshape(-1, c_out)
     dw = (cols.T @ g2).reshape(wshape)
     db = g2.sum(axis=0)
@@ -105,14 +105,14 @@ def conv2d_backward(grad, cache, input_grad=True):
     dcols = (g2 @ wmat.T).reshape(out_h, out_w, kh, kw, c_in)
     # col2im: within one kernel tap the target pixels are disjoint, so each
     # tap is a plain strided slice-add
-    dpadded = np.zeros((h + 2 * pad, wd + 2 * pad, c_in))
+    dpadded = np.zeros((h + 2 * CONV_PAD, wd + 2 * CONV_PAD, c_in))
     for ki in range(kh):
         for kj in range(kw):
             dpadded[
-                ki : ki + stride * out_h : stride,
-                kj : kj + stride * out_w : stride,
+                ki : ki + CONV_STRIDE * out_h : CONV_STRIDE,
+                kj : kj + CONV_STRIDE * out_w : CONV_STRIDE,
             ] += dcols[:, :, ki, kj]
-    dx = dpadded[pad : pad + h, pad : pad + wd]
+    dx = dpadded[CONV_PAD : CONV_PAD + h, CONV_PAD : CONV_PAD + wd]
     return dx, dw, db
 
 
@@ -245,14 +245,14 @@ def bilinear_sample_backward(grad, cache):
 # ---------------------------------------------------------------------------
 
 
-def softmax_cross_entropy(logits, labels, ignore=-1):
-    """Mean cross-entropy over rows whose label is not `ignore`.
+def softmax_cross_entropy(logits, labels):
+    """Mean cross-entropy over rows whose label is not UNLABELED.
 
     logits (M, K), labels (M,) int. Returns (loss, dlogits, count); with
     zero countable rows the loss and gradient are zero.
     """
     labels = np.asarray(labels)
-    mask = labels != ignore
+    mask = labels != UNLABELED
     count = int(mask.sum())
     dlogits = np.zeros_like(logits)
     if count == 0:

@@ -323,6 +323,7 @@ def rasterize_labels(cloud: PointCloud, hexset: HexPlaneSet):
 # ---------------------------------------------------------------------------
 
 DEFAULT_SENSOR = SensorConfig(phi_up=math.radians(45.0), phi_down=math.radians(30.0))
+MARGIN_FRAC = 0.01  # `auto_extent`'s pad per side, as a share of the box size
 
 DEFAULT_RESOLUTIONS = {
     "xy_top": (256, 256),
@@ -334,7 +335,7 @@ DEFAULT_RESOLUTIONS = {
 }
 
 
-def auto_extent(cloud: PointCloud, margin_frac: float = 0.01):
+def auto_extent(cloud: PointCloud):
     """Padded bounding box of the cloud, (min, max) per axis.
 
     The pad keeps boundary points strictly inside the right-exclusive grid
@@ -344,7 +345,7 @@ def auto_extent(cloud: PointCloud, margin_frac: float = 0.01):
     axes = np.ascontiguousarray(cloud.positions.T)
     lo = axes.min(axis=1)
     hi = axes.max(axis=1)
-    pad = np.maximum((hi - lo) * margin_frac, 1e-6)
+    pad = np.maximum((hi - lo) * MARGIN_FRAC, 1e-6)
     return lo - pad, hi + pad
 
 
@@ -359,15 +360,11 @@ def ortho_geometry(kind: str, lo, hi):
     return extent, float(hi[da] if sign < 0 else lo[da])
 
 
-def default_plane_specs(
-    cloud: PointCloud,
-    sensor: SensorConfig = DEFAULT_SENSOR,
-    resolutions: dict | None = None,
-    margin_frac: float = 0.01,
-):
+def default_plane_specs(cloud: PointCloud, sensor: SensorConfig = DEFAULT_SENSOR,
+                        resolutions: dict | None = None):
     """Six PlaneSpec covering the cloud's padded bounding box."""
     res = {**DEFAULT_RESOLUTIONS, **(resolutions or {})}
-    lo, hi = auto_extent(cloud, margin_frac)
+    lo, hi = auto_extent(cloud)
     return [PlaneSpec(kind, *res[kind], sensor=sensor) if kind == "cylindrical"
             else PlaneSpec(kind, *res[kind], *ortho_geometry(kind, lo, hi))
             for kind in PLANE_KINDS]

@@ -15,6 +15,9 @@ from .metrics import ConfusionMatrix, segmentation_scores
 from .model import HexPlaneModel, ModelConfig
 from .projection import hexplane_project, rasterize_labels
 
+ADAMW_EPS = 1e-8
+WARMUP_FRAC, START_DIV, FINAL_DIV = 0.3, 25.0, 100.0  # see lr_schedule
+
 
 class DivergenceError(RuntimeError):
     """Loss became non-finite; carries the step index."""
@@ -38,13 +41,12 @@ def adamw_init(params: dict) -> dict:
     }
 
 
-def adamw_step(params, grads, state, lr, weight_decay=0.01,
-               beta1=0.9, beta2=0.999, eps=1e-8):
+def adamw_step(params, grads, state, lr, weight_decay=0.01, beta1=0.9, beta2=0.999):
     """One decoupled-weight-decay adaptive-moment update, in place.
 
-    p <- p - lr*wd*p - lr * m_hat / (sqrt(v_hat) + eps) with bias-corrected
-    moments. Parameters are visited in sorted-name order so updates are
-    bit-reproducible.
+    p <- p - lr*wd*p - lr * m_hat / (sqrt(v_hat) + ADAMW_EPS), with
+    bias-corrected moments. Parameters are visited in sorted-name order so
+    updates are bit-reproducible.
     """
     state["step"] += 1
     t = state["step"]
@@ -65,25 +67,24 @@ def adamw_step(params, grads, state, lr, weight_decay=0.01,
         if not np.all(np.isfinite(v_hat)):
             raise NonFiniteGradientError(
                 f"gradient for parameter {name!r} is non-finite or overflows its second moment")
-        update = (m / bc1) / (np.sqrt(v_hat) + eps)
+        update = (m / bc1) / (np.sqrt(v_hat) + ADAMW_EPS)
         p = params[name]
         p *= 1.0 - lr * weight_decay  # decoupled decay, exact multiplicative form
         p -= lr * update
     return state
 
 
-def lr_schedule(step, total_steps, lr_max, warmup_frac=0.3,
-                start_div=25.0, final_div=100.0):
+def lr_schedule(step, total_steps, lr_max):
     """Single-peak schedule: linear warmup to lr_max, cosine decay after.
 
-    Starts at lr_max/start_div, peaks at warmup_frac*total_steps, and decays
-    to lr_max/final_div at total_steps.
+    Starts at lr_max/START_DIV, peaks at WARMUP_FRAC*total_steps, and decays
+    to lr_max/FINAL_DIV at total_steps.
     """
     if not 0 <= step <= total_steps:
         raise ValueError(f"step {step} outside [0, {total_steps}]")
-    lr_start = lr_max / start_div
-    lr_final = lr_max / final_div
-    warm = warmup_frac * total_steps
+    lr_start = lr_max / START_DIV
+    lr_final = lr_max / FINAL_DIV
+    warm = WARMUP_FRAC * total_steps
     if total_steps == 0 or step <= warm:
         t = step / warm if warm > 0 else 1.0
         return lr_start + t * (lr_max - lr_start)

@@ -329,3 +329,12 @@ class TestEncodePoints:
             (positions - positions.min(axis=0)) / voxel_size).astype(np.int64)
         _, want = np.unique(cells, axis=0, return_inverse=True)
         assert np.array_equal(cache[2], want)
+
+    def test_cell_index_past_int64_refused(self):
+        # 100 m / 1e-300 is finite but no int64: the cast used to warn and
+        # pool every point into cells of garbage indices
+        rng = np.random.default_rng(13)
+        positions = rng.uniform(-50.0, 50.0, size=(40, 3))
+        params = init_point_encoder(4, 6, rng=rng)
+        with pytest.raises(ValueError, match="voxel size 1e-300"):
+            encode_points(positions, rng.normal(size=(40, 4)), params, voxel_size=1e-300)

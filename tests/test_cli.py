@@ -220,6 +220,19 @@ class TestTrainEval:
         assert capsys.readouterr().err == "error: --on-range-image needs --checkpoint\n"
         assert not report_path.exists()
 
+    @pytest.mark.parametrize("flag", ["--checkpoint", "--cloud"])
+    def test_eval_pred_gt_refuses_model_flags(self, tmp_path, tiny_config, capsys, flag):
+        # the clouds are scored as given; a model flag used to be ignored
+        scene = tmp_path / "scene.bin"
+        main(["synth", "--config", str(tiny_config), "--out", str(scene)])
+        capsys.readouterr()
+        report_path = tmp_path / "report.json"
+        code = main(["eval", "--pred", str(scene), "--gt", str(scene),
+                     flag, str(tmp_path / "missing.bin"), "--out", str(report_path)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {flag} cannot be used with --pred/--gt\n"
+        assert not report_path.exists()
+
     def test_eval_report_validates_schema(self, tmp_path, tiny_config):
         import jsonschema
 

@@ -234,6 +234,8 @@ MALFORMED = [
     # a synthesised point too far from the origin named no key
     ("train", {"scene": {"noise": 1e300, "num_points": 300}},
      "config: scene: point 0 is too far from the origin"),
+    # a cell index past int64 used to train through a cast warning to exit 0
+    ("train", {"model": {"voxel_size": 1.0e-300}}, "config: model.voxel_size"),
 ]
 
 

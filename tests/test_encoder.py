@@ -30,7 +30,7 @@ from hexplane.training import plane_inputs, train_toy
 
 class TestEncodePlane:
     def test_pyramid_shapes(self):
-        params = init_encoder_params(5, rng=np.random.default_rng(0))
+        params = init_encoder_params(5, (16, 32, 64), 64, np.random.default_rng(0))
         raster = np.zeros((64, 512, 5))
         pyramid, _ = encode_plane(raster, params)
         shapes = [level.shape for level in pyramid]
@@ -50,7 +50,7 @@ class TestEncodePlane:
         x = rng.normal(size=(5, 5, 1))
         w = rng.normal(size=(3, 3, 1, 2))
         b = rng.normal(size=2)
-        got, _ = ops.conv2d_forward(x, w, b, stride=2, pad=1)
+        got, _ = ops.conv2d_forward(x, w, b)
         want = oracles.conv2d_reference(x, w, b, stride=2, pad=1)
         assert np.abs(got - want).max() < 1e-6
 
@@ -67,14 +67,14 @@ class TestEncodePlane:
     def test_deterministic(self):
         rng = np.random.default_rng(4)
         raster = rng.normal(size=(12, 20, 5))
-        params = init_encoder_params(5, rng=np.random.default_rng(7))
+        params = init_encoder_params(5, (16, 32, 64), 64, np.random.default_rng(7))
         a, _ = encode_plane(raster, params)
         b, _ = encode_plane(raster, params)
         for fa, fb in zip(a, b):
             assert np.array_equal(fa, fb)
 
     def test_channel_mismatch_rejected(self):
-        params = init_encoder_params(5, rng=np.random.default_rng(0))
+        params = init_encoder_params(5, (16, 32, 64), 64, np.random.default_rng(0))
         with pytest.raises(ValueError, match="channels"):
             encode_plane(np.zeros((8, 8, 3)), params)
 
@@ -109,11 +109,20 @@ class TestFuseScales:
         assert np.abs(fused - first).max() < 1e-12
 
     def test_fused_shape_contract(self):
-        params = init_encoder_params(5, rng=np.random.default_rng(7))
+        params = init_encoder_params(5, (16, 32, 64), 64, np.random.default_rng(7))
         pyramid, _ = encode_plane(np.zeros((64, 512, 5)), params)
         fused, _ = fuse_scales(pyramid, params)
         assert fused.shape == (16, 128, 64)
-        assert fused.shape[:2] == feature_grid(64, 512)
+        # odd and small rasters too: the fused map, and the aux labels pooled
+        # from a label image of the raster's size, both lie on feature_grid
+        sizes = [(h, w) for h in range(1, 10) for w in range(1, 10)]
+        for h, w in [(64, 512), *sizes, (31, 33), (33, 31), (31, 31), (33, 33)]:
+            pyramid, _ = encode_plane(np.zeros((h, w, 5)), params)
+            fused, _ = fuse_scales(pyramid, params)
+            assert fused.shape == (-(-h // 4), -(-w // 4), 64)
+            assert fused.shape[:2] == feature_grid(h, w)
+            labels = np.zeros((h, w), dtype=np.int64)
+            assert heads.aux_label_grids([labels], 3)[0].shape == feature_grid(h, w)
 
     def test_bilinear_upsample_exact_on_ramps(self):
         # endpoint-aligned resampling reproduces any linear ramp exactly
@@ -261,11 +270,11 @@ def test_eval_forward_cache_keeps_no_im2col_copy():
         in_shape = plane.raster.shape
         for conv_cache, act_cache in enc_cache:
             kh, kw, c_in, _ = conv_cache[2]
-            out_h, out_w, _ = act_cache[0].shape
+            out_h, out_w, _ = act_cache.shape
             layer_im2col = out_h * out_w * kh * kw * c_in * 8
             im2col_bytes += layer_im2col
             input_bytes += int(np.prod(in_shape)) * 8
-            in_shape = act_cache[0].shape
+            in_shape = act_cache.shape
             for entry in conv_cache:
                 assert np.asarray(entry).nbytes < layer_im2col
     total = sum(a.nbytes for a in _cached_arrays(out.cache, {}).values())

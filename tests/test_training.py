@@ -154,10 +154,7 @@ class TestModel:
         model = HexPlaneModel(tiny_model_config())
         hexset = hexplane_project(cloud, tiny_spec_fn(cloud))
         label_images = rasterize_labels(cloud, hexset)
-        aux_labels = [
-            downsample_labels(img, (img.shape[0] + 3) // 4, (img.shape[1] + 3) // 4, 3)
-            for img in label_images
-        ]
+        aux_labels = [downsample_labels(img, 3) for img in label_images]
         out = model.forward(cloud, hexset, grad=True)
         _, d_point, d_aux = composite_loss(
             out.point_logits, cloud.labels, out.aux_logits, aux_labels, 0.4
@@ -180,10 +177,7 @@ class TestModel:
         rng = np.random.default_rng(3)
         model, cloud, hexset = micro_model_instance(rng)
         label_images = rasterize_labels(cloud, hexset)
-        aux_labels = [
-            downsample_labels(img, (img.shape[0] + 3) // 4, (img.shape[1] + 3) // 4, 3)
-            for img in label_images
-        ]
+        aux_labels = [downsample_labels(img, 3) for img in label_images]
         out = model.forward(cloud, hexset, grad=True)
         _, d_point, d_aux = composite_loss(
             out.point_logits, cloud.labels, out.aux_logits, aux_labels, 0.4
@@ -205,7 +199,8 @@ class TestModel:
         got = aux_label_grids(label_images, 3)
         assert len(got) == len(label_images)
         for img, grid in zip(label_images, got):
-            want = downsample_labels(img, (img.shape[0] + 3) // 4, (img.shape[1] + 3) // 4, 3)
+            want = downsample_labels(img, 3)
+            assert want.shape == ((img.shape[0] + 3) // 4, (img.shape[1] + 3) // 4)
             assert grid.dtype == want.dtype and grid.tobytes() == want.tobytes()
 
     def test_skipped_raster_gradient_leaves_grads_byte_identical(self, monkeypatch):
