@@ -44,14 +44,17 @@ def same_bits(a, b):
 
 
 class TestLeakyRelu:
-    def test_forward_and_backward_match_where(self):
+    # the one slope the rectifier runs at
+    @pytest.mark.parametrize("slope", [0.1])
+    def test_forward_and_backward_match_where(self, slope):
+        assert ops.LEAKY_SLOPE == slope
         rng = np.random.default_rng(0)
         x = np.concatenate([EDGES, rng.normal(size=200)]).reshape(-1, 3)
         grad = np.concatenate([EDGES[::-1], rng.normal(size=200)]).reshape(-1, 3)
         y, cache = ops.leaky_relu_forward(x)
-        assert same_bits(y, np.where(x >= 0, x, 0.1 * x))
+        assert same_bits(y, np.where(x >= 0, x, slope * x))
         assert same_bits(ops.leaky_relu_backward(grad, cache),
-                         np.where(x >= 0, grad, 0.1 * grad))
+                         np.where(x >= 0, grad, slope * grad))
 
 
 def im2col_by_index(x, kh, kw, stride, pad):
@@ -67,10 +70,10 @@ def im2col_by_index(x, kh, kw, stride, pad):
     return padded[idx].reshape(out_h * out_w, kh * kw * c), (out_h, out_w)
 
 
-# the stage geometry every conv runs at; the kernel size comes from the weights
-STRIDE, PAD = 2, 1
-CONV_GRID = pytest.mark.parametrize("h,w,c_in,k", [
-    (7, 5, 3, 3), (5, 7, 1, 3), (1, 1, 2, 3), (9, 4, 2, 1), (6, 6, 4, 2)])
+# every conv runs at stride 2, pad 1; the kernel size comes from the weights
+CONV_GRID = pytest.mark.parametrize("h,w,c_in,k,pad", [
+    (7, 5, 3, 3, 1), (5, 7, 1, 3, 1), (1, 1, 2, 3, 1), (9, 4, 2, 1, 1), (6, 6, 4, 2, 1)])
+CONV_STRIDE = pytest.mark.parametrize("stride", [2])
 
 
 def conv_case(h, w, c_in, k):
@@ -82,9 +85,11 @@ def conv_case(h, w, c_in, k):
 
 class TestConv2d:
     @CONV_GRID
-    def test_forward_matches_index_im2col(self, h, w, c_in, k):
+    @CONV_STRIDE
+    def test_forward_matches_index_im2col(self, h, w, c_in, k, stride, pad):
+        assert (ops.CONV_STRIDE, ops.CONV_PAD) == (stride, pad)
         x, wt, b = conv_case(h, w, c_in, k)
-        cols, (out_h, out_w) = im2col_by_index(x, k, k, STRIDE, PAD)
+        cols, (out_h, out_w) = im2col_by_index(x, k, k, stride, pad)
         want = (cols @ wt.reshape(-1, 5) + b).reshape(out_h, out_w, 5)
         got, cache = ops.conv2d_forward(x, wt, b)
         assert same_bits(got, want)
@@ -94,23 +99,25 @@ class TestConv2d:
         assert cache[2] == wt.shape  # the benchmark's FLOP counter reads it
 
     @CONV_GRID
+    @CONV_STRIDE
     @pytest.mark.parametrize("input_grad", [True, False])
-    def test_backward_matches_cached_im2col(self, h, w, c_in, k, input_grad):
+    def test_backward_matches_cached_im2col(self, h, w, c_in, k, stride, pad, input_grad):
         # the backward as it read a cached im2col matrix, written inline
+        assert (ops.CONV_STRIDE, ops.CONV_PAD) == (stride, pad)
         x, wt, b = conv_case(h, w, c_in, k)
-        cols, (out_h, out_w) = im2col_by_index(x, k, k, STRIDE, PAD)
+        cols, (out_h, out_w) = im2col_by_index(x, k, k, stride, pad)
         grad = np.random.default_rng(k).normal(size=(out_h, out_w, 5))
         grad[0, 0, 0] = -0.0
         g2 = grad.reshape(-1, 5)
         want_dw = (cols.T @ g2).reshape(wt.shape)
         want_db = g2.sum(axis=0)
         dcols = (g2 @ wt.reshape(-1, 5).T).reshape(out_h, out_w, k, k, c_in)
-        dpadded = np.zeros((h + 2 * PAD, w + 2 * PAD, c_in))
+        dpadded = np.zeros((h + 2 * pad, w + 2 * pad, c_in))
         for ki in range(k):
             for kj in range(k):
-                dpadded[ki : ki + STRIDE * out_h : STRIDE,
-                        kj : kj + STRIDE * out_w : STRIDE] += dcols[:, :, ki, kj]
-        want_dx = dpadded[PAD : PAD + h, PAD : PAD + w]
+                dpadded[ki : ki + stride * out_h : stride,
+                        kj : kj + stride * out_w : stride] += dcols[:, :, ki, kj]
+        want_dx = dpadded[pad : pad + h, pad : pad + w]
 
         _, cache = ops.conv2d_forward(x, wt, b)
         dx, dw, db = ops.conv2d_backward(grad, cache, input_grad=input_grad)
