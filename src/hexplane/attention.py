@@ -82,7 +82,7 @@ def stack_planes(feature_maps, hexset: HexPlaneSet):
     return table, (np.cumsum(sizes) - sizes, *shapes.T), (u, v, valid)
 
 
-def gather_plane_features(planes, rows=slice(None)):
+def gather_plane_features(planes, rows):
     """Bilinear sample of each plane's fused features at the points in `rows`.
 
     planes: the output of `stack_planes`; every plane is read with one

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,11 +61,14 @@ class PointCloud:
     features:  optional (N, C) float64 extra per-point input columns, the
                position excluded (a file's columns after x y z).
     labels:    optional (N,) int64 class ids, UNLABELED (-1) for ignored.
+    depths:    (N,) float64 distance of each point from the origin, bit for
+               bit np.linalg.norm's; computed once, read-only.
     """
 
     positions: np.ndarray
     features: np.ndarray | None = None
     labels: np.ndarray | None = None
+    depths: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pos = _frozen(self.positions, np.float64)
@@ -77,8 +80,12 @@ class PointCloud:
             bad = int(np.argwhere(~np.isfinite(pos))[0, 0])
             raise ValueError(f"non-finite position at point {bad}")
         object.__setattr__(self, "positions", pos)
+        x, y, z = pos.T
         with np.errstate(over="ignore"):
-            far = np.isinf(self.depths)
+            depths = np.sqrt((x * x + y * y) + z * z)
+        depths.setflags(write=False)
+        object.__setattr__(self, "depths", depths)
+        far = np.isinf(depths)
         if far.any():
             raise ValueError(f"point {int(np.argmax(far))} is too far from the origin: "
                              "its distance overflows")
@@ -105,12 +112,6 @@ class PointCloud:
     @property
     def n(self) -> int:
         return self.positions.shape[0]
-
-    @property
-    def depths(self) -> np.ndarray:
-        """Distance of each point from the origin; bit for bit np.linalg.norm's."""
-        x, y, z = self.positions.T
-        return np.sqrt((x * x + y * y) + z * z)
 
 
 def default_features(cloud: PointCloud) -> np.ndarray:
@@ -328,6 +329,7 @@ class SceneSpec:
         for cls in self.class_ids():
             if not 0 <= cls < self.num_classes:
                 raise ValueError(f"class id {cls} outside [0, {self.num_classes})")
+        check_room(self.room_extent)
 
     def class_ids(self) -> tuple[int, ...]:
         ids = {self.floor_class, self.wall_class}
@@ -458,6 +460,15 @@ def scene_surfaces(spec: SceneSpec):
                 )
             )
     return surfaces
+
+
+def check_room(room_extent):
+    """Refuse a room whose face areas overflow float64: `scene_surfaces`
+    weighs each face by its edges' norms, which square each side."""
+    lx, ly, lz = (abs(side) for side in room_extent)
+    areas = (lx * ly, lx * lz, lx * lz, ly * lz, ly * lz)  # the floor, then the walls
+    if not all(math.isfinite(a) for a in (lx * lx, ly * ly, lz * lz, sum(areas))):
+        raise ValueError(f"room {tuple(room_extent)} has face areas that overflow float64")
 
 
 def check_primitive_in_room(prim: Primitive, room_extent):

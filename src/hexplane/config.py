@@ -242,6 +242,10 @@ def build_scene_spec(scene_tree, section="scene") -> SceneSpec:
     enforce span several keys; they are checked here, naming the key."""
     classes = scene_tree["num_classes"]
     room = _cast(scene_tree["room_extent"], (0.0,))
+    try:
+        cloudmod.check_room(room)
+    except ValueError as exc:
+        raise ConfigError(f"config: {section}.room_extent: {exc}") from exc
     ids = [(f"{section}.{key}", scene_tree[key]) for key in ("floor_class", "wall_class")]
     prims = []
     for i, p in enumerate(scene_tree["primitives"]):

@@ -60,8 +60,9 @@ CONV_PAD = 1  # with a 3x3 kernel, an h-wide input gives ceil(h / 2) outputs
 
 def im2col(x, kh, kw):
     """The (out_h * out_w, kh * kw * C) window matrix of x (H, W, C) zero-padded
-    by CONV_PAD: one copy of the (out_h, out_w, kh, kw, C) strided window view.
-    Returns (cols, (out_h, out_w))."""
+    by CONV_PAD: one copy of the (out_h, out_w, kh, kw * C) strided window
+    view, whose last axis is a window row's kw pixels, contiguous in the
+    channels-last padded image. Returns (cols, (out_h, out_w))."""
     h, wd, c = x.shape
     hp, wp = h + 2 * CONV_PAD, wd + 2 * CONV_PAD
     out_h, out_w = (hp - kh) // CONV_STRIDE + 1, (wp - kw) // CONV_STRIDE + 1
@@ -69,8 +70,8 @@ def im2col(x, kh, kw):
     padded[CONV_PAD : CONV_PAD + h, CONV_PAD : CONV_PAD + wd] = x
     s_r, s_c, s_ch = padded.strides
     windows = np.lib.stride_tricks.as_strided(
-        padded, (out_h, out_w, kh, kw, c),
-        (CONV_STRIDE * s_r, CONV_STRIDE * s_c, s_r, s_c, s_ch), writeable=False)
+        padded, (out_h, out_w, kh, kw * c),
+        (CONV_STRIDE * s_r, CONV_STRIDE * s_c, s_r, s_ch), writeable=False)
     return windows.reshape(out_h * out_w, kh * kw * c), (out_h, out_w)
 
 

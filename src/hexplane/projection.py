@@ -166,24 +166,27 @@ def project_cylindrical(cloud: PointCloud, plane: PlaneSpec) -> GridCoords:
     sensor, h, w = plane.sensor, plane.height, plane.width
 
     az = np.arctan2(y, x)
-    az = np.where(az == -np.pi, np.pi, az)  # the seam is one direction, not two
+    np.copyto(az, np.pi, where=az == -np.pi)  # the seam is one direction, not two
     u = 0.5 * (1.0 - az / np.pi) * w
-    u = np.where(u == w, np.nextafter(float(w), 0.0), u)
+    np.copyto(u, np.nextafter(float(w), 0.0), where=u == w)
 
     elev = np.arcsin(z / d)
     v = (1.0 - (elev + sensor.phi_down) / sensor.xi) * h
     in_fov = (elev >= -sensor.phi_down) & (elev <= sensor.phi_up)
-    v = np.where(in_fov & (v == h), np.nextafter(float(h), 0.0), v)
+    np.copyto(v, np.nextafter(float(h), 0.0), where=in_fov & (v == h))
     in_fov &= (u >= 0) & (u < w) & (v >= 0) & (v < h)
     return GridCoords(u=u, v=v, depth=d, in_fov=in_fov, pixel=_pixels(u, v, in_fov, w))
 
 
 def _pixels(u, v, in_fov, width):
     """Flat pixel, row * width + column, of each in-FOV point; in FOV u and
-    v are >= 0, so truncation is the floor."""
-    pixel = v[in_fov].astype(np.int64)
+    v are >= 0, so truncation is the floor. A plane with every point in view
+    reads u and v as they are."""
+    if not in_fov.all():
+        u, v = u[in_fov], v[in_fov]
+    pixel = v.astype(np.int64)
     pixel *= width
-    pixel += u[in_fov].astype(np.int64)
+    pixel += u.astype(np.int64)
     return pixel
 
 
@@ -233,10 +236,12 @@ def rasterize(cloud, coords, plane, channels=DEFAULT_CHANNELS):
     winner = np.full((h, w), EMPTY, dtype=np.int64)
     zbuffer = np.full((h, w), np.inf, dtype=np.float64)
 
-    idx = np.flatnonzero(coords.in_fov)
-    if idx.size:
-        pix = coords.pixel
-        depth = coords.depth[idx]
+    pix = coords.pixel
+    if pix.size:
+        # a plane with every point in view needs no compacted copy: the
+        # in-view positions are then the point indices themselves
+        idx = None if coords.in_fov.all() else np.flatnonzero(coords.in_fov)
+        depth = coords.depth if idx is None else coords.depth[idx]
         # two scatter-mins: the nearest depth per pixel, then the lowest
         # point index among the points at exactly that depth
         zflat = zbuffer.ravel()
@@ -244,7 +249,7 @@ def rasterize(cloud, coords, plane, channels=DEFAULT_CHANNELS):
         tie = np.flatnonzero(depth == zflat[pix])
         none = np.iinfo(np.int64).max
         wflat = np.full(h * w, none)
-        np.minimum.at(wflat, pix[tie], idx[tie])
+        np.minimum.at(wflat, pix[tie], tie if idx is None else idx[tie])
         hit = wflat != none
         winner.ravel()[hit] = wflat[hit]
         # the winner's own depth keeps the sign of a zero depth

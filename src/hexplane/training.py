@@ -41,7 +41,7 @@ def adamw_init(params: dict) -> dict:
     }
 
 
-def adamw_step(params, grads, state, lr, weight_decay=0.01, beta1=0.9, beta2=0.999):
+def adamw_step(params, grads, state, lr, weight_decay, beta1, beta2):
     """One decoupled-weight-decay adaptive-moment update, in place.
 
     p <- p - lr*wd*p - lr * m_hat / (sqrt(v_hat) + ADAMW_EPS), with

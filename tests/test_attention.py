@@ -62,7 +62,7 @@ class TestGatherPlaneFeatures:
 
     def test_node_exact(self):
         cloud, hexset, fmaps = self.build()
-        gathered, valid, _ = gather_plane_features(stack_planes(fmaps, hexset))
+        gathered, valid, _ = gather_plane_features(stack_planes(fmaps, hexset), slice(None))
         # craft one query exactly on a feature node via the coordinate map
         plane = hexset.planes[0]
         fmap = fmaps[0]
@@ -83,7 +83,7 @@ class TestGatherPlaneFeatures:
 
     def test_invalid_entries_masked_and_zeroed(self):
         cloud, hexset, fmaps = self.build(seed=1)
-        gathered, valid, _ = gather_plane_features(stack_planes(fmaps, hexset))
+        gathered, valid, _ = gather_plane_features(stack_planes(fmaps, hexset), slice(None))
         for m, plane in enumerate(hexset.planes):
             assert np.array_equal(valid[:, m], plane.index.coords.in_fov)
         assert np.all(gathered[~valid] == 0.0)

@@ -235,6 +235,14 @@ class TestSynthScene:
         with pytest.raises(ValueError, match="outside room"):
             scene_surfaces(spec)
 
+    @pytest.mark.parametrize("room", [(1e300, 8.0, 3.0), (8.0, -1.4e154, 3.0),
+                                      (1e154, 1e154, 1e154)])
+    def test_room_whose_face_areas_overflow_rejected(self, room):
+        # a side squared, or the sum of the face areas, overflows float64;
+        # these used to sample through overflow and NaN-cast warnings
+        with pytest.raises(ValueError, match="face areas that overflow"):
+            self.make_spec(room_extent=room)
+
 
 class TestAugment:
     def test_flip_x(self):
@@ -327,6 +335,16 @@ class TestCloudInvariants:
         pos = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-3, 3, size=shape)
         cloud = PointCloud(positions=pos)
         assert cloud.depths.tobytes() == np.linalg.norm(pos, axis=1).tobytes()
+
+    def test_depths_computed_once_and_read_only(self):
+        rng = np.random.default_rng(33)
+        cloud = PointCloud(positions=rng.uniform(-4, 4, size=(500, 3)))
+        depths = cloud.depths
+        assert cloud.depths is depths  # the same array on every access
+        assert depths.tobytes() == np.linalg.norm(cloud.positions, axis=1).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            depths[0] = 1.0
+        assert default_features(cloud)[:, 3].tobytes() == depths.tobytes()
 
     def test_positions_read_only(self):
         cloud = PointCloud(positions=np.ones((2, 3)))

@@ -236,6 +236,11 @@ MALFORMED = [
      "config: scene: point 0 is too far from the origin"),
     # a cell index past int64 used to train through a cast warning to exit 0
     ("train", {"model": {"voxel_size": 1.0e-300}}, "config: model.voxel_size"),
+    # a room whose face areas overflow printed four warnings, then failed in
+    # the sampler as "max() arg is an empty sequence", naming no key
+    ("train", {"scene": {"room_extent": [1.0e300, 8.0, 3.0]}}, "config: scene.room_extent"),
+    ("train", {"eval_scene": {"kind": "synth", "room_extent": [8.0, 1.4e154, 3.0]}},
+     "config: eval_scene.room_extent"),
 ]
 
 

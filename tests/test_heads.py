@@ -170,14 +170,15 @@ class TestAdamW:
         params = {"w": rng.normal(size=(4, 3))}
         before = params["w"].copy()
         state = adamw_init(params)
-        adamw_step(params, {"w": np.zeros((4, 3))}, state, lr=3.5e-4, weight_decay=0.01)
+        adamw_step(params, {"w": np.zeros((4, 3))}, state, lr=3.5e-4, weight_decay=0.01,
+                   beta1=0.9, beta2=0.999)
         assert np.array_equal(params["w"], before * (1.0 - 3.5e-4 * 0.01))
 
     def test_first_step_matches_hand_formula(self):
         params = {"w": np.array([[1.0]])}
         grads = {"w": np.array([[0.5]])}
         state = adamw_init(params)
-        adamw_step(params, grads, state, lr=3.5e-4, weight_decay=0.01)
+        adamw_step(params, grads, state, lr=3.5e-4, weight_decay=0.01, beta1=0.9, beta2=0.999)
         # frozen from the hand evaluation of the bias-corrected update
         assert params["w"][0, 0] == pytest.approx(0.999646500007, abs=1e-12)
 
@@ -187,7 +188,7 @@ class TestAdamW:
         g = rng.normal(size=(5, 4))
         params = {"w": w0.copy()}
         state = adamw_init(params)
-        adamw_step(params, {"w": g}, state, lr=1e-3, weight_decay=0.0)
+        adamw_step(params, {"w": g}, state, lr=1e-3, weight_decay=0.0, beta1=0.9, beta2=0.999)
         want = w0 - 1e-3 * g / (np.abs(g) + 1e-8)  # m_hat = g, sqrt(v_hat) = |g|
         assert np.abs(params["w"] - want).max() < 1e-12
 
@@ -198,7 +199,8 @@ class TestAdamW:
             state = adamw_init(params)
             for step in range(100):
                 grads = {k: np.sin(v + step) for k, v in params.items()}
-                adamw_step(params, grads, state, lr=1e-3)
+                adamw_step(params, grads, state, lr=1e-3, weight_decay=0.01, beta1=0.9,
+                           beta2=0.999)
             return params
 
         a, b = run(), run()
@@ -208,7 +210,8 @@ class TestAdamW:
         params = {"bad": np.ones(3)}
         state = adamw_init(params)
         with pytest.raises(ValueError, match="bad"):
-            adamw_step(params, {"bad": np.array([1.0, np.nan, 0.0])}, state, lr=1e-3)
+            adamw_step(params, {"bad": np.array([1.0, np.nan, 0.0])}, state, lr=1e-3,
+                       weight_decay=0.01, beta1=0.9, beta2=0.999)
 
 
 class TestLrSchedule:

@@ -318,7 +318,7 @@ class TestGatherAndOffsets:
         fmaps = feature_maps(hexset, 4)
         planes = stack_planes(fmaps, hexset)
         if block is None:
-            gathered, valid, _ = gather_plane_features(planes)
+            gathered, valid, _ = gather_plane_features(planes, slice(None))
         else:
             assert cloud.n % block
             parts = [gather_plane_features(planes, slice(s, s + block))
@@ -340,7 +340,8 @@ class TestGatherAndOffsets:
         cloud, hexset = occluded_cloud()
         rng = np.random.default_rng(2)
         fmaps = feature_maps(hexset, 4)
-        gathered, valid, gather_cache = gather_plane_features(stack_planes(fmaps, hexset))
+        gathered, valid, gather_cache = gather_plane_features(stack_planes(fmaps, hexset),
+                                                              slice(None))
         offsets, _ = gather_offsets(cloud, hexset)
         params = init_attention_params(5, 4, heads=2, head_dim=3, c_out=6, rng=rng)
         fused, cache = cross_attention_forward(rng.normal(size=(cloud.n, 5)), gathered,
@@ -389,7 +390,7 @@ def test_forward_never_samples_a_non_finite_coordinate():
     model = HexPlaneModel(ModelConfig(num_classes=3))
     out = model.forward(cloud, hexset)
     gathered, valid, (_, _, _, _, _, fx, fy) = gather_plane_features(
-        stack_planes(feature_maps(hexset, 4), hexset))
+        stack_planes(feature_maps(hexset, 4), hexset), slice(None))
     assert np.isfinite(out.point_logits).all()
     assert np.all(gathered[~valid] == 0.0) and np.isfinite(gathered).all()
     for m, plane in enumerate(hexset.planes):

@@ -93,6 +93,10 @@ class TestCylindricalProjection:
         assert np.abs(coords.u - u_ref).max() < 1e-9
         assert np.abs(coords.v - v_ref).max() < 1e-9
 
+    def test_depth_is_the_clouds_depths(self):
+        cloud = random_cloud(np.random.default_rng(6), n=200, labeled=False)
+        assert project_cylindrical(cloud, WIDE).depth is cloud.depths
+
     def test_origin_point_rejected(self):
         pos = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         with pytest.raises(ValueError, match="point 1"):
@@ -232,10 +236,12 @@ class TestRasterize:
     def test_matches_sequential_oracle(self):
         rng = np.random.default_rng(7)
         cloud = random_cloud(rng, n=1000, labeled=False)
-        cases = [
-            (cloud, spec, project(cloud, spec))
-            for spec in default_plane_specs(cloud, sensor=WIDE_SENSOR)
-        ]
+        specs = default_plane_specs(cloud, sensor=WIDE_SENSOR)
+        # a front view narrower than the cloud: an orthographic plane with
+        # points out of view takes the compacting path
+        u0, u1, v0, v1 = specs[1].extent
+        specs.append(dataclasses.replace(specs[1], extent=(u0, (u0 + u1) / 2, v0, v1)))
+        cases = [(cloud, spec, project(cloud, spec)) for spec in specs]
         # tie-heavy: lattice-snapped points plus exact duplicates share pixels
         # and depths; viewing planes on a lattice value give depths of exactly
         # 0.0, and half of those get their sign flipped so +0.0 and -0.0 meet
@@ -252,6 +258,9 @@ class TestRasterize:
             cases.append((ties, spec, dataclasses.replace(coords, depth=depth)))
         zeros = np.concatenate([c.depth[c.depth == 0.0] for _, _, c in cases])
         assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+        # both sides of rasterize's choice: every point in view, or not
+        every = [bool(c.in_fov.all()) for _, _, c in cases]
+        assert every == [True] * 5 + [False, False] + [True] * 5 + [False], every
         for cl, spec, coords in cases:
             _, index = rasterize(cl, coords, spec)
             winner, zbuf = oracles.zbuffer_sequential(
