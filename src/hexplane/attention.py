@@ -260,7 +260,9 @@ def encode_points(positions, feats, params, voxel_size):
     Lift each point's input vector with a linear layer, average the lifted
     features over the point's voxel cell, and mix point + neighborhood
     through a second layer. Raises ValueError when a cell index along an
-    axis does not fit in int64.
+    axis does not fit in int64. The cells are found column by column, so
+    an F-ordered `positions`, as `PointCloud.positions` is, reads
+    contiguous rows.
     """
     pre1, lin1 = ops.linear_forward(feats, params["w1"], params["b1"])
     h1, act1 = ops.leaky_relu_forward(pre1)

@@ -44,10 +44,13 @@ class CloudFormatError(ValueError):
 
 
 def _frozen(value, dtype) -> np.ndarray:
-    """Read-only C-contiguous `value`; a caller's array is copied unless it is
-    read-only and owns its data, so no writable caller array aliases it."""
+    """Read-only C-contiguous `value`; a caller's array is copied unless it,
+    and the array that owns its memory, are read-only, so no writable caller
+    array aliases it."""
     arr = np.ascontiguousarray(value, dtype=dtype)
-    if arr is value and (arr.flags.writeable or arr.base is not None):
+    owner = arr if arr.base is None else arr.base
+    if arr is value and not (isinstance(owner, np.ndarray) and owner.base is None
+                             and not owner.flags.writeable):
         arr = arr.copy()
     arr.setflags(write=False)
     return arr
@@ -57,10 +60,13 @@ def _frozen(value, dtype) -> np.ndarray:
 class PointCloud:
     """Immutable set of N labeled 3D points.
 
-    positions: (N, 3) float64, meters.
+    positions: (N, 3) float64, meters: a read-only, F-ordered view of `axes`,
+               so code that needs C-ordered rows of points copies them.
     features:  optional (N, C) float64 extra per-point input columns, the
                position excluded (a file's columns after x y z).
     labels:    optional (N,) int64 class ids, UNLABELED (-1) for ignored.
+    axes:      (3, N) float64, the one stored copy of the coordinates: rows
+               x, y, z, each contiguous; read-only.
     depths:    (N,) float64 distance of each point from the origin, bit for
                bit np.linalg.norm's; computed once, read-only.
     """
@@ -68,42 +74,41 @@ class PointCloud:
     positions: np.ndarray
     features: np.ndarray | None = None
     labels: np.ndarray | None = None
+    axes: np.ndarray = field(init=False, repr=False, compare=False)
     depths: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pos = _frozen(self.positions, np.float64)
-        if pos.ndim != 2 or pos.shape[1] != 3:
-            raise ValueError(f"positions must be (N, 3), got {pos.shape}")
-        if pos.shape[0] < 1:
+        axes = _frozen(np.asarray(self.positions).T, np.float64)
+        if axes.ndim != 2 or axes.shape[0] != 3:
+            raise ValueError(f"positions must be (N, 3), got {axes.shape[::-1]}")
+        n = axes.shape[1]
+        if n < 1:
             raise ValueError("point cloud must contain at least one point")
-        if not np.all(np.isfinite(pos)):
-            bad = int(np.argwhere(~np.isfinite(pos))[0, 0])
-            raise ValueError(f"non-finite position at point {bad}")
-        object.__setattr__(self, "positions", pos)
-        x, y, z = pos.T
+        x, y, z = axes
         with np.errstate(over="ignore"):
             depths = np.sqrt((x * x + y * y) + z * z)
+        # a non-finite coordinate makes its distance non-finite too
+        if not np.isfinite(depths).all():
+            finite = np.isfinite(axes).all(axis=0)
+            if not finite.all():
+                raise ValueError(f"non-finite position at point {int(np.argmin(finite))}")
+            raise ValueError(f"point {int(np.argmax(np.isinf(depths)))} is too far from "
+                             "the origin: its distance overflows")
         depths.setflags(write=False)
+        object.__setattr__(self, "axes", axes)
+        object.__setattr__(self, "positions", axes.T)
         object.__setattr__(self, "depths", depths)
-        far = np.isinf(depths)
-        if far.any():
-            raise ValueError(f"point {int(np.argmax(far))} is too far from the origin: "
-                             "its distance overflows")
 
         if self.features is not None:
             feats = _frozen(self.features, np.float64)
-            if feats.ndim != 2 or feats.shape[0] != pos.shape[0]:
-                raise ValueError(
-                    f"features must have {pos.shape[0]} rows, got shape {feats.shape}"
-                )
+            if feats.ndim != 2 or feats.shape[0] != n:
+                raise ValueError(f"features must have {n} rows, got shape {feats.shape}")
             object.__setattr__(self, "features", feats)
 
         if self.labels is not None:
             labels = _frozen(self.labels, np.int64)
-            if labels.ndim != 1 or labels.shape[0] != pos.shape[0]:
-                raise ValueError(
-                    f"labels must have {pos.shape[0]} entries, got shape {labels.shape}"
-                )
+            if labels.ndim != 1 or labels.shape[0] != n:
+                raise ValueError(f"labels must have {n} entries, got shape {labels.shape}")
             if labels.min(initial=0) < UNLABELED:
                 bad = int(np.argwhere(labels < UNLABELED)[0, 0])
                 raise ValueError(f"label out of range at point {bad}")
@@ -111,7 +116,7 @@ class PointCloud:
 
     @property
     def n(self) -> int:
-        return self.positions.shape[0]
+        return self.axes.shape[1]
 
 
 def default_features(cloud: PointCloud) -> np.ndarray:
@@ -155,7 +160,7 @@ def save_pointcloud(path, cloud: PointCloud, format: str = "binary") -> None:
                 rec["label"] = cloud.labels.astype(np.int32)
                 fh.write(rec.tobytes())
             else:
-                fh.write(np.ascontiguousarray(cols).tobytes())
+                fh.write(cols.tobytes())  # C order, whatever the layout
     else:
         raise ValueError(f"unknown format {format!r}")
 
@@ -471,6 +476,23 @@ def check_room(room_extent):
         raise ValueError(f"room {tuple(room_extent)} has face areas that overflow float64")
 
 
+def reach_overflows(room_extent, noise) -> bool:
+    """Whether a point within `noise` of the room box can lie farther from the
+    origin than float64 measures, squared as `PointCloud.depths` squares it."""
+    lx, ly, lz = (abs(side) for side in room_extent)
+    x, y, z = lx / 2 + noise, ly / 2 + noise, lz + noise
+    return not math.isfinite((x * x + y * y) + z * z)
+
+
+def check_surface_areas(surfaces):
+    """Refuse surfaces whose areas sum past float64: `apportion_counts`
+    divides by that total."""
+    with np.errstate(over="ignore"):
+        total = np.sum([s.area for s in surfaces])
+    if not np.isfinite(total):
+        raise ValueError("the surfaces' areas sum past float64")
+
+
 def check_primitive_in_room(prim: Primitive, room_extent):
     lx, ly, lz = room_extent
     cx, cy, cz = prim.center
@@ -521,6 +543,7 @@ def sampling_plan(spec: SceneSpec):
         raise ValueError(
             f"{spec.num_points} points cannot cover {len(classes)} classes"
         )
+    check_surface_areas(surfaces)
     counts = apportion_counts([s.area for s in surfaces], spec.num_points)
 
     def class_totals():
@@ -579,16 +602,17 @@ def augment(
     """Flip the named axes, then rotate about z. Labels/features carried as-is."""
     if not math.isfinite(rotate_z):
         raise ValueError("rotate_z must be finite")
-    pos = cloud.positions.copy()
-    if flip_x:
-        pos[:, 0] = -pos[:, 0]
-    if flip_y:
-        pos[:, 1] = -pos[:, 1]
     c, s = math.cos(rotate_z), math.sin(rotate_z)
-    rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    pos = pos @ rot.T
-    pos.setflags(write=False)  # owned and read-only: the cloud needs no copy
-    return PointCloud(positions=pos, features=cloud.features, labels=cloud.labels)
+    # the rotation's rows, a flipped axis's column negated: the same products
+    # as flipping the coordinates first
+    m = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    if flip_x:
+        m[:, 0] = -m[:, 0]
+    if flip_y:
+        m[:, 1] = -m[:, 1]
+    axes = m @ cloud.axes
+    axes.setflags(write=False)  # owned and read-only: the cloud needs no copy
+    return PointCloud(positions=axes.T, features=cloud.features, labels=cloud.labels)
 
 
 # ---------------------------------------------------------------------------

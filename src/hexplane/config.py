@@ -260,19 +260,33 @@ def build_scene_spec(scene_tree, section="scene") -> SceneSpec:
     for key, cls in ids:
         if not 0 <= cls < classes:
             raise ConfigError(f"config: {key} must be a class id in [0, {classes})")
-    return _from_section(SceneSpec, scene_tree, primitives=tuple(prims))
+    spec = _from_section(SceneSpec, scene_tree, primitives=tuple(prims))
+    try:  # the room's own faces sum inside float64 (check_room)
+        cloudmod.check_surface_areas(cloudmod.scene_surfaces(spec))
+    except ValueError as exc:
+        raise ConfigError(f"config: {section}.primitives: {exc}") from exc
+    return spec
 
 
 def _synth_scene(spec: SceneSpec, section):
-    """`synth_scene(spec)`, its point budget checked against its classes."""
+    """`synth_scene(spec)`, its point budget checked against its classes and
+    its noise against the distances float64 can measure."""
     classes = len(spec.class_ids())
     if spec.num_points < classes:
         raise ConfigError(f"config: {section}.num_points: {spec.num_points} points "
                           f"cannot cover {classes} classes")
+    noisy = (cloudmod.reach_overflows(spec.room_extent, spec.noise)
+             and not cloudmod.reach_overflows(spec.room_extent, 0.0))
+    blame = f"{section}.noise {spec.noise:g} can push a point's distance past float64"
+    # synthesised first, so that a point the noise did push too far is named
     try:
-        return cloudmod.synth_scene(spec)
-    except ValueError as exc:  # e.g. noise so large a distance overflows
-        raise ConfigError(f"config: {section}: {exc}") from exc
+        cloud = cloudmod.synth_scene(spec)
+    except ValueError as exc:
+        note = f"; {blame}" if noisy else ""
+        raise ConfigError(f"config: {section}: {exc}{note}") from exc
+    if noisy:
+        raise ConfigError(f"config: {blame}")
+    return cloud
 
 
 def build_scene(scene_tree, section="scene"):
@@ -342,7 +356,8 @@ def build_model_config(tree, num_classes, clouds=()) -> ModelConfig:
                               f"but the cloud provides {channels} input channels")
         # flips and rotations about z keep each point's norm, so an augmented
         # copy spans at most twice the largest; 2**62 leaves int64 room to round
-        span = 2.0 * float(np.hypot.reduce(cloud.positions, axis=1).max())
+        x, y, z = cloud.axes
+        span = 2.0 * float(np.hypot(np.hypot(x, y), z).max())
         if not span / config.voxel_size < 2.0**62:
             raise ConfigError(f"config: model.voxel_size {config.voxel_size:g} gives more "
                               f"than 2**62 cells across the scene's {span:g} m")

@@ -158,7 +158,7 @@ def project_cylindrical(cloud: PointCloud, plane: PlaneSpec) -> GridCoords:
     inclusive: elevation exactly -phi_down lands on the last row (v is
     nudged just below H so the floored pixel stays in range).
     """
-    x, y, z = cloud.positions.T
+    x, y, z = cloud.axes
     d = cloud.depths
     if np.any(d == 0.0):
         bad = int(np.argwhere(d == 0.0)[0, 0])
@@ -204,14 +204,14 @@ def project_orthographic(cloud: PointCloud, plane: PlaneSpec, grids=None) -> Gri
     key = (ua, va, plane.extent, h, w)
     if key not in grids:
         u0, u1, v0, v1 = plane.extent
-        u = (cloud.positions[:, ua] - u0) / (u1 - u0) * w
-        v = (cloud.positions[:, va] - v0) / (v1 - v0) * h
+        u = (cloud.axes[ua] - u0) / (u1 - u0) * w
+        v = (cloud.axes[va] - v0) / (v1 - v0) * h
         in_fov = (u >= 0) & (u < w) & (v >= 0) & (v < h)
         grids[key] = (u, v, in_fov, _pixels(u, v, in_fov, w))
         for array in grids[key]:
             array.flags.writeable = False
     u, v, in_fov, pixel = grids[key]
-    depth = sign * (cloud.positions[:, da] - plane.depth_ref)
+    depth = sign * (cloud.axes[da] - plane.depth_ref)
     return GridCoords(u=u, v=v, depth=depth, in_fov=in_fov, pixel=pixel)
 
 
@@ -263,7 +263,7 @@ def rasterize(cloud, coords, plane, channels=DEFAULT_CHANNELS):
         if name == "occupancy":
             plate[occupied] = 1.0
         elif name in ("x", "y", "z"):
-            plate[occupied] = cloud.positions[win, "xyz".index(name)]
+            plate[occupied] = cloud.axes["xyz".index(name)][win]
         elif name == "depth":
             plate[occupied] = zbuffer[occupied]
         else:
@@ -293,7 +293,6 @@ def gather_offsets(cloud: PointCloud, hexset: HexPlaneSet):
     pixel has an exactly zero offset.
     """
     n = cloud.n
-    pos = cloud.positions
     offsets = np.empty((n, len(hexset.planes), 3))
     valid = np.empty(offsets.shape[:2], dtype=bool)
     for m, plane in enumerate(hexset.planes):
@@ -304,7 +303,8 @@ def gather_offsets(cloud: PointCloud, hexset: HexPlaneSet):
         # finite, so its offset is x - x = +0.0
         win = np.arange(n)
         win[coords.in_fov] = plane.index.winner.ravel()[coords.pixel]
-        np.subtract(pos, pos[win], out=offsets[:, m])
+        for axis, row in enumerate(cloud.axes):
+            np.subtract(row, row[win], out=offsets[:, m, axis])
         valid[:, m] = coords.in_fov
     return offsets, valid
 
@@ -346,10 +346,8 @@ def auto_extent(cloud: PointCloud):
     The pad keeps boundary points strictly inside the right-exclusive grid
     so every point is in FOV on the top view.
     """
-    # reducing along contiguous rows is far faster than down (N, 3) columns
-    axes = np.ascontiguousarray(cloud.positions.T)
-    lo = axes.min(axis=1)
-    hi = axes.max(axis=1)
+    lo = cloud.axes.min(axis=1)
+    hi = cloud.axes.max(axis=1)
     pad = np.maximum((hi - lo) * MARGIN_FRAC, 1e-6)
     return lo - pad, hi + pad
 

@@ -74,6 +74,64 @@ def zbuffer_pixel_scan(u, v, depth, in_fov, height, width):
     return winner, zbuf
 
 
+# per orthographic kind: (u column, v column, depth column, depth sign)
+_ORTHO_COLUMNS = {
+    "xy_top": (0, 1, 2, -1.0),
+    "xz_front": (0, 2, 1, -1.0),
+    "xz_back": (0, 2, 1, 1.0),
+    "yz_left": (1, 2, 0, 1.0),
+    "yz_right": (1, 2, 0, -1.0),
+}
+
+
+def project_columns_reference(positions, specs):
+    """Every plane of `specs` projected from the columns of a C-ordered
+    (N, 3) copy of `positions`, with the formulas of a cloud that stores its
+    points row by row. Returns (depths, planes, offsets): per plane a dict
+    of u, v, depth, in_fov, pixel, winner, zbuffer and the x, y, z, depth,
+    occupancy raster; offsets (N, M, 3) to each point's pixel winner."""
+    pos = np.array(positions, dtype=np.float64, order="C")
+    n = pos.shape[0]
+    x, y, z = pos[:, 0], pos[:, 1], pos[:, 2]
+    depths = np.sqrt((x * x + y * y) + z * z)
+    planes, offsets = [], np.empty((n, len(specs), 3))
+    for m, spec in enumerate(specs):
+        h, w = spec.height, spec.width
+        if spec.kind == "cylindrical":
+            sensor = spec.sensor
+            az = np.arctan2(y, x)
+            az[az == -np.pi] = np.pi
+            u = 0.5 * (1.0 - az / np.pi) * w
+            u[u == w] = np.nextafter(float(w), 0.0)
+            elev = np.arcsin(z / depths)
+            v = (1.0 - (elev + sensor.phi_down) / sensor.xi) * h
+            in_fov = (elev >= -sensor.phi_down) & (elev <= sensor.phi_up)
+            v[in_fov & (v == h)] = np.nextafter(float(h), 0.0)
+            depth = depths
+        else:
+            ua, va, da, sign = _ORTHO_COLUMNS[spec.kind]
+            u0, u1, v0, v1 = spec.extent
+            u = (pos[:, ua] - u0) / (u1 - u0) * w
+            v = (pos[:, va] - v0) / (v1 - v0) * h
+            in_fov = np.ones(n, dtype=bool)
+            depth = sign * (pos[:, da] - spec.depth_ref)
+        in_fov &= (u >= 0) & (u < w) & (v >= 0) & (v < h)
+        pixel = np.floor(v[in_fov]).astype(np.int64) * w + np.floor(u[in_fov]).astype(np.int64)
+        winner, zbuffer = zbuffer_sequential(u, v, depth, in_fov, h, w)
+        occupied = winner >= 0
+        raster = np.zeros((h, w, 5))
+        for axis in range(3):
+            raster[:, :, axis][occupied] = pos[winner[occupied], axis]
+        raster[:, :, 3][occupied] = zbuffer[occupied]
+        raster[:, :, 4][occupied] = 1.0
+        win = np.arange(n)
+        win[in_fov] = winner.ravel()[pixel]
+        offsets[:, m] = pos - pos[win]
+        planes.append({"u": u, "v": v, "depth": depth, "in_fov": in_fov, "pixel": pixel,
+                       "winner": winner, "zbuffer": zbuffer, "raster": raster})
+    return depths, planes, offsets
+
+
 def conv2d_reference(x, w, b, stride=2, pad=1):
     """Naive quadruple-loop strided convolution."""
     h, wd, c_in = x.shape

@@ -2,6 +2,7 @@
 
 import math
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,6 +23,7 @@ from hexplane.cloud import (
     synth_scene,
 )
 from hexplane.model import HexPlaneModel, ModelConfig
+from hexplane.projection import auto_extent
 
 
 def random_cloud(rng, with_features=False, with_labels=False, n=None):
@@ -243,6 +245,15 @@ class TestSynthScene:
         with pytest.raises(ValueError, match="face areas that overflow"):
             self.make_spec(room_extent=room)
 
+    def test_primitive_areas_that_overflow_rejected(self):
+        # the room's faces sum inside float64 but the cylinder's side does
+        # not; this used to warn from apportion_counts' areas.sum()
+        cyl = Primitive("cylinder", center=(0.0, 0.0, 2.5e153), size=(2.5e153, 5.0e153),
+                        class_id=2)
+        spec = self.make_spec(room_extent=(5.0e153,) * 3, primitives=(cyl,))
+        with pytest.raises(ValueError, match="areas sum past float64"):
+            synth_scene(spec)
+
 
 class TestAugment:
     def test_flip_x(self):
@@ -273,6 +284,18 @@ class TestAugment:
         after = np.linalg.norm(diff2, axis=2)
         denom = np.maximum(before, 1e-30)
         assert (np.abs(after - before) / denom).max() < 1e-9
+
+    @pytest.mark.parametrize("flip_x,flip_y", [(False, False), (True, False),
+                                               (False, True), (True, True)])
+    def test_flips_then_rotation_match_the_row_formula_bitwise(self, flip_x, flip_y):
+        # the flips are folded into the rotation's columns: the same products,
+        # so the same bits as flipping each point, then rotating it
+        pos = np.random.default_rng(15).normal(size=(2000, 3)) * 4
+        out = augment(PointCloud(positions=pos), flip_x=flip_x, flip_y=flip_y, rotate_z=0.83)
+        flipped = pos * [-1.0 if flip_x else 1.0, -1.0 if flip_y else 1.0, 1.0]
+        c, s = math.cos(0.83), math.sin(0.83)
+        want = flipped @ np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]).T
+        assert out.positions.tobytes() == want.tobytes()
 
     def test_labels_features_carried(self):
         rng = np.random.default_rng(12)
@@ -351,6 +374,37 @@ class TestCloudInvariants:
         with pytest.raises(ValueError):
             cloud.positions[0, 0] = 2.0
 
+    def test_coordinates_stored_once_axis_major(self):
+        pos = np.random.default_rng(34).normal(size=(50, 3))
+        cloud = PointCloud(positions=pos)
+        axes = cloud.axes
+        assert axes.shape == (3, 50) and axes.flags.c_contiguous and not axes.flags.writeable
+        assert np.shares_memory(cloud.positions, axes)
+        assert cloud.positions.flags.f_contiguous and not cloud.positions.flags.writeable
+        assert cloud.positions.tobytes() == pos.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            axes[0, 0] = 1.0
+        # a cloud built from another's positions shares its read-only axes
+        assert PointCloud(positions=cloud.positions).axes.base is axes
+
+    def test_a_large_cloud_keeps_one_copy_and_auto_extent_none(self):
+        n = 100_000
+        pos = np.random.default_rng(35).uniform(-4, 4, size=(n, 3))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            cloud = PointCloud(positions=pos)
+            kept = tracemalloc.get_traced_memory()[0] - start
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            auto_extent(cloud)
+            extent_peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        stored = 3 * n * 8 + n * 8  # the (3, N) axes plus depths
+        assert stored <= kept < stored + 4096, kept
+        assert extent_peak < 4096, extent_peak  # no (3, N) transposed copy
+
     def test_caller_arrays_stay_writable_and_unshared(self):
         # contiguous arrays of the right dtype, so np.ascontiguousarray hands
         # back the caller's own objects
@@ -365,7 +419,15 @@ class TestCloudInvariants:
         from_view = PointCloud(positions=view)
         base[1, 0] = 5.0
         assert from_view.positions[0, 0] == 0.0
-        for arr in (cloud.positions, cloud.features, cloud.labels, from_view.positions):
+        # an F-ordered read-only view whose transpose is the writable owner
+        rows = np.zeros((3, 4))
+        columns = rows.T
+        columns.setflags(write=False)
+        from_columns = PointCloud(positions=columns)
+        rows[0, 0] = 5.0
+        assert from_columns.positions[0, 0] == 0.0
+        for arr in (cloud.positions, cloud.features, cloud.labels, from_view.positions,
+                    from_columns.positions):
             assert not arr.flags.writeable
 
     def test_augment_keeps_its_arrays_without_a_copy(self, monkeypatch):

@@ -241,6 +241,19 @@ MALFORMED = [
     ("train", {"scene": {"room_extent": [1.0e300, 8.0, 3.0]}}, "config: scene.room_extent"),
     ("train", {"eval_scene": {"kind": "synth", "room_extent": [8.0, 1.4e154, 3.0]}},
      "config: eval_scene.room_extent"),
+    # a primitive whose area pushed the surfaces' total past float64 printed
+    # an overflow warning, then failed on model.voxel_size
+    ("train", {"scene": {"room_extent": [5.0e153, 5.0e153, 5.0e153], "primitives": [
+        {"kind": "cylinder", "center": [0, 0, 2.5e153], "size": [2.5e153, 5.0e153],
+         "class_id": 2}]}}, "config: scene.primitives: the surfaces' areas sum past float64"),
+    # a noise that pushed points too far named the section, or else the voxel size
+    ("train", {"scene": {"noise": 1e300, "num_points": 300}},
+     "scene.noise 1e+300 can push a point's distance past float64"),
+    ("train", {"eval_scene": {"kind": "synth", "noise": 1.0e154}},
+     "config: eval_scene.noise 1e+154 can push"),
+    # a room whose own far corner is past float64 is not blamed on the noise
+    ("train", {"scene": {"room_extent": [1.0e153, 8.0, 1.3407e154], "num_points": 300}},
+     "config: model.voxel_size 0.4 gives more than 2**62 cells"),
 ]
 
 

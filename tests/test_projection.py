@@ -9,7 +9,8 @@ import pytest
 
 import oracles
 from hexplane import config as cfg
-from hexplane.cloud import PointCloud, make_occlusion_scene
+from hexplane.attention import encode_points, init_point_encoder
+from hexplane.cloud import PointCloud, default_features, make_occlusion_scene
 from hexplane.images import load_projection_index, save_projection_index
 from hexplane.projection import (
     EMPTY,
@@ -514,6 +515,54 @@ class TestOffsets:
         offsets, valid = gather_offsets(cloud, hexset)
         assert not valid[1, 5]
         assert np.all(offsets[1, 5] == 0.0)
+
+
+class TestAxisMajorLayout:
+    """The cloud stores its coordinates axis-major and the projection reads
+    rows; a C-ordered copy projected with the column formulas gives the
+    same bits."""
+
+    @pytest.mark.parametrize("sensor,narrow", [(SensorConfig(math.pi / 2, math.pi / 2), False),
+                                               (KITTI_SENSOR, True)],
+                             ids=["in_view", "compacting"])
+    def test_matches_column_oracle(self, sensor, narrow):
+        rng = np.random.default_rng(61)
+        cloud = random_cloud(rng, n=1000)
+        specs = default_plane_specs(cloud, sensor=sensor)
+        if narrow:  # a top view over half of the cloud's y range
+            u0, u1, v0, v1 = specs[0].extent
+            specs[0] = dataclasses.replace(specs[0], extent=(u0, u1, v0, (v0 + v1) / 2))
+        hexset = hexplane_project(cloud, specs)
+        every = [bool(p.index.coords.in_fov.all()) for p in hexset.planes]
+        assert every == [not narrow] + [True] * 4 + [not narrow], every
+        depths, planes, offsets = oracles.project_columns_reference(cloud.positions, specs)
+        assert cloud.depths.tobytes() == depths.tobytes()
+        for plane, want in zip(hexset.planes, planes):
+            coords, index = plane.index.coords, plane.index
+            got = {"u": coords.u, "v": coords.v, "depth": coords.depth,
+                   "in_fov": coords.in_fov, "pixel": coords.pixel, "winner": index.winner,
+                   "zbuffer": index.zbuffer, "raster": plane.raster}
+            for name, array in got.items():
+                assert array.dtype == want[name].dtype, (plane.spec.kind, name)
+                assert array.tobytes() == want[name].tobytes(), (plane.spec.kind, name)
+        got_offsets, valid = gather_offsets(cloud, hexset)
+        assert got_offsets.tobytes() == offsets.tobytes()
+        assert np.array_equal(valid, np.stack([p["in_fov"] for p in planes], axis=1))
+
+    def test_encode_points_reads_either_layout_to_the_same_bits(self):
+        rng = np.random.default_rng(62)
+        cloud = random_cloud(rng, n=1000)
+        assert cloud.positions.flags.f_contiguous
+        feats = default_features(cloud)
+        params = init_point_encoder(4, 8, rng)
+        rows = np.ascontiguousarray(cloud.positions)
+        # at 2**-40 m the cells outnumber an int64 key: the np.unique(axis=0) path
+        for voxel in (0.3, 2.0**-40):
+            got, got_cache = encode_points(cloud.positions, feats, params, voxel_size=voxel)
+            want, want_cache = encode_points(rows, feats, params, voxel_size=voxel)
+            assert got.tobytes() == want.tobytes()
+            for a, b in zip(got_cache[2:4], want_cache[2:4]):  # inverse, counts
+                assert a.tobytes() == b.tobytes()
 
 
 class TestLabelRasters:
