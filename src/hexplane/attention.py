@@ -22,9 +22,9 @@ so no (N*M, h*d) key or value tensor is formed.
 The forward cache holds the inputs, the queries q, the softmax weights and
 the context, but no (N, h, C_f) tensor: the backward rebuilds
 a_h = W_key_h q_h and g_bar_h = sum_m w_hm g_m, one product each and bit
-for bit, and frees each whole-batch temporary once it is consumed. Its
-per-point products run over blocks of POINT_BLOCK points in one reused
-buffer, bit for bit as on the whole batch; products that sum over the
+for bit, and frees each whole-batch temporary once it is consumed. Forward
+and backward run their per-point products over blocks of POINT_BLOCK
+points, bit for bit as on the whole batch; products that sum over the
 points run on the whole batch.
 """
 
@@ -34,6 +34,7 @@ import numpy as np
 
 from . import ops
 from .encoder import feature_grid
+from .ops import POINT_BLOCK
 from .projection import HexPlaneSet
 
 
@@ -120,12 +121,6 @@ def _join_heads(blocks):
     return blocks.transpose(1, 0, 2).reshape(blocks.shape[1], -1)
 
 
-# points per block of the attention backward's per-point products and of the
-# inference forward's point tail (`HexPlaneModel.forward`), so that their
-# (block, 2h, C_f) and (block, 6, C_f) tensors do not grow with the point count
-POINT_BLOCK = 256
-
-
 def cross_attention_forward(point_feats, gathered, valid, offsets, params, heads):
     """Fuse the six gathered plane features into one vector per point.
 
@@ -135,35 +130,39 @@ def cross_attention_forward(point_feats, gathered, valid, offsets, params, heads
     runs over the valid planes only; a point with none gets a zero context.
     Returns (fused (N, C_out), cache).
     """
-    n = gathered.shape[0]
+    n, m, _ = gathered.shape
     h, d = heads, params["w_query"].shape[1] // heads
+    w_key, w_pos, w_value = (_head_blocks(params[k], h) for k in ("w_key", "w_pos", "w_value"))
 
     # per-head GEMMs over (h, N, .) views; the key side folds into the query
     q = (point_feats @ params["w_query"]).reshape(n, h, d).transpose(1, 0, 2)
-    a = (q @ _head_blocks(params["w_key"], h).transpose(0, 2, 1)).transpose(1, 0, 2)
-    b = (q @ _head_blocks(params["w_pos"], h).transpose(0, 2, 1)).transpose(1, 0, 2)
+    weights = np.empty((n, h, m))
+    context = np.empty((n, h, d))
+    for start in range(0, n, POINT_BLOCK):
+        rows = slice(start, start + POINT_BLOCK)
+        a = (q[:, rows] @ w_key.transpose(0, 2, 1)).transpose(1, 0, 2)
+        b = (q[:, rows] @ w_pos.transpose(0, 2, 1)).transpose(1, 0, 2)
 
-    # per-point (h, C_f) @ (C_f, M) products
-    scores = a @ gathered.transpose(0, 2, 1)
-    scores += b @ offsets.transpose(0, 2, 1)
-    del a, b  # the backward rebuilds a from q
-    scores /= np.sqrt(d)
-    scores = np.where(valid[:, None, :], scores, -np.inf)
-    # a point out of FOV on every plane: exps are all 0, so weights are too
-    blind = ~valid.any(axis=1)
-    # a running max over the M slices beats a reduce over the short last axis
-    scores_max = scores[:, :, :1].copy()
-    for m in range(1, scores.shape[2]):
-        np.maximum(scores_max, scores[:, :, m:m + 1], out=scores_max)
-    scores_max[blind] = 0.0
-    exps = np.exp(scores - scores_max)
-    total = exps.sum(axis=2, keepdims=True)
-    total[blind] = 1.0
-    weights = exps / total  # (n, h, m), 0 on invalid
+        # per-point (h, C_f) @ (C_f, M) products
+        scores = a @ gathered[rows].transpose(0, 2, 1)
+        scores += b @ offsets[rows].transpose(0, 2, 1)
+        scores /= np.sqrt(d)
+        scores = np.where(valid[rows, None, :], scores, -np.inf)
+        # a point out of FOV on every plane: exps are all 0, so weights are too
+        blind = ~valid[rows].any(axis=1)
+        # a running max over the M slices beats a reduce over the short last axis
+        scores_max = scores[:, :, :1].copy()
+        for k in range(1, m):
+            np.maximum(scores_max, scores[:, :, k:k + 1], out=scores_max)
+        scores_max[blind] = 0.0
+        exps = np.exp(scores - scores_max)
+        total = exps.sum(axis=2, keepdims=True)
+        total[blind] = 1.0
+        np.divide(exps, total, out=weights[rows])  # 0 on invalid
 
-    g_bar = weights @ gathered  # (n, h, C_f)
-    context = g_bar.transpose(1, 0, 2) @ _head_blocks(params["w_value"], h)
-    context = context.transpose(1, 0, 2).reshape(n, h * d)
+        g_bar = weights[rows] @ gathered[rows]  # (B, h, C_f)
+        np.matmul(g_bar.transpose(1, 0, 2), w_value, out=context[rows].transpose(1, 0, 2))
+    context = context.reshape(n, h * d)
     fused = context @ params["w_out"]
     cache = (point_feats, gathered, offsets, q, weights, context, params)
     return fused, cache
@@ -174,47 +173,64 @@ def attention_weights(cache):
     return cache[4]
 
 
-def cross_attention_backward(grad, cache):
+def cross_attention_backward(grad, cache, out=None):
     """Gradients of the fused output w.r.t. the features and the weights.
 
     Returns a dict with point_feats, gathered, and the five weight matrices;
     invalid planes carry exactly zero gradient. The offsets get none: they
     come from the cloud's positions, which nothing trains.
+
+    The gathered features' gradient is written to `out`, (N, M, C_f), or to
+    a new array when it is None. `out` may be the cache's own gathered
+    features: each block of points overwrites its rows after its last read
+    of them, so a caller that consumes the cache needs no second array.
     """
     point_feats, gathered, offsets, q, weights, context, params = cache
     h, n, d = q.shape
+    c_f = gathered.shape[2]
     w_key, w_value, w_pos = (_head_blocks(params[k], h) for k in ("w_key", "w_value", "w_pos"))
 
     d_context = (grad @ params["w_out"].T).reshape(n, h, d).transpose(1, 0, 2)
     dw_out = context.T @ grad
     dw_value = (weights @ gathered).transpose(1, 2, 0) @ d_context  # g_bar rebuilt
 
-    # per point, over POINT_BLOCK rows at a time: d_g_bar beside the rebuilt
-    # a, so that w^T d_g_bar + d_scores^T a is one product
-    d_scores = np.empty_like(weights)
-    d_gathered = np.empty_like(gathered)
-    d_g_bar_a = np.empty((min(n, POINT_BLOCK), 2 * h, gathered.shape[2]))
+    # per point, over POINT_BLOCK rows at a time. First d_g_bar, into the
+    # (N, h, C_f) array that then takes d_a block by block, so that
+    # d_context dies before the pass below; d_a and d_b are laid out
+    # (N, h, .), as whole-batch products over the points would form them,
+    # for the sums after the loop
+    d_a, d_b = np.empty((n, h, c_f)), np.empty((n, h, 3))
+    for s in range(0, n, POINT_BLOCK):
+        rows = slice(s, s + POINT_BLOCK)
+        np.matmul(d_context[:, rows], w_value.transpose(0, 2, 1), out=d_a[rows].transpose(1, 0, 2))
+    del d_context
+
+    # then d_g_bar beside the rebuilt a, so that w^T d_g_bar + d_scores^T a
+    # is one product
+    d_gathered = np.empty_like(gathered) if out is None else out
+    d_g_bar_a = np.empty((min(n, POINT_BLOCK), 2 * h, c_f))
     for s in range(0, n, POINT_BLOCK):
         rows = slice(s, s + POINT_BLOCK)
         w = weights[rows]
         block = d_g_bar_a[:len(w)]
         d_g_bar = block[:, :h]
-        np.matmul(d_context[:, rows], w_value.transpose(0, 2, 1), out=d_g_bar.transpose(1, 0, 2))
+        d_g_bar[...] = d_a[rows]
         np.matmul(q[:, rows], w_key.transpose(0, 2, 1), out=block[:, h:].transpose(1, 0, 2))
 
         # softmax backward; rows of `weights` are zero exactly on masked planes
         d_weights = d_g_bar @ gathered[rows].transpose(0, 2, 1)
         inner = (d_weights * w).sum(axis=2, keepdims=True)
-        np.divide(w * (d_weights - inner), np.sqrt(d), out=d_scores[rows])
-        np.matmul(np.concatenate([w, d_scores[rows]], axis=1).transpose(0, 2, 1), block,
+        d_scores = w * (d_weights - inner) / np.sqrt(d)
+        np.matmul(d_scores, gathered[rows], out=d_a[rows])
+        np.matmul(d_scores, offsets[rows], out=d_b[rows])
+        # the block's last read of gathered is above, so out may be gathered
+        np.matmul(np.concatenate([w, d_scores], axis=1).transpose(0, 2, 1), block,
                   out=d_gathered[rows])
         del block, d_g_bar  # views of the buffer, which dies below
-    del d_context, d_g_bar_a
+    del d_g_bar_a
 
     # products that sum over the points run on the whole batch
-    d_a = (d_scores @ gathered).transpose(1, 0, 2)  # (h, n, C_f)
-    d_b = (d_scores @ offsets).transpose(1, 0, 2)  # (h, n, 3)
-    del d_scores
+    d_a, d_b = d_a.transpose(1, 0, 2), d_b.transpose(1, 0, 2)  # (h, n, .)
     dq = np.empty((n, h, d))  # d_a w_key + d_b w_pos, laid out as (n, h*d)
     np.matmul(d_a, w_key, out=dq.transpose(1, 0, 2))
     dw_key = _join_heads(d_a.transpose(0, 2, 1) @ q)

@@ -56,9 +56,9 @@ def _frozen(value, dtype) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointCloud:
-    """Immutable set of N labeled 3D points.
+    """Immutable set of N labeled 3D points; equality and hash are identity.
 
     positions: (N, 3) float64, meters: a read-only, F-ordered view of `axes`,
                so code that needs C-ordered rows of points copies them.
@@ -74,8 +74,8 @@ class PointCloud:
     positions: np.ndarray
     features: np.ndarray | None = None
     labels: np.ndarray | None = None
-    axes: np.ndarray = field(init=False, repr=False, compare=False)
-    depths: np.ndarray = field(init=False, repr=False, compare=False)
+    axes: np.ndarray = field(init=False, repr=False)
+    depths: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         axes = _frozen(np.asarray(self.positions).T, np.float64)
@@ -284,6 +284,9 @@ def _load_binary(raw: bytes) -> PointCloud:
 # ---------------------------------------------------------------------------
 
 
+PRIMITIVE_KINDS = ("box", "cylinder")
+
+
 @dataclass(frozen=True)
 class Primitive:
     """Surface-sampled solid placed in a scene.
@@ -299,7 +302,7 @@ class Primitive:
     class_id: int
 
     def __post_init__(self):
-        if self.kind not in ("box", "cylinder"):
+        if self.kind not in PRIMITIVE_KINDS:
             raise ValueError(f"unknown primitive kind {self.kind!r}")
         want = 3 if self.kind == "box" else 2
         if len(self.size) != want:

@@ -255,7 +255,9 @@ def build_scene_spec(scene_tree, section="scene") -> SceneSpec:
                                    size=_cast(p["size"], (0.0,)), class_id=p["class_id"]))
             cloudmod.check_primitive_in_room(prims[-1], room)
         except ValueError as exc:
-            raise ConfigError(f"config: {key}: {exc}") from exc
+            note = ("" if p["kind"] in cloudmod.PRIMITIVE_KINDS else
+                    f"; {key}.kind must be one of {', '.join(cloudmod.PRIMITIVE_KINDS)}")
+            raise ConfigError(f"config: {key}: {exc}{note}") from exc
         ids.append((f"{key}.class_id", p["class_id"]))
     for key, cls in ids:
         if not 0 <= cls < classes:

@@ -14,7 +14,6 @@ import numpy as np
 
 from . import heads, ops
 from .attention import (
-    POINT_BLOCK,
     cross_attention_backward,
     cross_attention_forward,
     encode_points,
@@ -179,7 +178,7 @@ class HexPlaneModel:
 
         head = groups["head/point"]
         point_logits = np.empty((cloud.n, head["W"].shape[1]))
-        block = cloud.n if grad else POINT_BLOCK
+        block = cloud.n if grad else ops.POINT_BLOCK
         for start in range(0, cloud.n, block):
             rows = slice(start, start + block)
             head_in = f_p[rows]
@@ -212,7 +211,8 @@ class HexPlaneModel:
         del head_cache
 
         if self.config.use_planes:
-            attn_grads = cross_attention_backward(d_head_in, attn_cache)
+            # d_gathered is written over the consumed cache's own gathered features
+            attn_grads = cross_attention_backward(d_head_in, attn_cache, out=attn_cache[1])
             del attn_cache
             grads["attn"] = {key: attn_grads[key] for key in self.groups["attn"]}
             d_f_p = attn_grads["point_feats"]

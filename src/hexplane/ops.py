@@ -8,11 +8,20 @@ against central finite differences.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
 
 from .cloud import UNLABELED
+
+
+# points per block of the per-point work whose temporaries would otherwise
+# grow with the point count: the bilinear sample's taps, the attention
+# forward and backward, and the inference forward's point tail
+# (`HexPlaneModel.forward`). Per-point results have the same bits in any
+# block; every sum over the points stays one whole-batch product.
+POINT_BLOCK = 256
 
 
 # ---------------------------------------------------------------------------
@@ -123,16 +132,28 @@ def conv2d_backward(grad, cache, input_grad=True):
 
 
 def scatter_rows(ids, vals, n_rows):
-    """out[ids[i]] += vals[i] into zeros of shape (n_rows,) + vals.shape[1:].
+    """out[ids[i]] += vals[i] into zeros of shape (n_rows,) + vals.shape[1:]:
+    `scatter_groups` with every column in one group."""
+    width = int(np.prod(vals.shape[1:], dtype=np.int64))
+    out = scatter_groups(ids, vals.reshape(1, len(vals), width), n_rows)
+    return out.reshape((n_rows,) + vals.shape[1:])
+
+
+def scatter_groups(ids, groups, n_rows):
+    """Row scatter-add of column groups: groups (G, K, g) holds the columns
+    of (K, G * g) values g at a time, and the result is their (n_rows, G * g)
+    sums, row ids[i] taking row i. Every group goes through one (K, g) bin
+    table.
 
     Bit-identical to numpy's unbuffered `ufunc.at` scatter-add: bincount adds
     each bin's weights in input order starting from zero, just as that does,
     and runs several times faster.
     """
-    width = int(np.prod(vals.shape[1:], dtype=np.int64))
+    width = groups.shape[2]
     bins = np.add.outer(ids * width, np.arange(width)).ravel()
-    out = np.bincount(bins, weights=vals.ravel(), minlength=n_rows * width)
-    return out.reshape((n_rows,) + vals.shape[1:])
+    sums = [np.bincount(bins, weights=group.ravel(), minlength=n_rows * width)
+            .reshape(n_rows, width) for group in groups]
+    return sums[0] if len(sums) == 1 else np.concatenate(sums, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +210,8 @@ def bilinear_sample_forward(fmap, u, v, grid=None):
     """Sample (H, W, C) at fractional grid coordinates; integer (u, v) hit nodes.
 
     Coordinates are clamped to the grid, so queries on or past the border
-    read the edge value. The output has shape u.shape + (C,).
+    read the edge value. u and v have at least one axis, and the output has
+    shape u.shape + (C,).
 
     With `grid` = (base, h, w), `fmap` is instead a (rows, C) table of maps
     stacked row-major, and each sample reads the h x w map that starts at
@@ -211,34 +233,55 @@ def bilinear_sample_forward(fmap, u, v, grid=None):
     y1 = np.minimum(y0 + 1, h - 1)
     fx = (x - x0)[..., None]
     fy = (y - y0)[..., None]
-    # ((A + B) + C) + D, each tap scaled in place in a reused buffer, so no
-    # fresh (N, C) temporary per term. Every index is in range, so "clip"
-    # changes no value; it lets `take` write to `out` without a buffer.
-    out = np.take(table, base + y0 * w + x0, axis=0, mode="clip")
-    out *= (1 - fy) * (1 - fx)
-    tap = np.empty_like(out)
-    for row, col, weight in ((y0, x1, (1 - fy) * fx), (y1, x0, fy * (1 - fx)),
-                             (y1, x1, fy * fx)):
-        np.take(table, base + row * w + col, axis=0, out=tap, mode="clip")
-        tap *= weight
-        out += tap
+    taps = [(base + row * w + col, weight) for row, col, weight in (
+        (y0, x0, (1 - fy) * (1 - fx)), (y0, x1, (1 - fy) * fx),
+        (y1, x0, fy * (1 - fx)), (y1, x1, fy * fx))]
+    # ((A + B) + C) + D over POINT_BLOCK rows at a time, each tap scaled in
+    # place in one reused block buffer, so no temporary grows with the rows.
+    # Every index is in range, so "clip" changes no value; it lets `take`
+    # write to `out` without a buffer.
+    out = np.empty(taps[0][0].shape + (table.shape[1],))
+    tap = np.empty((min(len(out), POINT_BLOCK),) + out.shape[1:])
+    (first, first_weight), *rest = taps
+    for start in range(0, len(out), POINT_BLOCK):
+        rows = slice(start, start + POINT_BLOCK)
+        acc = out[rows]
+        part = tap[:len(acc)]
+        np.take(table, first[rows], axis=0, out=acc, mode="clip")
+        acc *= first_weight[rows]
+        for ids, weight in rest:
+            np.take(table, ids[rows], axis=0, out=part, mode="clip")
+            part *= weight[rows]
+            acc += part
     return out, (fmap.shape, x0, x1, y0, y1, fx, fy)
 
 
+SCATTER_GROUP = 8  # most columns per bin-table group of the sample backward
+
+
 def bilinear_sample_backward(grad, cache):
-    """Scatter the sample gradient back onto the feature map."""
+    """Scatter the sample gradient back onto the feature map.
+
+    The tap products are written group-major, as the C columns' groups of
+    gcd(C, SCATTER_GROUP), so that the scatter's bin table is (4N, group),
+    not (4N, C). Each bin still adds its terms in the same order from zero,
+    so the sums have the same bits as one scatter of every column."""
     (h, w, c), x0, x1, y0, y1, fx, fy = cache
     ids = np.concatenate([y0 * w + x0, y0 * w + x1, y1 * w + x0, y1 * w + x1])
+    group = math.gcd(c, SCATTER_GROUP)
     # one buffer, no large temporaries; each tap keeps the left-to-right
     # rounding of grad * (1 - fy) * (1 - fx) and its three siblings
-    vals = np.empty((4,) + grad.shape)
-    np.multiply(grad, 1 - fy, out=vals[0])
-    np.multiply(vals[0], fx, out=vals[1])
-    vals[0] *= 1 - fx
-    np.multiply(grad, fy, out=vals[2])
-    np.multiply(vals[2], fx, out=vals[3])
-    vals[2] *= 1 - fx
-    return scatter_rows(ids, vals.reshape(-1, c), h * w).reshape(h, w, c)
+    vals = np.empty((c // group, 4) + grad.shape[:-1] + (group,))
+    taps = np.moveaxis(vals, 0, -2)  # (4,) + grad.shape with C split in groups
+    grad = grad.reshape(grad.shape[:-1] + (c // group, group))
+    fx, fy = fx[..., None], fy[..., None]
+    np.multiply(grad, 1 - fy, out=taps[0])
+    np.multiply(taps[0], fx, out=taps[1])
+    taps[0] *= 1 - fx
+    np.multiply(grad, fy, out=taps[2])
+    np.multiply(taps[2], fx, out=taps[3])
+    taps[2] *= 1 - fx
+    return scatter_groups(ids, vals.reshape(c // group, -1, group), h * w).reshape(h, w, c)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,6 @@
 
 import math
 import struct
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -24,6 +23,7 @@ from hexplane.cloud import (
 )
 from hexplane.model import HexPlaneModel, ModelConfig
 from hexplane.projection import auto_extent
+from test_encoder import traced_peak
 
 
 def random_cloud(rng, with_features=False, with_labels=False, n=None):
@@ -390,20 +390,13 @@ class TestCloudInvariants:
     def test_a_large_cloud_keeps_one_copy_and_auto_extent_none(self):
         n = 100_000
         pos = np.random.default_rng(35).uniform(-4, 4, size=(n, 3))
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
+        with traced_peak() as built:
             cloud = PointCloud(positions=pos)
-            kept = tracemalloc.get_traced_memory()[0] - start
-            tracemalloc.reset_peak()
-            start = tracemalloc.get_traced_memory()[0]
+        with traced_peak() as extent:
             auto_extent(cloud)
-            extent_peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
         stored = 3 * n * 8 + n * 8  # the (3, N) axes plus depths
-        assert stored <= kept < stored + 4096, kept
-        assert extent_peak < 4096, extent_peak  # no (3, N) transposed copy
+        assert stored <= built.held < stored + 4096, f"held {built.held} B"
+        assert extent.peak < 4096, f"traced peak {extent.peak} B"  # no (3, N) transposed copy
 
     def test_caller_arrays_stay_writable_and_unshared(self):
         # contiguous arrays of the right dtype, so np.ascontiguousarray hands
@@ -429,6 +422,12 @@ class TestCloudInvariants:
         for arr in (cloud.positions, cloud.features, cloud.labels, from_view.positions,
                     from_columns.positions):
             assert not arr.flags.writeable
+
+    def test_equality_and_hash_are_identity(self):
+        pos = np.ones((2, 3))
+        a, b = PointCloud(positions=pos), PointCloud(positions=pos)
+        assert a == a and a != b and not (a == b)
+        assert hash(a) == hash(a) and len({a, b, a}) == 2
 
     def test_augment_keeps_its_arrays_without_a_copy(self, monkeypatch):
         # the train loop builds one augmented cloud per step

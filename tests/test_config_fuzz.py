@@ -1,0 +1,97 @@
+"""Config fuzz: every leaf of the shipped occlusion_transfer.yaml, one at a
+time, set to each value of a fixed table of hostile values, through
+`hexplane train` in-process. Each run must end in a documented exit code (0
+ok, 1 validation, 2 numerical) with no traceback and no warning, and an exit
+1 must say `error: config:` and name the leaf by its dotted key.
+
+The base run is the shipped config at 300 points and 2 steps, so that the
+cases that validate also train, project and evaluate. No value in the table
+asks for a large allocation: a plane height of 1e9 would build its raster.
+"""
+
+import copy
+import warnings
+from pathlib import Path
+
+import pytest
+import yaml
+
+from hexplane import cli
+
+SHIPPED = Path(__file__).resolve().parents[1] / "configs" / "occlusion_transfer.yaml"
+
+HOSTILE = [0, -1, 3, 0.5, 1e300, -1e300, 1e-300, True, "x", [], None, {"a": 1}]
+
+
+def leaves(tree, path=()):
+    """Paths of the tree's leaves: every value that is not a mapping, a list
+    of scalars counting as one leaf, and a list of mappings read through."""
+    for key, value in tree.items():
+        here = path + (key,)
+        if isinstance(value, dict):
+            yield from leaves(value, here)
+        elif isinstance(value, list) and value and isinstance(value[0], dict):
+            for i, item in enumerate(value):
+                yield from leaves(item, here + (i,))
+        else:
+            yield here
+
+
+def dotted(path):
+    out = ""
+    for part in path:
+        out += f"[{part}]" if isinstance(part, int) else f".{part}" if out else part
+    return out
+
+
+def base_tree():
+    tree = yaml.safe_load(SHIPPED.read_text())
+    tree["output_dir"] = "out"
+    tree["scene"]["num_points"] = 300
+    tree["training"]["steps"] = 2
+    return tree
+
+
+def test_every_leaf_takes_every_hostile_value(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    base = base_tree()
+    paths = list(leaves(yaml.safe_load(SHIPPED.read_text())))
+    assert len(paths) > 30
+    failures, exits = [], {0: 0, 1: 0, 2: 0}
+    for path in paths:
+        for value in HOSTILE:
+            tree = copy.deepcopy(base)
+            node = tree
+            for part in path[:-1]:
+                node = node[part]
+            node[path[-1]] = value
+            config = tmp_path / "fuzz.yaml"
+            config.write_text(yaml.safe_dump(tree))
+            case = f"{dotted(path)}: {value!r}"
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    code = cli.main(["train", "--config", str(config)])
+                except Exception as exc:  # a traceback out of the CLI
+                    failures.append(f"{case}: raised {type(exc).__name__}: {exc}")
+                    continue
+            err = capsys.readouterr().err
+            if caught:
+                failures.append(f"{case}: warned {caught[0].category.__name__}: "
+                                f"{caught[0].message}")
+            if code not in exits:
+                failures.append(f"{case}: exit {code}")
+                continue
+            exits[code] += 1
+            if code == 1 and not (err.startswith("error: config:") and dotted(path) in err):
+                failures.append(f"{case}: exit 1 says {err.strip()!r}")
+    assert not failures, "\n".join(failures)
+    # the table reaches both sides of validation
+    assert exits[0] and exits[1], exits
+
+
+@pytest.mark.parametrize("path", [("scene", "primitives", 0, "center"),
+                                  ("planes", "cylindrical", "fov_up_deg")],
+                         ids=dotted)
+def test_leaves_reach_into_lists_and_planes(path):
+    assert path in set(leaves(yaml.safe_load(SHIPPED.read_text())))
