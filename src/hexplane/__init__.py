@@ -78,6 +78,7 @@ from .projection import (
     project_orthographic,
     rasterize,
     rasterize_labels,
+    winner_table,
 )
 from .encoder import encode_plane, feature_grid, fuse_scales
 from .attention import (

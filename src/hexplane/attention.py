@@ -30,6 +30,8 @@ points run on the whole batch.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import ops
@@ -56,14 +58,12 @@ def init_attention_params(c_point, c_feat, heads, head_dim, c_out, rng):
 def stack_planes(feature_maps, hexset: HexPlaneSet):
     """What `gather_plane_features` reads: the fused maps as one
     (sum of H_f * W_f, C_f) table, the grid (each map's first row and
-    (H_f, W_f) in it), and every point's grid coordinates (u, v) on each
-    plane's fused map and valid, each (N, M). Every point is sampled, so
-    out-of-FOV coordinates, which may be NaN, are moved onto the grid at 0;
-    the gather zeroes those rows after."""
+    (H_f, W_f) in it), and per plane its grid coordinates with the factors
+    that scale them onto the fused map. No per-point array is built: the
+    gather scales the rows it samples."""
     if len(feature_maps) != len(hexset.planes):
         raise ValueError("need one feature map per plane")
-    valid = np.stack([plane.index.coords.in_fov for plane in hexset.planes], axis=1)
-    u, v = np.empty(valid.shape), np.empty(valid.shape)
+    views = []
     for m, (fmap, plane) in enumerate(zip(feature_maps, hexset.planes)):
         h, w = plane.raster.shape[:2]
         fh, fw = fmap.shape[:2]
@@ -73,14 +73,11 @@ def stack_planes(feature_maps, hexset: HexPlaneSet):
                 f"feature map {m} is {(fh, fw)}; the {plane.spec.kind} raster "
                 f"needs {want}"
             )
-        np.multiply(plane.index.coords.u, fw / w, out=u[:, m])
-        np.multiply(plane.index.coords.v, fh / h, out=v[:, m])
-    np.copyto(u, 0.0, where=~valid)
-    np.copyto(v, 0.0, where=~valid)
+        views.append((plane.index.coords, fw / w, fh / h))
     shapes = np.array([fmap.shape[:2] for fmap in feature_maps])
     sizes = shapes[:, 0] * shapes[:, 1]
     table = np.concatenate([fmap.reshape(-1, fmap.shape[2]) for fmap in feature_maps])
-    return table, (np.cumsum(sizes) - sizes, *shapes.T), (u, v, valid)
+    return table, (np.cumsum(sizes) - sizes, *shapes.T), views
 
 
 def gather_plane_features(planes, rows):
@@ -89,12 +86,20 @@ def gather_plane_features(planes, rows):
     planes: the output of `stack_planes`; every plane is read with one
     take per bilinear tap from its table. Returns (gathered (B, M, C_f),
     valid (B, M), cache); out-of-FOV entries are zero-filled and flagged
-    invalid. The cache is each map's (H_f, W_f), as ints, and the
-    sampler's taps, x0, x1, y0, y1 (B, M) and fx, fy (B, M, 1).
+    invalid. Every point is sampled, so out-of-FOV coordinates, which may be
+    NaN, are moved onto the grid at 0 first. The cache is each map's
+    (H_f, W_f), as ints, and the sampler's taps, x0, x1, y0, y1 (B, M) and
+    fx, fy (B, M, 1).
     """
-    table, grid, (u, v, valid) = planes
-    valid = valid[rows]
-    gathered, (_, *taps) = ops.bilinear_sample_forward(table, u[rows], v[rows], grid)
+    table, grid, views = planes
+    valid = np.stack([coords.in_fov[rows] for coords, _, _ in views], axis=1)
+    u, v = np.empty(valid.shape), np.empty(valid.shape)
+    for m, (coords, scale_u, scale_v) in enumerate(views):
+        np.multiply(coords.u[rows], scale_u, out=u[:, m])
+        np.multiply(coords.v[rows], scale_v, out=v[:, m])
+    np.copyto(u, 0.0, where=~valid)
+    np.copyto(v, 0.0, where=~valid)
+    gathered, (_, *taps) = ops.bilinear_sample_forward(table, u, v, grid)
     gathered[~valid] = 0.0
     return gathered, valid, (list(zip(grid[1].tolist(), grid[2].tolist())), *taps)
 
@@ -146,6 +151,7 @@ def cross_attention_forward(point_feats, gathered, valid, offsets, params, heads
         # per-point (h, C_f) @ (C_f, M) products
         scores = a @ gathered[rows].transpose(0, 2, 1)
         scores += b @ offsets[rows].transpose(0, 2, 1)
+        del a, b  # so that neither outlives its use
         scores /= np.sqrt(d)
         scores = np.where(valid[rows, None, :], scores, -np.inf)
         # a point out of FOV on every plane: exps are all 0, so weights are too
@@ -162,6 +168,7 @@ def cross_attention_forward(point_feats, gathered, valid, offsets, params, heads
 
         g_bar = weights[rows] @ gathered[rows]  # (B, h, C_f)
         np.matmul(g_bar.transpose(1, 0, 2), w_value, out=context[rows].transpose(1, 0, 2))
+        del g_bar
     context = context.reshape(n, h * d)
     fused = context @ params["w_out"]
     cache = (point_feats, gathered, offsets, q, weights, context, params)
@@ -264,25 +271,20 @@ def init_point_encoder(c_in, c_point, rng):
     }
 
 
-def _cell_mean(rows, inverse, counts):
-    """Each row replaced by the mean of the rows in its voxel cell. The map
-    is symmetric, so it is also its own backward."""
-    return ops.scatter_rows(inverse, rows, counts.shape[0])[inverse] / counts[inverse][:, None]
+def voxel_pool(positions, feats, params, voxel_size):
+    """The point encoder's voxel cells and the mean over each of its first
+    layer: (inverse (N,), counts (cells,), means (cells, C_p)).
 
-
-def encode_points(positions, feats, params, voxel_size):
-    """Per-point features with local context, (N, C_p).
-
-    Lift each point's input vector with a linear layer, average the lifted
-    features over the point's voxel cell, and mix point + neighborhood
-    through a second layer. Raises ValueError when a cell index along an
-    axis does not fit in int64. The cells are found column by column, so
-    an F-ordered `positions`, as `PointCloud.positions` is, reads
-    contiguous rows.
+    The cell sums go through one grouped scatter, gcd(C_p, SCATTER_GROUP)
+    columns at a time, and each group's columns of the first layer are
+    computed only when the scatter reaches them, so no (N, C_p) array is
+    built. Each bin adds its terms in point order from zero, as one scatter
+    of every column would, and each element of a layer is its own dot
+    product, so the means have the bits of the whole-batch form. Raises
+    ValueError when a cell index along an axis does not fit in int64. The
+    cells are found column by column, so an F-ordered `positions`, as
+    `PointCloud.positions` is, reads contiguous rows.
     """
-    pre1, lin1 = ops.linear_forward(feats, params["w1"], params["b1"])
-    h1, act1 = ops.leaky_relu_forward(pre1)
-
     cells = np.floor((positions - positions.min(axis=0)) / voxel_size)
     if not cells.max() < 2.0**63:
         raise ValueError(f"voxel size {voxel_size:g} gives a cell index past int64")
@@ -294,22 +296,50 @@ def encode_points(positions, feats, params, voxel_size):
         _, inverse = np.unique(cells, axis=0, return_inverse=True)
     else:
         _, inverse = np.unique(key, return_inverse=True)
+    del cells
     counts = np.bincount(inverse).astype(np.float64)
 
-    both = np.concatenate([h1, _cell_mean(h1, inverse, counts)], axis=1)
+    width = params["w1"].shape[1]
+    group = math.gcd(width, ops.SCATTER_GROUP)
+    columns = (ops.leaky_relu_forward(ops.linear_forward(
+        feats, params["w1"][:, j:j + group], params["b1"][j:j + group])[0])[0]
+        for j in range(0, width, group))
+    means = ops.scatter_groups(inverse, columns, len(counts), group)
+    means /= counts[:, None]
+    return inverse, counts, means
+
+
+def encode_points(feats, pool, params, rows):
+    """Per-point features with local context of the points in `rows`,
+    (B, C_p), and their cache.
+
+    Lift each point's input vector with a linear layer, join the point's
+    voxel-cell mean of the lifted features from `pool`, the output of
+    `voxel_pool` on the same `feats` and `params`, and mix the two through a
+    second layer. The first layer is computed again on the rows, with the
+    bits it has in the pool. Only a cache of every point is one that
+    `encode_points_backward` can read: the backward pools over the cells.
+    """
+    inverse, counts, means = pool
+    pre1, lin1 = ops.linear_forward(feats[rows], params["w1"], params["b1"])
+    h1, act1 = ops.leaky_relu_forward(pre1)
+    both = np.concatenate([h1, means[inverse[rows]]], axis=1)
     pre2, lin2 = ops.linear_forward(both, params["w2"], params["b2"])
     out, act2 = ops.leaky_relu_forward(pre2)
-    cache = (lin1, act1, inverse, counts, lin2, act2, h1.shape[1])
-    return out, cache
+    return out, (lin1, act1, inverse, counts, lin2, act2, h1.shape[1])
 
 
 def encode_points_backward(grad, cache):
-    """Returns (dfeats, grads dict with w1, b1, w2, b2)."""
+    """Returns (dfeats, grads dict with w1, b1, w2, b2). The cell mean is
+    symmetric, so its backward is the mean of the gradient over each cell,
+    here one scatter of every column."""
     lin1, act1, inverse, counts, lin2, act2, width = cache
     g = ops.leaky_relu_backward(grad, act2)
     dboth, dw2, db2 = ops.linear_backward(g, lin2)
     dh1 = dboth[:, :width].copy()
-    dh1 += _cell_mean(dboth[:, width:], inverse, counts)
+    means = ops.scatter_rows(inverse, dboth[:, width:], len(counts))
+    means /= counts[:, None]
+    dh1 += means[inverse]
 
     g1 = ops.leaky_relu_backward(dh1, act1)
     dfeats, dw1, db1 = ops.linear_backward(g1, lin1)

@@ -21,6 +21,7 @@ from .attention import (
     encode_points_backward,
     init_attention_params,
     init_point_encoder,
+    voxel_pool,
 )
 from .encoder import (
     encode_plane,
@@ -168,7 +169,8 @@ def _check_point_encoder(rng, eps):
         return {"feats": dfeats, **grads}
 
     return _probe(eps, r, {"feats": feats, **params},
-                  lambda: encode_points(positions, feats, params, voxel_size=1.3), backward)
+                  lambda: encode_points(feats, voxel_pool(positions, feats, params, 1.3),
+                                        params, slice(None)), backward)
 
 
 def _attention_instance(rng, n=7, m=6, c_p=5, c_f=4, heads=2, head_dim=3):

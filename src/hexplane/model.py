@@ -23,6 +23,7 @@ from .attention import (
     init_attention_params,
     init_point_encoder,
     stack_planes,
+    voxel_pool,
 )
 from .cloud import PointCloud, default_features
 from .encoder import (
@@ -32,7 +33,7 @@ from .encoder import (
     fuse_scales_backward,
     init_encoder_params,
 )
-from .projection import DEFAULT_CHANNELS, PLANE_KINDS, HexPlaneSet, gather_offsets
+from .projection import DEFAULT_CHANNELS, PLANE_KINDS, HexPlaneSet, gather_offsets, winner_table
 
 
 @dataclass(frozen=True)
@@ -74,6 +75,18 @@ def _named(groups):
 def _dense(rng, c_in, c_out):
     """A bias-carrying linear layer, keyed like its gradients."""
     return {"W": ops.uniform_init(rng, (c_in, c_out), c_in), "b": np.zeros(c_out)}
+
+
+def _row_blocks(n, block):
+    """Slices of `block` rows covering range(n) in order, where a one-row
+    rest joins the block before it: numpy multiplies a one-row matrix
+    through BLAS gemv, whose sums can differ in the last bit from the same
+    row's in a larger product."""
+    start = 0
+    while start < n:
+        stop = start + block if n - start - block > 1 else n
+        yield slice(start, stop)
+        start = stop
 
 
 class HexPlaneModel:
@@ -147,17 +160,15 @@ class HexPlaneModel:
         cache `backward` reads; without it each layer's cache dies as the
         layer returns and `cache` is None.
 
-        The point encoder, the planes and the (N, 6, 3) offsets run on the
-        whole cloud. The plane gather, attention and point head run over
-        blocks of POINT_BLOCK points without `grad`, so their (block, 6, C_f)
-        tensors do not grow with the point count, and as one block of every
-        point with it, so that the backward gets whole-batch caches."""
+        The voxel pool and the planes run on the whole cloud. The point
+        encoder's layers, the offsets, the plane gather, attention and point
+        head run over blocks of POINT_BLOCK points without `grad`, so no
+        per-point temporary grows with the point count, and as one block of
+        every point with it, so that the backward gets whole-batch caches."""
         c, groups = self.config, self.groups
         kept = (lambda result: result) if grad else (lambda result: (*result[:-1], None))
         feats = self.input_features(cloud)
-        f_p, point_cache = kept(encode_points(
-            cloud.positions, feats, groups["point"], voxel_size=c.voxel_size
-        ))
+        pool = voxel_pool(cloud.positions, feats, groups["point"], c.voxel_size)
 
         plane_caches = gather_cache = attn_cache = None
         aux_logits = []
@@ -174,19 +185,20 @@ class HexPlaneModel:
                 aux_logits.append(logits)
                 plane_caches.append((enc_cache, fuse_cache, aux_cache))
             planes = stack_planes(fused_maps, hexset)
-            offsets, _ = gather_offsets(cloud, hexset)
+            del fused_maps
+            winners = winner_table(cloud, hexset)
 
         head = groups["head/point"]
         point_logits = np.empty((cloud.n, head["W"].shape[1]))
-        block = cloud.n if grad else ops.POINT_BLOCK
-        for start in range(0, cloud.n, block):
-            rows = slice(start, start + block)
-            head_in = f_p[rows]
+        for rows in _row_blocks(cloud.n, cloud.n if grad else ops.POINT_BLOCK):
+            head_in, point_cache = kept(encode_points(feats, pool, groups["point"], rows))
             if c.use_planes:
                 gathered, valid, gather_cache = kept(gather_plane_features(planes, rows))
                 head_in, attn_cache = kept(cross_attention_forward(
-                    head_in, gathered, valid, offsets[rows], groups["attn"], c.heads
+                    head_in, gathered, valid, gather_offsets(cloud, winners, rows),
+                    groups["attn"], c.heads
                 ))
+                del gathered  # before the next block's gather
             point_logits[rows], head_cache = kept(
                 heads.point_head_forward(head_in, head["W"], head["b"]))
         cache = (point_cache, plane_caches, gather_cache, attn_cache, head_cache)

@@ -18,9 +18,11 @@ from .cloud import UNLABELED
 
 # points per block of the per-point work whose temporaries would otherwise
 # grow with the point count: the bilinear sample's taps, the attention
-# forward and backward, and the inference forward's point tail
-# (`HexPlaneModel.forward`). Per-point results have the same bits in any
-# block; every sum over the points stays one whole-batch product.
+# forward and backward, and the inference forward's block loop
+# (`HexPlaneModel.forward`: the point encoder's layers, the offsets, the
+# plane gather, the attention and the point head). Per-point results have
+# the same bits in any block; every sum over the points stays one
+# whole-batch product.
 POINT_BLOCK = 256
 
 
@@ -135,24 +137,27 @@ def scatter_rows(ids, vals, n_rows):
     """out[ids[i]] += vals[i] into zeros of shape (n_rows,) + vals.shape[1:]:
     `scatter_groups` with every column in one group."""
     width = int(np.prod(vals.shape[1:], dtype=np.int64))
-    out = scatter_groups(ids, vals.reshape(1, len(vals), width), n_rows)
+    out = scatter_groups(ids, [vals.reshape(len(vals), width)], n_rows, width)
     return out.reshape((n_rows,) + vals.shape[1:])
 
 
-def scatter_groups(ids, groups, n_rows):
-    """Row scatter-add of column groups: groups (G, K, g) holds the columns
-    of (K, G * g) values g at a time, and the result is their (n_rows, G * g)
-    sums, row ids[i] taking row i. Every group goes through one (K, g) bin
-    table.
+def scatter_groups(ids, groups, n_rows, width):
+    """Row scatter-add of column groups: `groups` yields the columns of
+    (K, G * width) values `width` at a time, each (K, width), and the result
+    is their (n_rows, G * width) sums, row ids[i] taking row i. Every group
+    goes through one (K, width) bin table, and a group may be made only when
+    it is reached, so that no (K, G * width) array need exist.
 
     Bit-identical to numpy's unbuffered `ufunc.at` scatter-add: bincount adds
     each bin's weights in input order starting from zero, just as that does,
     and runs several times faster.
     """
-    width = groups.shape[2]
     bins = np.add.outer(ids * width, np.arange(width)).ravel()
-    sums = [np.bincount(bins, weights=group.ravel(), minlength=n_rows * width)
-            .reshape(n_rows, width) for group in groups]
+    sums = []
+    for group in groups:
+        sums.append(np.bincount(bins, weights=group.ravel(), minlength=n_rows * width)
+                    .reshape(n_rows, width))
+        del group  # so that a group made on demand dies before the next is made
     return sums[0] if len(sums) == 1 else np.concatenate(sums, axis=1)
 
 
@@ -217,8 +222,12 @@ def bilinear_sample_forward(fmap, u, v, grid=None):
     stacked row-major, and each sample reads the h x w map that starts at
     table row `base`; the three broadcast against u and v. The taps and
     their arithmetic are the same, so each sample has the same bits as from
-    its own map, and the taps of the samples from one map, with that map's
-    (h, w, C), are the cache `bilinear_sample_backward` reads.
+    its own map, with one exception: numpy's clip turns a -0.0 coordinate
+    into +0.0 against the stacked form's bound arrays but keeps -0.0 against
+    the single-map form's scalar bounds, so fx or fy can differ in sign, and
+    with it the sign of a sample whose four weighted taps are all zeros. The
+    taps of the samples from one map, with that map's (h, w, C), are the
+    cache `bilinear_sample_backward` reads.
     """
     if grid is None:
         h, w, c = fmap.shape
@@ -256,7 +265,7 @@ def bilinear_sample_forward(fmap, u, v, grid=None):
     return out, (fmap.shape, x0, x1, y0, y1, fx, fy)
 
 
-SCATTER_GROUP = 8  # most columns per bin-table group of the sample backward
+SCATTER_GROUP = 8  # most columns per bin-table group: sample backward, voxel pool
 
 
 def bilinear_sample_backward(grad, cache):
@@ -281,7 +290,8 @@ def bilinear_sample_backward(grad, cache):
     np.multiply(grad, fy, out=taps[2])
     np.multiply(taps[2], fx, out=taps[3])
     taps[2] *= 1 - fx
-    return scatter_groups(ids, vals.reshape(c // group, -1, group), h * w).reshape(h, w, c)
+    sums = scatter_groups(ids, vals.reshape(c // group, -1, group), h * w, group)
+    return sums.reshape(h, w, c)
 
 
 # ---------------------------------------------------------------------------

@@ -285,28 +285,32 @@ def hexplane_project(cloud, specs, channels=DEFAULT_CHANNELS, threads=1):
         PlaneData(s, *rasterize(cloud, project(cloud, s, grids), s, channels)) for s in specs))
 
 
-def gather_offsets(cloud: PointCloud, hexset: HexPlaneSet):
-    """Displacement from each point to the winner of its pixel, per plane.
-
-    Returns (offsets (N, 6, 3), valid (N, 6)); rows where the point is out
-    of FOV are zero-filled and flagged invalid. A point that wins its own
-    pixel has an exactly zero offset.
-    """
+def winner_table(cloud: PointCloud, hexset: HexPlaneSet):
+    """(N, 6) index of the winner of each point's pixel on each plane. A
+    point out of FOV stands as its own winner, so its offset is x - x = +0.0
+    (positions are finite)."""
     n = cloud.n
-    offsets = np.empty((n, len(hexset.planes), 3))
-    valid = np.empty(offsets.shape[:2], dtype=bool)
+    winners = np.empty((n, len(hexset.planes)), dtype=np.int64)
     for m, plane in enumerate(hexset.planes):
         coords = plane.index.coords
         if coords.u.shape[0] != n:
             raise ValueError("hexplane set built from a different cloud")
-        # an out-of-FOV point stands as its own winner: positions are
-        # finite, so its offset is x - x = +0.0
-        win = np.arange(n)
+        win = winners[:, m]
+        win[...] = np.arange(n)
         win[coords.in_fov] = plane.index.winner.ravel()[coords.pixel]
-        for axis, row in enumerate(cloud.axes):
-            np.subtract(row, row[win], out=offsets[:, m, axis])
-        valid[:, m] = coords.in_fov
-    return offsets, valid
+    return winners
+
+
+def gather_offsets(cloud: PointCloud, winners, rows):
+    """Displacement (B, 6, 3) from each point in `rows` to the winner of its
+    pixel on each plane, from the `winner_table` of the cloud. A point that
+    wins its own pixel, or is out of FOV, has an exactly zero offset.
+    """
+    win = winners[rows]
+    offsets = np.empty(win.shape + (3,))
+    for axis, row in enumerate(cloud.axes):
+        np.subtract(row[rows, None], row[win], out=offsets[:, :, axis])
+    return offsets
 
 
 def rasterize_labels(cloud: PointCloud, hexset: HexPlaneSet):

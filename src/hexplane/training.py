@@ -132,8 +132,9 @@ def _evaluate(model, cloud, plane_spec_fn):
 def _train_step(model, params, state, train_cloud, settings, plane_spec_fn,
                 aug_rng, step, lr):
     """One step: augment, re-project, forward, composite loss, backward and
-    AdamW. Returns the loss report; the forward cache, the gradients, the
-    hexplane set and the augmented cloud die when it returns."""
+    AdamW. Returns the loss report; the hexplane set dies once the labels
+    are rasterized, and the forward cache, the gradients and the augmented
+    cloud when it returns."""
     cloud = train_cloud
     if settings.augment:
         cloud = augment(
@@ -150,6 +151,7 @@ def _train_step(model, params, state, train_cloud, settings, plane_spec_fn,
         aux_labels = heads.aux_label_grids(
             rasterize_labels(cloud, hexset), model.config.num_classes
         )
+    del hexset  # the forward cache keeps the rasters the encoder backward reads
     report, d_point, d_aux = heads.composite_loss(
         out.point_logits, cloud.labels, aux_logits, aux_labels, settings.aux_weight
     )

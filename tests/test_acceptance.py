@@ -27,6 +27,7 @@ from hexplane.projection import (
     hexplane_project,
     project,
     project_cylindrical,
+    winner_table,
 )
 from hexplane.training import train_toy
 
@@ -118,7 +119,7 @@ def test_criterion_3_occlusion_coverage():
 def test_criterion_4_offset_semantics():
     cloud, info = make_occlusion_scene()
     hexset = hexplane_project(cloud, default_plane_specs(cloud, sensor=WIDE_SENSOR))
-    offsets, valid = gather_offsets(cloud, hexset)
+    offsets = gather_offsets(cloud, winner_table(cloud, hexset), slice(None))
     ok = True
     for m, plane in enumerate(hexset.planes):
         winners = plane.index.winner[plane.index.winner >= 0]
@@ -126,7 +127,7 @@ def test_criterion_4_offset_semantics():
     probes = info["probe_indices"]
     norms = np.linalg.norm(offsets[probes, 5, :], axis=1)
     probe_err = np.abs(norms - info["displacement"]).max()
-    ok &= bool(valid[probes, 5].all()) and probe_err < 1e-6
+    ok &= bool(hexset.planes[5].index.coords.in_fov[probes].all()) and probe_err < 1e-6
     report(4, ok, f"winners have exactly zero offset on every plane; "
                   f"{len(probes)} occluded probes at displacement "
                   f"{info['displacement']} m, max error {probe_err:.2e} (<1e-6)")

@@ -9,11 +9,11 @@ from hexplane.attention import (
     attention_weights,
     cross_attention_backward,
     cross_attention_forward,
-    encode_points,
     gather_plane_features,
     init_attention_params,
     init_point_encoder,
     stack_planes,
+    voxel_pool,
 )
 from hexplane.cloud import PointCloud
 from hexplane.gradcheck import (
@@ -324,11 +324,30 @@ class TestEncodePoints:
         positions[200:] = positions[:200]  # shared cells
         params = init_point_encoder(4, 6, rng=rng)
         feats = rng.normal(size=(400, 4))
-        _, cache = encode_points(positions, feats, params, voxel_size=voxel_size)
+        inverse, _, _ = voxel_pool(positions, feats, params, voxel_size=voxel_size)
         cells = np.floor(
             (positions - positions.min(axis=0)) / voxel_size).astype(np.int64)
         _, want = np.unique(cells, axis=0, return_inverse=True)
-        assert np.array_equal(cache[2], want)
+        assert np.array_equal(inverse, want)
+
+    @pytest.mark.parametrize("width", [4, 6, 32])
+    def test_grouped_pool_matches_one_scatter_of_every_column(self, width):
+        # the pool scatters gcd(width, 8) columns at a time, each group's
+        # first-layer columns made when reached; the means must have the
+        # bits of one scatter of the whole-batch layer. Magnitudes spread
+        # over 16 decades, so a reordered add shows in the low bits
+        rng = np.random.default_rng(14)
+        positions = rng.uniform(-5.0, 5.0, size=(300, 3))
+        positions[150:200] = positions[0]  # one cell of 51 points
+        positions[200:] = positions[50:150]  # cells of two
+        feats = rng.normal(size=(300, 4)) * 10.0 ** rng.uniform(-8, 8, size=(300, 4))
+        params = init_point_encoder(4, width, rng=rng)
+        params["b1"] += rng.normal(size=width)
+        inverse, counts, means = voxel_pool(positions, feats, params, voxel_size=0.5)
+        assert counts.max() == 51 and (counts == 2).any() and (counts == 1).any()
+        h1, _ = ops.leaky_relu_forward(feats @ params["w1"] + params["b1"])
+        want = ops.scatter_rows(inverse, h1, len(counts))[inverse] / counts[inverse][:, None]
+        assert means[inverse].tobytes() == want.tobytes()
 
     def test_cell_index_past_int64_refused(self):
         # 100 m / 1e-300 is finite but no int64: the cast used to warn and
@@ -337,4 +356,4 @@ class TestEncodePoints:
         positions = rng.uniform(-50.0, 50.0, size=(40, 3))
         params = init_point_encoder(4, 6, rng=rng)
         with pytest.raises(ValueError, match="voxel size 1e-300"):
-            encode_points(positions, rng.normal(size=(40, 4)), params, voxel_size=1e-300)
+            voxel_pool(positions, rng.normal(size=(40, 4)), params, voxel_size=1e-300)

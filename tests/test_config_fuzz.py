@@ -1,8 +1,9 @@
-"""Config fuzz: every leaf of the shipped occlusion_transfer.yaml, one at a
-time, set to each value of a fixed table of hostile values, through
-`hexplane train` in-process. Each run must end in a documented exit code (0
-ok, 1 validation, 2 numerical) with no traceback and no warning, and an exit
-1 must say `error: config:` and name the leaf by its dotted key.
+"""Config fuzz: every leaf of the shipped occlusion_transfer.yaml and
+two_class.yaml, one at a time, set to each value of a fixed table of hostile
+values, through `hexplane train` in-process. Each run must end in a
+documented exit code (0 ok, 1 validation, 2 numerical) with no traceback and
+no warning, and an exit 1 must say `error: config:` and name the leaf by its
+dotted key.
 
 The base run is the shipped config at 300 points and 2 steps, so that the
 cases that validate also train, project and evaluate. No value in the table
@@ -18,7 +19,8 @@ import yaml
 
 from hexplane import cli
 
-SHIPPED = Path(__file__).resolve().parents[1] / "configs" / "occlusion_transfer.yaml"
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+SHIPPED = CONFIGS / "occlusion_transfer.yaml"
 
 HOSTILE = [0, -1, 3, 0.5, 1e300, -1e300, 1e-300, True, "x", [], None, {"a": 1}]
 
@@ -44,19 +46,21 @@ def dotted(path):
     return out
 
 
-def base_tree():
-    tree = yaml.safe_load(SHIPPED.read_text())
+def base_tree(shipped):
+    tree = yaml.safe_load(shipped.read_text())
     tree["output_dir"] = "out"
     tree["scene"]["num_points"] = 300
     tree["training"]["steps"] = 2
     return tree
 
 
-def test_every_leaf_takes_every_hostile_value(tmp_path, monkeypatch, capsys):
+def fuzz(shipped, tmp_path, monkeypatch, capsys):
+    """Run every (leaf, hostile value) case of `shipped`; assert that each
+    ends as the module docstring says, and that the table reaches both
+    sides of validation."""
     monkeypatch.chdir(tmp_path)
-    base = base_tree()
-    paths = list(leaves(yaml.safe_load(SHIPPED.read_text())))
-    assert len(paths) > 30
+    base = base_tree(shipped)
+    paths = list(leaves(yaml.safe_load(shipped.read_text())))
     failures, exits = [], {0: 0, 1: 0, 2: 0}
     for path in paths:
         for value in HOSTILE:
@@ -86,8 +90,17 @@ def test_every_leaf_takes_every_hostile_value(tmp_path, monkeypatch, capsys):
             if code == 1 and not (err.startswith("error: config:") and dotted(path) in err):
                 failures.append(f"{case}: exit 1 says {err.strip()!r}")
     assert not failures, "\n".join(failures)
-    # the table reaches both sides of validation
     assert exits[0] and exits[1], exits
+    return paths
+
+
+def test_every_leaf_takes_every_hostile_value(tmp_path, monkeypatch, capsys):
+    assert len(fuzz(SHIPPED, tmp_path, monkeypatch, capsys)) > 30
+
+
+def test_every_two_class_leaf_takes_every_hostile_value(tmp_path, monkeypatch, capsys):
+    # a builtin scene: its name, seed and point count, and no eval scene
+    assert len(fuzz(CONFIGS / "two_class.yaml", tmp_path, monkeypatch, capsys)) > 20
 
 
 @pytest.mark.parametrize("path", [("scene", "primitives", 0, "center"),

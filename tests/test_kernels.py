@@ -28,11 +28,11 @@ from hexplane.model import HexPlaneModel, ModelConfig
 from hexplane.projection import (
     HexPlaneSet,
     default_plane_specs,
-    gather_offsets,
     hexplane_project,
 )
 from test_attention import make_instance
 from test_encoder import traced_peak
+from test_projection import whole_offsets
 
 EDGES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
                   1e-300, -1e-300, 1e300, -1e300, 1.0, -1.0])
@@ -384,7 +384,7 @@ class TestGatherAndOffsets:
         fmaps = feature_maps(hexset, 4)
         gathered, valid, gather_cache = gather_plane_features(stack_planes(fmaps, hexset),
                                                               slice(None))
-        offsets, _ = gather_offsets(cloud, hexset)
+        offsets, _ = whole_offsets(cloud, hexset)
         params = init_attention_params(5, 4, heads=2, head_dim=3, c_out=6, rng=rng)
         fused, cache = cross_attention_forward(rng.normal(size=(cloud.n, 5)), gathered,
                                                valid, offsets, params, 2)
@@ -403,7 +403,7 @@ class TestGatherAndOffsets:
 
     def test_offsets_match_masked_difference(self):
         cloud, hexset = occluded_cloud()
-        offsets, valid = gather_offsets(cloud, hexset)
+        offsets, valid = whole_offsets(cloud, hexset)
         want = np.zeros_like(offsets)
         for m, plane in enumerate(hexset.planes):
             mask = plane.index.coords.in_fov

@@ -9,7 +9,7 @@ import pytest
 
 import oracles
 from hexplane import config as cfg
-from hexplane.attention import encode_points, init_point_encoder
+from hexplane.attention import encode_points, init_point_encoder, voxel_pool
 from hexplane.cloud import PointCloud, default_features, make_occlusion_scene
 from hexplane.images import load_projection_index, save_projection_index
 from hexplane.projection import (
@@ -26,6 +26,7 @@ from hexplane.projection import (
     project_orthographic,
     rasterize,
     rasterize_labels,
+    winner_table,
 )
 
 KITTI_SENSOR = SensorConfig(phi_up=math.radians(3.0), phi_down=math.radians(25.0))
@@ -464,12 +465,18 @@ class TestHexPlaneProject:
               f"(ratio {times[8000]/max(times[2000], 1e-9):.2f}x for 4x points)")
 
 
+def whole_offsets(cloud, hexset):
+    """Every point's offsets, (N, 6, 3), and each plane's in-FOV mask, (N, 6)."""
+    valid = np.stack([plane.index.coords.in_fov for plane in hexset.planes], axis=1)
+    return gather_offsets(cloud, winner_table(cloud, hexset), slice(None)), valid
+
+
 class TestOffsets:
     def test_winners_have_zero_offset(self):
         rng = np.random.default_rng(31)
         cloud = random_cloud(rng, n=400)
         hexset = hexplane_project(cloud, default_plane_specs(cloud, sensor=WIDE_SENSOR))
-        offsets, valid = gather_offsets(cloud, hexset)
+        offsets, valid = whole_offsets(cloud, hexset)
         for m, plane in enumerate(hexset.planes):
             winners = plane.index.winner[plane.index.winner >= 0]
             assert np.all(offsets[winners, m, :] == 0.0)
@@ -478,7 +485,7 @@ class TestOffsets:
         cloud, info = make_occlusion_scene()
         specs = default_plane_specs(cloud, sensor=WIDE_SENSOR)
         hexset = hexplane_project(cloud, specs)
-        offsets, valid = gather_offsets(cloud, hexset)
+        offsets, valid = whole_offsets(cloud, hexset)
         probes = info["probe_indices"]
         gens = info["generator_indices"]
         cyl = hexset.planes[5].index
@@ -493,7 +500,7 @@ class TestOffsets:
         rng = np.random.default_rng(33)
         cloud = random_cloud(rng, n=500)
         hexset = hexplane_project(cloud, default_plane_specs(cloud, sensor=WIDE_SENSOR))
-        offsets, valid = gather_offsets(cloud, hexset)
+        offsets, valid = whole_offsets(cloud, hexset)
         for m, plane in enumerate(hexset.planes):
             coords = plane.index.coords
             for i in range(0, cloud.n, 37):
@@ -512,7 +519,7 @@ class TestOffsets:
         cloud = PointCloud(positions=pos)
         specs = default_plane_specs(cloud, sensor=KITTI_SENSOR)
         hexset = hexplane_project(cloud, specs)
-        offsets, valid = gather_offsets(cloud, hexset)
+        offsets, valid = whole_offsets(cloud, hexset)
         assert not valid[1, 5]
         assert np.all(offsets[1, 5] == 0.0)
 
@@ -545,7 +552,7 @@ class TestAxisMajorLayout:
             for name, array in got.items():
                 assert array.dtype == want[name].dtype, (plane.spec.kind, name)
                 assert array.tobytes() == want[name].tobytes(), (plane.spec.kind, name)
-        got_offsets, valid = gather_offsets(cloud, hexset)
+        got_offsets, valid = whole_offsets(cloud, hexset)
         assert got_offsets.tobytes() == offsets.tobytes()
         assert np.array_equal(valid, np.stack([p["in_fov"] for p in planes], axis=1))
 
@@ -558,11 +565,12 @@ class TestAxisMajorLayout:
         rows = np.ascontiguousarray(cloud.positions)
         # at 2**-40 m the cells outnumber an int64 key: the np.unique(axis=0) path
         for voxel in (0.3, 2.0**-40):
-            got, got_cache = encode_points(cloud.positions, feats, params, voxel_size=voxel)
-            want, want_cache = encode_points(rows, feats, params, voxel_size=voxel)
-            assert got.tobytes() == want.tobytes()
-            for a, b in zip(got_cache[2:4], want_cache[2:4]):  # inverse, counts
+            got = voxel_pool(cloud.positions, feats, params, voxel_size=voxel)
+            want = voxel_pool(rows, feats, params, voxel_size=voxel)
+            for a, b in zip(got, want):  # inverse, counts, means
                 assert a.tobytes() == b.tobytes()
+            out, _ = encode_points(feats, got, params, slice(None))
+            assert out.tobytes() == encode_points(feats, want, params, slice(None))[0].tobytes()
 
 
 class TestLabelRasters:

@@ -115,16 +115,21 @@ class TestModel:
         assert out.point_logits.shape == (cloud.n, 3)
         assert len(out.aux_logits) == 6
 
-    # the inference forward runs its point tail over POINT_BLOCK (256) rows
-    # at a time, the grad=True forward as one block: the cases put the last
-    # block at one row short, exact, and one row over, with a point out of
-    # FOV on every plane at the rows either side of the first block edge
+    # the inference forward runs its per-point layers over POINT_BLOCK (256)
+    # rows at a time, the grad=True forward as one block: the cases put the
+    # last block at one row short, exact, and one row over, with a point out
+    # of FOV on every plane at the rows either side of the first block edge.
+    # A one-row rest would go through numpy's one-row (gemv) product, whose
+    # bits differ; the point-only and 513-point cases have a last row that
+    # is in view, so its layers are not all zeros
     @pytest.mark.parametrize("use_planes, points", [
-        (True, None), (False, None), (True, 255), (True, 256), (True, 257), (True, "eval"),
-    ], ids=["True", "False", "points_255", "points_256", "points_257", "eval_scene"])
+        (True, None), (False, None), (True, 255), (True, 256), (True, 257), (False, 257),
+        (True, 513), (True, "eval"),
+    ], ids=["True", "False", "points_255", "points_256", "points_257", "point_only_257",
+            "points_513", "eval_scene"])
     def test_inference_forward_keeps_no_cache(self, use_planes, points):
-        if points is None:
-            cloud = tiny_scene()
+        if points is None or not use_planes:
+            cloud = tiny_scene() if points is None else tiny_scene(n=points)
             model = HexPlaneModel(tiny_model_config(use_planes=use_planes))
             hexset = hexplane_project(cloud, tiny_spec_fn(cloud)) if use_planes else None
         else:
