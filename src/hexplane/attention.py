@@ -23,9 +23,9 @@ The forward cache holds the inputs, the queries q, the softmax weights and
 the context, but no (N, h, C_f) tensor: the backward rebuilds
 a_h = W_key_h q_h and g_bar_h = sum_m w_hm g_m, one product each and bit
 for bit, and frees each whole-batch temporary once it is consumed. Forward
-and backward run their per-point products over blocks of POINT_BLOCK
-points, bit for bit as on the whole batch; products that sum over the
-points run on the whole batch.
+and backward run their per-point products over the blocks of
+`ops.row_blocks`, which never leaves a one-row rest, so bit for bit as on
+the whole batch; products that sum over the points run on the whole batch.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ import numpy as np
 
 from . import ops
 from .encoder import feature_grid
-from .ops import POINT_BLOCK
 from .projection import HexPlaneSet
 
 
@@ -99,7 +98,7 @@ def gather_plane_features(planes, rows):
         np.multiply(coords.v[rows], scale_v, out=v[:, m])
     np.copyto(u, 0.0, where=~valid)
     np.copyto(v, 0.0, where=~valid)
-    gathered, (_, *taps) = ops.bilinear_sample_forward(table, u, v, grid)
+    gathered, taps = ops.bilinear_sample_forward(table, u, v, grid)
     gathered[~valid] = 0.0
     return gathered, valid, (list(zip(grid[1].tolist(), grid[2].tolist())), *taps)
 
@@ -143,8 +142,7 @@ def cross_attention_forward(point_feats, gathered, valid, offsets, params, heads
     q = (point_feats @ params["w_query"]).reshape(n, h, d).transpose(1, 0, 2)
     weights = np.empty((n, h, m))
     context = np.empty((n, h, d))
-    for start in range(0, n, POINT_BLOCK):
-        rows = slice(start, start + POINT_BLOCK)
+    for rows in ops.row_blocks(n):
         a = (q[:, rows] @ w_key.transpose(0, 2, 1)).transpose(1, 0, 2)
         b = (q[:, rows] @ w_pos.transpose(0, 2, 1)).transpose(1, 0, 2)
 
@@ -201,23 +199,23 @@ def cross_attention_backward(grad, cache, out=None):
     dw_out = context.T @ grad
     dw_value = (weights @ gathered).transpose(1, 2, 0) @ d_context  # g_bar rebuilt
 
-    # per point, over POINT_BLOCK rows at a time. First d_g_bar, into the
+    # per point, over the blocks of `ops.row_blocks`. First d_g_bar, into the
     # (N, h, C_f) array that then takes d_a block by block, so that
     # d_context dies before the pass below; d_a and d_b are laid out
     # (N, h, .), as whole-batch products over the points would form them,
     # for the sums after the loop
     d_a, d_b = np.empty((n, h, c_f)), np.empty((n, h, 3))
-    for s in range(0, n, POINT_BLOCK):
-        rows = slice(s, s + POINT_BLOCK)
+    blocks = list(ops.row_blocks(n))
+    for rows in blocks:
         np.matmul(d_context[:, rows], w_value.transpose(0, 2, 1), out=d_a[rows].transpose(1, 0, 2))
     del d_context
 
     # then d_g_bar beside the rebuilt a, so that w^T d_g_bar + d_scores^T a
     # is one product
     d_gathered = np.empty_like(gathered) if out is None else out
-    d_g_bar_a = np.empty((min(n, POINT_BLOCK), 2 * h, c_f))
-    for s in range(0, n, POINT_BLOCK):
-        rows = slice(s, s + POINT_BLOCK)
+    largest = max((b.stop - b.start for b in blocks), default=0)
+    d_g_bar_a = np.empty((largest, 2 * h, c_f))
+    for rows in blocks:
         w = weights[rows]
         block = d_g_bar_a[:len(w)]
         d_g_bar = block[:, :h]
@@ -337,7 +335,7 @@ def encode_points_backward(grad, cache):
     g = ops.leaky_relu_backward(grad, act2)
     dboth, dw2, db2 = ops.linear_backward(g, lin2)
     dh1 = dboth[:, :width].copy()
-    means = ops.scatter_rows(inverse, dboth[:, width:], len(counts))
+    means = ops.scatter_groups(inverse, [dboth[:, width:]], len(counts), width)
     means /= counts[:, None]
     dh1 += means[inverse]
 

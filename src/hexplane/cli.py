@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -156,6 +157,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    for flag, value in (("--eps", args.eps), ("--tol", args.tol)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{flag} must be positive and finite, got {value:g}")
     report = gc.grad_check(args.component, seed=args.seed, eps=args.eps)
     for line in report.lines(args.tol):
         print(line)
@@ -218,7 +222,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        if exc.code:  # argparse's usage error exits 2, which is the numerical-failure code
+            return EXIT_VALIDATION
+        raise  # --help
     try:
         return args.fn(args)
     except (DivergenceError, NonFiniteGradientError) as exc:

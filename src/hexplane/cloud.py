@@ -171,23 +171,19 @@ def _record_dtype(c: int, has_labels: bool) -> np.dtype:
     return np.dtype([("f", "<f4", (c,))])
 
 
-def load_pointcloud(path, format: str | None = None) -> PointCloud:
-    """Read a cloud written by `save_pointcloud`.
+def load_pointcloud(path) -> PointCloud:
+    """Read a cloud written by `save_pointcloud`, binary when it starts with
+    the magic bytes and ASCII otherwise.
 
-    format: "ascii", "binary", or None to sniff the magic bytes.
     Raises CloudFormatError naming the offending record on malformed input.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
     if not raw.strip():
         raise CloudFormatError("no records")
-    if format is None:
-        format = "binary" if raw.startswith(_MAGIC) else "ascii"
-    if format == "binary":
+    if raw.startswith(_MAGIC):
         return _load_binary(raw)
-    if format == "ascii":
-        return _load_ascii(raw.decode("utf-8", errors="replace"))
-    raise ValueError(f"unknown format {format!r}")
+    return _load_ascii(raw.decode("utf-8", errors="replace"))
 
 
 def _finish_load(values: np.ndarray, labels: np.ndarray | None) -> PointCloud:

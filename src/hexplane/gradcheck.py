@@ -152,8 +152,10 @@ def _check_bilinear_sample(rng, eps):
     u = rng.uniform(0.3, 6.7, size=12)
     v = rng.uniform(0.3, 4.7, size=12)
     r = rng.normal(size=(12, 4))
-    return _probe(eps, r, {"fmap": fmap}, lambda: ops.bilinear_sample_forward(fmap, u, v),
-                  lambda g, cache: {"fmap": ops.bilinear_sample_backward(g, cache)})
+    # one map as a one-map table: a view, so the probe's perturbations reach it
+    return _probe(eps, r, {"fmap": fmap},
+                  lambda: ops.bilinear_sample_forward(fmap.reshape(48, 4), u, v, (0, 6, 8)),
+                  lambda g, taps: {"fmap": ops.bilinear_sample_backward(g, ((6, 8, 4), *taps))})
 
 
 def _check_point_encoder(rng, eps):

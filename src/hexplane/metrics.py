@@ -46,13 +46,6 @@ class ConfusionMatrix:
             self.counts += np.bincount(flat, minlength=k * k).reshape(k, k)
         return self
 
-    def merge(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        if other.num_classes != self.num_classes:
-            raise ValueError("class count mismatch")
-        self.counts += other.counts
-        self.ignored += other.ignored
-        return self
-
     @property
     def total(self) -> int:
         return int(self.counts.sum())

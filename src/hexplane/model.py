@@ -77,18 +77,6 @@ def _dense(rng, c_in, c_out):
     return {"W": ops.uniform_init(rng, (c_in, c_out), c_in), "b": np.zeros(c_out)}
 
 
-def _row_blocks(n, block):
-    """Slices of `block` rows covering range(n) in order, where a one-row
-    rest joins the block before it: numpy multiplies a one-row matrix
-    through BLAS gemv, whose sums can differ in the last bit from the same
-    row's in a larger product."""
-    start = 0
-    while start < n:
-        stop = start + block if n - start - block > 1 else n
-        yield slice(start, stop)
-        start = stop
-
-
 class HexPlaneModel:
     """Parameter container plus forward/backward over one cloud.
 
@@ -162,7 +150,7 @@ class HexPlaneModel:
 
         The voxel pool and the planes run on the whole cloud. The point
         encoder's layers, the offsets, the plane gather, attention and point
-        head run over blocks of POINT_BLOCK points without `grad`, so no
+        head run over the blocks of `ops.row_blocks` without `grad`, so no
         per-point temporary grows with the point count, and as one block of
         every point with it, so that the backward gets whole-batch caches."""
         c, groups = self.config, self.groups
@@ -190,7 +178,7 @@ class HexPlaneModel:
 
         head = groups["head/point"]
         point_logits = np.empty((cloud.n, head["W"].shape[1]))
-        for rows in _row_blocks(cloud.n, cloud.n if grad else ops.POINT_BLOCK):
+        for rows in ops.row_blocks(cloud.n, cloud.n if grad else ops.POINT_BLOCK):
             head_in, point_cache = kept(encode_points(feats, pool, groups["point"], rows))
             if c.use_planes:
                 gathered, valid, gather_cache = kept(gather_plane_features(planes, rows))

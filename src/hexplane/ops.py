@@ -20,10 +20,23 @@ from .cloud import UNLABELED
 # grow with the point count: the bilinear sample's taps, the attention
 # forward and backward, and the inference forward's block loop
 # (`HexPlaneModel.forward`: the point encoder's layers, the offsets, the
-# plane gather, the attention and the point head). Per-point results have
-# the same bits in any block; every sum over the points stays one
-# whole-batch product.
+# plane gather, the attention and the point head). Every such loop takes its
+# blocks from `row_blocks`, so per-point results have the same bits in any
+# block; every sum over the points stays one whole-batch product.
 POINT_BLOCK = 256
+
+
+def row_blocks(n, block=POINT_BLOCK):
+    """Slices of `block` rows covering range(n) in order, where a one-row
+    rest joins the block before it: numpy multiplies a one-row matrix
+    through BLAS gemv, whose sums can differ in the last bit from the same
+    row's in a larger product. So a slice has one row only when n == 1, and
+    the largest has at most block + 1."""
+    start = 0
+    while start < n:
+        stop = start + block if n - start - block > 1 else n
+        yield slice(start, stop)
+        start = stop
 
 
 # ---------------------------------------------------------------------------
@@ -133,14 +146,6 @@ def conv2d_backward(grad, cache, input_grad=True):
 # ---------------------------------------------------------------------------
 
 
-def scatter_rows(ids, vals, n_rows):
-    """out[ids[i]] += vals[i] into zeros of shape (n_rows,) + vals.shape[1:]:
-    `scatter_groups` with every column in one group."""
-    width = int(np.prod(vals.shape[1:], dtype=np.int64))
-    out = scatter_groups(ids, [vals.reshape(len(vals), width)], n_rows, width)
-    return out.reshape((n_rows,) + vals.shape[1:])
-
-
 def scatter_groups(ids, groups, n_rows, width):
     """Row scatter-add of column groups: `groups` yields the columns of
     (K, G * width) values `width` at a time, each (K, width), and the result
@@ -211,29 +216,19 @@ def bilinear_resize_backward(grad, cache):
     return (r_h.T @ cols.reshape(out_h, w * c)).reshape(-1, w, c)
 
 
-def bilinear_sample_forward(fmap, u, v, grid=None):
-    """Sample (H, W, C) at fractional grid coordinates; integer (u, v) hit nodes.
+def bilinear_sample_forward(table, u, v, grid):
+    """Sample maps stacked in a (rows, C) table at fractional grid
+    coordinates; integer (u, v) hit nodes.
 
-    Coordinates are clamped to the grid, so queries on or past the border
+    With `grid` = (base, h, w), each sample reads the h x w map stored
+    row-major from table row `base` on; the three broadcast against u and v.
+    Coordinates are clamped to the map, so queries on or past the border
     read the edge value. u and v have at least one axis, and the output has
-    shape u.shape + (C,).
-
-    With `grid` = (base, h, w), `fmap` is instead a (rows, C) table of maps
-    stacked row-major, and each sample reads the h x w map that starts at
-    table row `base`; the three broadcast against u and v. The taps and
-    their arithmetic are the same, so each sample has the same bits as from
-    its own map, with one exception: numpy's clip turns a -0.0 coordinate
-    into +0.0 against the stacked form's bound arrays but keeps -0.0 against
-    the single-map form's scalar bounds, so fx or fy can differ in sign, and
-    with it the sign of a sample whose four weighted taps are all zeros. The
-    taps of the samples from one map, with that map's (h, w, C), are the
+    shape u.shape + (C,). The cache is the taps, x0, x1, y0, y1 and fx, fy;
+    those of the samples from one map, with that map's (h, w, C), are the
     cache `bilinear_sample_backward` reads.
     """
-    if grid is None:
-        h, w, c = fmap.shape
-        base, table = 0, np.ascontiguousarray(fmap).reshape(h * w, c)
-    else:
-        (base, h, w), table = grid, fmap
+    base, h, w = grid
     x = np.clip(u, 0.0, w - 1.0)
     y = np.clip(v, 0.0, h - 1.0)
     x0 = np.minimum(np.floor(x).astype(np.int64), w - 1)
@@ -245,15 +240,15 @@ def bilinear_sample_forward(fmap, u, v, grid=None):
     taps = [(base + row * w + col, weight) for row, col, weight in (
         (y0, x0, (1 - fy) * (1 - fx)), (y0, x1, (1 - fy) * fx),
         (y1, x0, fy * (1 - fx)), (y1, x1, fy * fx))]
-    # ((A + B) + C) + D over POINT_BLOCK rows at a time, each tap scaled in
-    # place in one reused block buffer, so no temporary grows with the rows.
+    # ((A + B) + C) + D a block of rows at a time, each tap scaled in place
+    # in one reused block buffer, so no temporary grows with the rows.
     # Every index is in range, so "clip" changes no value; it lets `take`
     # write to `out` without a buffer.
     out = np.empty(taps[0][0].shape + (table.shape[1],))
-    tap = np.empty((min(len(out), POINT_BLOCK),) + out.shape[1:])
+    blocks = list(row_blocks(len(out)))
+    tap = np.empty((max((b.stop - b.start for b in blocks), default=0),) + out.shape[1:])
     (first, first_weight), *rest = taps
-    for start in range(0, len(out), POINT_BLOCK):
-        rows = slice(start, start + POINT_BLOCK)
+    for rows in blocks:
         acc = out[rows]
         part = tap[:len(acc)]
         np.take(table, first[rows], axis=0, out=acc, mode="clip")
@@ -262,7 +257,7 @@ def bilinear_sample_forward(fmap, u, v, grid=None):
             np.take(table, ids[rows], axis=0, out=part, mode="clip")
             part *= weight[rows]
             acc += part
-    return out, (fmap.shape, x0, x1, y0, y1, fx, fy)
+    return out, (x0, x1, y0, y1, fx, fy)
 
 
 SCATTER_GROUP = 8  # most columns per bin-table group: sample backward, voxel pool

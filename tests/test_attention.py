@@ -46,6 +46,15 @@ def make_instance(seed, n=7, m=6, c_p=5, c_f=4, heads=HEADS, head_dim=3, c_out=6
     return point_feats, gathered, valid, offsets, params
 
 
+def sample_one_map(fmap, u, v):
+    """The sampler on one (h, w, C) map, stacked alone in its table and read
+    through scalar bounds; returns the samples and the cache
+    `ops.bilinear_sample_backward` reads."""
+    h, w, c = fmap.shape
+    out, taps = ops.bilinear_sample_forward(fmap.reshape(h * w, c), u, v, (0, h, w))
+    return out, (fmap.shape, *taps)
+
+
 class TestGatherPlaneFeatures:
     def build(self, seed=0, n=60):
         rng = np.random.default_rng(seed)
@@ -78,7 +87,7 @@ class TestGatherPlaneFeatures:
     def test_fabricated_node_query(self):
         rng = np.random.default_rng(3)
         fmap = rng.normal(size=(6, 8, 4))
-        out, _ = ops.bilinear_sample_forward(fmap, np.array([3.0]), np.array([2.0]))
+        out, _ = sample_one_map(fmap, np.array([3.0]), np.array([2.0]))
         assert np.array_equal(out[0], fmap[2, 3])
 
     def test_invalid_entries_masked_and_zeroed(self):
@@ -93,7 +102,7 @@ class TestGatherPlaneFeatures:
         fmap = rng.normal(size=(7, 9, 3))
         u = rng.uniform(-0.5, 9.5, size=40)
         v = rng.uniform(-0.5, 7.5, size=40)
-        got, _ = ops.bilinear_sample_forward(fmap, u, v)
+        got, _ = sample_one_map(fmap, u, v)
         want = oracles.bilinear_sample_reference(fmap, u, v)
         assert np.abs(got - want).max() < 1e-9
 
@@ -346,7 +355,8 @@ class TestEncodePoints:
         inverse, counts, means = voxel_pool(positions, feats, params, voxel_size=0.5)
         assert counts.max() == 51 and (counts == 2).any() and (counts == 1).any()
         h1, _ = ops.leaky_relu_forward(feats @ params["w1"] + params["b1"])
-        want = ops.scatter_rows(inverse, h1, len(counts))[inverse] / counts[inverse][:, None]
+        want = (ops.scatter_groups(inverse, [h1], len(counts), width)[inverse]
+                / counts[inverse][:, None])
         assert means[inverse].tobytes() == want.tobytes()
 
     def test_cell_index_past_int64_refused(self):

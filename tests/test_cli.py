@@ -515,6 +515,19 @@ class TestGradcheckCommand:
     def test_unknown_component_is_validation_error(self):
         assert main(["gradcheck", "nonsense"]) == 1
 
+    @pytest.mark.parametrize("flag, value", [("--eps", "0"), ("--eps", "nan"),
+                                             ("--tol", "-1"), ("--tol", "inf")])
+    def test_step_and_tolerance_must_be_positive_and_finite(self, capsys, flag, value):
+        # --eps 0 used to end in a ZeroDivisionError traceback, and --eps nan
+        # in a report of a non-finite forward value
+        assert main(["gradcheck", "linear", flag, value]) == 1
+        assert f"{flag} must be positive and finite" in capsys.readouterr().err
+
+    def test_usage_error_is_validation_error(self, capsys):
+        # argparse's own exit code, 2, is the numerical-failure code
+        assert main(["train", "--steps", "abc"]) == 1
+        assert "argument --steps: invalid int value" in capsys.readouterr().err
+
     def test_impossible_tolerance_is_numerical_failure(self, capsys):
         code = main(["gradcheck", "linear", "--tol", "1e-18"])
         assert code == 2

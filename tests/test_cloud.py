@@ -42,7 +42,7 @@ class TestAsciiFormat:
     def test_three_point_file(self, tmp_path):
         path = tmp_path / "tiny.txt"
         path.write_text("hexpc ascii 3 3 1\n0 0 0 1\n1 0 0 1\n0 1 0 2\n")
-        cloud = load_pointcloud(path, format="ascii")
+        cloud = load_pointcloud(path)
         assert cloud.n == 3
         assert cloud.labels.tolist() == [1, 1, 2]
         assert cloud.positions[1].tolist() == [1.0, 0.0, 0.0]
@@ -66,7 +66,7 @@ class TestAsciiFormat:
         path = tmp_path / "bad.txt"
         path.write_text("hexpc nonsense\n")
         with pytest.raises(CloudFormatError, match="header"):
-            load_pointcloud(path, format="ascii")
+            load_pointcloud(path)
 
     def test_non_finite_coordinate_names_record(self, tmp_path):
         path = tmp_path / "nan.txt"
@@ -80,7 +80,7 @@ class TestAsciiFormat:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(CloudFormatError, match="record 0: non-finite coordinate"):
-                load_pointcloud(path, format="ascii")
+                load_pointcloud(path)
 
     def test_label_out_of_range_names_record(self, tmp_path):
         # labels are stored as int32; -1 marks an unlabelled point

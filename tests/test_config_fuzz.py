@@ -1,12 +1,14 @@
 """Config fuzz: every leaf of the shipped occlusion_transfer.yaml and
 two_class.yaml, one at a time, set to each value of a fixed table of hostile
-values, through `hexplane train` in-process. Each run must end in a
-documented exit code (0 ok, 1 validation, 2 numerical) with no traceback and
-no warning, and an exit 1 must say `error: config:` and name the leaf by its
-dotted key.
+values, through `hexplane train` in-process, and every leaf of
+occlusion_transfer.yaml also through `hexplane eval` and `hexplane project`.
+Each run must end in a documented exit code (0 ok, 1 validation, 2
+numerical) with no traceback and no warning, and an exit 1 must say
+`error: config:` and name the leaf by its dotted key.
 
 The base run is the shipped config at 300 points and 2 steps, so that the
-cases that validate also train, project and evaluate. No value in the table
+cases that validate also train, project and evaluate; eval reads the base
+run's checkpoint and project the base scene saved. No value in the table
 asks for a large allocation: a plane height of 1e9 would build its raster.
 """
 
@@ -54,10 +56,13 @@ def base_tree(shipped):
     return tree
 
 
-def fuzz(shipped, tmp_path, monkeypatch, capsys):
-    """Run every (leaf, hostile value) case of `shipped`; assert that each
-    ends as the module docstring says, and that the table reaches both
-    sides of validation."""
+def fuzz(shipped, tmp_path, monkeypatch, capsys,
+         argv=lambda config: ["train", "--config", config], also_refused=()):
+    """Run every (leaf, hostile value) case of `shipped` through the command
+    `argv` builds from the case's config path; assert that each ends as the
+    module docstring says, and that the table reaches both sides of
+    validation. An exit 1 whose message starts with one of `also_refused`
+    need not name the leaf."""
     monkeypatch.chdir(tmp_path)
     base = base_tree(shipped)
     paths = list(leaves(yaml.safe_load(shipped.read_text())))
@@ -75,7 +80,7 @@ def fuzz(shipped, tmp_path, monkeypatch, capsys):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 try:
-                    code = cli.main(["train", "--config", str(config)])
+                    code = cli.main(argv(str(config)))
                 except Exception as exc:  # a traceback out of the CLI
                     failures.append(f"{case}: raised {type(exc).__name__}: {exc}")
                     continue
@@ -87,7 +92,8 @@ def fuzz(shipped, tmp_path, monkeypatch, capsys):
                 failures.append(f"{case}: exit {code}")
                 continue
             exits[code] += 1
-            if code == 1 and not (err.startswith("error: config:") and dotted(path) in err):
+            named = err.startswith("error: config:") and dotted(path) in err
+            if code == 1 and not (named or err.startswith(also_refused)):
                 failures.append(f"{case}: exit 1 says {err.strip()!r}")
     assert not failures, "\n".join(failures)
     assert exits[0] and exits[1], exits
@@ -108,3 +114,21 @@ def test_every_two_class_leaf_takes_every_hostile_value(tmp_path, monkeypatch, c
                          ids=dotted)
 def test_leaves_reach_into_lists_and_planes(path):
     assert path in set(leaves(yaml.safe_load(SHIPPED.read_text())))
+
+
+def test_eval_and_project_take_every_hostile_value(tmp_path, monkeypatch, capsys):
+    # eval reads the checkpoint of the 2-step base run, project a saved cloud
+    monkeypatch.chdir(tmp_path)
+    base = tmp_path / "base.yaml"
+    base.write_text(yaml.safe_dump(base_tree(SHIPPED)))
+    assert cli.main(["train", "--config", str(base)]) == 0
+    assert cli.main(["synth", "--config", str(base), "--out", "cloud.bin"]) == 0
+    checkpoint, cloud = str(tmp_path / "out" / "checkpoint.bin"), str(tmp_path / "cloud.bin")
+    capsys.readouterr()
+    # a config that validates but sizes a layer unlike the base run's is
+    # refused by the checkpoint's shape check, which names the tensor
+    fuzz(SHIPPED, tmp_path, monkeypatch, capsys,
+         lambda config: ["eval", "--config", config, "--checkpoint", checkpoint],
+         also_refused=("error: checkpoint tensor",))
+    fuzz(SHIPPED, tmp_path, monkeypatch, capsys,
+         lambda config: ["project", cloud, "--config", config, "--out-dir", "planes"])

@@ -14,7 +14,6 @@ import pytest
 
 from hexplane import ops
 from hexplane.attention import (
-    POINT_BLOCK,
     attention_weights,
     cross_attention_backward,
     cross_attention_forward,
@@ -25,12 +24,13 @@ from hexplane.attention import (
 )
 from hexplane.cloud import PointCloud
 from hexplane.model import HexPlaneModel, ModelConfig
+from hexplane.ops import POINT_BLOCK
 from hexplane.projection import (
     HexPlaneSet,
     default_plane_specs,
     hexplane_project,
 )
-from test_attention import make_instance
+from test_attention import make_instance, sample_one_map
 from test_encoder import traced_peak
 from test_projection import whole_offsets
 
@@ -206,14 +206,32 @@ def point_blocks(n):
     return pytest.param(dict(n=n, blind=blind, **SHIPPED_ATTENTION), id=f"points_{n}")
 
 
+def last_in_view(n):
+    """Shipped widths at n points, blind at the start and in the middle:
+    row n - 1 is in view, so a one-row rest there would carry gemv's bits."""
+    return pytest.param(dict(n=n, blind=(0, n // 2), **SHIPPED_ATTENTION),
+                        id=f"points_{n}_last_in_view")
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, POINT_BLOCK - 1, POINT_BLOCK, POINT_BLOCK + 1,
+                               POINT_BLOCK + 2, 2 * POINT_BLOCK + 1, 2000])
+def test_row_blocks_cover_the_rows_in_order_with_no_one_row_rest(n):
+    blocks = list(ops.row_blocks(n))
+    assert [row for rows in blocks for row in range(n)[rows]] == list(range(n))
+    sizes = [rows.stop - rows.start for rows in blocks]
+    assert (1 in sizes) == (n == 1)
+    assert max(sizes, default=0) <= POINT_BLOCK + 1
+
+
 class TestCrossAttention:
     # the reference runs on the whole batch; the backward under test runs its
-    # per-point products over POINT_BLOCK points at a time
+    # per-point products over the blocks of `ops.row_blocks`
     @pytest.mark.parametrize("dims", [
         pytest.param({}, id="micro"),
         pytest.param(dict(n=2000, **SHIPPED_ATTENTION), id="occlusion_transfer"),
         pytest.param(dict(n=40, blind=(0, 17, 39)), id="blind_points"),
         *(point_blocks(n) for n in (0, 1, POINT_BLOCK - 1, POINT_BLOCK, POINT_BLOCK + 1, 2000)),
+        *(last_in_view(n) for n in (POINT_BLOCK + 1, 2 * POINT_BLOCK + 1)),
     ])
     def test_rebuilt_key_and_value_match_cached(self, dims):
         point_feats, gathered, valid, offsets, params = make_instance(20, **dims)
@@ -300,7 +318,7 @@ class TestBilinearSample:
                             rng.uniform(-1, w, size=100)])
         v = np.concatenate([np.tile(edges_v, len(edges_u)),
                             rng.uniform(-1, h, size=100)])
-        got, _ = ops.bilinear_sample_forward(fmap, u, v)
+        got, _ = sample_one_map(fmap, u, v)
         assert same_bits(got, sample_by_fancy_index(fmap, u, v))
 
     @pytest.mark.parametrize("n", [1, POINT_BLOCK - 1, POINT_BLOCK, POINT_BLOCK + 1, 2000])
@@ -394,9 +412,9 @@ class TestGatherAndOffsets:
         for m, (dmap, fmap, plane) in enumerate(zip(dmaps, fmaps, hexset.planes)):
             c, (h, w) = plane.index.coords, plane.raster.shape[:2]
             mask = c.in_fov
-            # the masked sample's cache: the single-map sampler's taps of the
+            # the masked sample's cache: a one-map sample's taps of the
             # in-FOV rows, not the cache under test
-            _, masked = ops.bilinear_sample_forward(
+            _, masked = sample_one_map(
                 fmap, c.u[mask] * (fmap.shape[1] / w), c.v[mask] * (fmap.shape[0] / h))
             want = ops.bilinear_sample_backward(d_gathered[mask, m], masked)
             assert same_bits(dmap, want), plane.spec.kind

@@ -49,21 +49,6 @@ class TestConfusionMatrix:
         with pytest.raises(ValueError, match="out of range"):
             ConfusionMatrix(2).update(np.array([3]), np.array([0]))
 
-    def test_merge_equals_concatenation(self):
-        rng = np.random.default_rng(1)
-        p1, l1 = rng.integers(0, 3, 200), rng.integers(0, 3, 200)
-        p2, l2 = rng.integers(0, 3, 150), rng.integers(-1, 3, 150)
-        merged = ConfusionMatrix(3).update(p1, l1).merge(
-            ConfusionMatrix(3).update(p2, l2)
-        )
-        stream = ConfusionMatrix(3).update(
-            np.concatenate([p1, p2]), np.concatenate([l1, l2])
-        )
-        assert np.array_equal(merged.counts, stream.counts)
-        a = segmentation_scores(merged)
-        b = segmentation_scores(stream)
-        assert a.miou == b.miou and a.oa == b.oa
-
 
 class TestSegmentationScores:
     def test_perfect(self):
