@@ -133,7 +133,9 @@ def cmd_eval(args) -> int:
         num_classes = cfg.scene_num_classes(tree, train_cloud)
         num_classes = max(num_classes, int(cloud.labels.max()) + 1)
         model = HexPlaneModel(cfg.build_model_config(tree, num_classes, [cloud]))
-        model.load_parameters(load_checkpoint(args.checkpoint))
+        params = load_checkpoint(args.checkpoint)
+        cfg.check_trained_widths(model.config, params)
+        model.load_parameters(params)
         spec_fn = cfg.plane_spec_builder(tree["planes"])
         hexset = plane_inputs(model.config, cloud, spec_fn)
         if hexset is None and args.on_range_image:

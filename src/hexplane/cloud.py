@@ -283,9 +283,24 @@ def _load_binary(raw: bytes) -> PointCloud:
 PRIMITIVE_KINDS = ("box", "cylinder")
 
 
+class SceneError(ValueError):
+    """Scene recipe that cannot be sampled. Built from field names and text
+    in turn, field first, so that its message starts with the `SceneSpec`
+    field to blame and `under(section)` can name each field as a key of a
+    config section."""
+
+    def __init__(self, *parts):
+        super().__init__("".join(parts))
+        self.parts = parts
+
+    def under(self, section) -> str:
+        return "".join(f"{section}.{part}" if i % 2 == 0 else part
+                       for i, part in enumerate(self.parts))
+
+
 @dataclass(frozen=True)
 class Primitive:
-    """Surface-sampled solid placed in a scene.
+    """Surface-sampled solid placed in a scene; `SceneSpec` checks it.
 
     kind "box": size = (sx, sy, sz), all six faces sampled.
     kind "cylinder": size = (radius, height), vertical axis; lateral surface
@@ -297,15 +312,6 @@ class Primitive:
     size: tuple[float, ...]
     class_id: int
 
-    def __post_init__(self):
-        if self.kind not in PRIMITIVE_KINDS:
-            raise ValueError(f"unknown primitive kind {self.kind!r}")
-        want = 3 if self.kind == "box" else 2
-        if len(self.size) != want:
-            raise ValueError(f"{self.kind} size must have {want} entries")
-        if any(s <= 0 for s in self.size):
-            raise ValueError("primitive size components must be positive")
-
 
 @dataclass(frozen=True)
 class SceneSpec:
@@ -313,7 +319,8 @@ class SceneSpec:
 
     The room spans x in [-Lx/2, Lx/2], y in [-Ly/2, Ly/2], z in [0, Lz]
     with the sensor origin at (0, 0, 0) on the floor. Identical specs
-    produce bit-identical clouds.
+    produce bit-identical clouds. A recipe that cannot be sampled is
+    refused here, by a SceneError naming the field to blame.
     """
 
     seed: int
@@ -327,18 +334,75 @@ class SceneSpec:
 
     def __post_init__(self):
         if self.num_points < 1:
-            raise ValueError("zero points requested")
+            raise SceneError("num_points", ": zero points requested")
         if self.num_classes < 2:
-            raise ValueError("need at least two classes")
-        for cls in self.class_ids():
+            raise SceneError("num_classes", ": need at least two classes")
+        # a face's area is its edges' norms multiplied, which square each side;
+        # apportion_counts divides by the areas' total
+        room_area = _area_sum(_room_faces, self)
+        if not math.isfinite(room_area):
+            raise SceneError("room_extent", f": room {self.room_extent} has face areas "
+                             "that overflow float64")
+        if room_area == 0.0:
+            raise SceneError("room_extent", f": room {self.room_extent} has no face "
+                             "with an area")
+        for i, prim in enumerate(self.primitives):
+            _check_primitive(prim, self.room_extent, f"primitives[{i}]")
+        ids = [("floor_class", self.floor_class), ("wall_class", self.wall_class)]
+        ids += [(f"primitives[{i}].class_id", p.class_id)
+                for i, p in enumerate(self.primitives)]
+        for name, cls in ids:
             if not 0 <= cls < self.num_classes:
-                raise ValueError(f"class id {cls} outside [0, {self.num_classes})")
-        check_room(self.room_extent)
+                raise SceneError(name, f" must be a class id in [0, {self.num_classes})")
+        classes = len(self.class_ids())
+        if self.num_points < classes:
+            raise SceneError("num_points", f": {self.num_points} points cannot cover "
+                             f"{classes} classes")
+        if not math.isfinite(_area_sum(scene_surfaces, self)):
+            raise SceneError("primitives", ": the surfaces' areas sum past float64")
 
     def class_ids(self) -> tuple[int, ...]:
         ids = {self.floor_class, self.wall_class}
         ids.update(p.class_id for p in self.primitives)
         return tuple(sorted(ids))
+
+
+def _check_primitive(prim: Primitive, room_extent, name):
+    """Refuse `prim`, the recipe's field `name`, unless it is a known kind
+    of positive size that lies inside the room."""
+    if prim.kind not in PRIMITIVE_KINDS:
+        raise SceneError(name, f": unknown primitive kind {prim.kind!r}; ", f"{name}.kind",
+                         f" must be one of {', '.join(PRIMITIVE_KINDS)}")
+    want = 3 if prim.kind == "box" else 2
+    if len(prim.size) != want:
+        raise SceneError(f"{name}.size", f": a {prim.kind} size must have {want} entries")
+    if any(s <= 0 for s in prim.size):
+        raise SceneError(f"{name}.size", ": primitive size components must be positive")
+    lx, ly, lz = room_extent
+    cx, cy, cz = prim.center
+    if prim.kind == "box":
+        hx, hy, hz = (s / 2 for s in prim.size)
+    else:
+        radius, height = prim.size
+        hx = hy = radius
+        hz = height / 2
+    inside = (
+        -lx / 2 <= cx - hx
+        and cx + hx <= lx / 2
+        and -ly / 2 <= cy - hy
+        and cy + hy <= ly / 2
+        and 0 <= cz - hz
+        and cz + hz <= lz
+    )
+    if not inside:
+        raise SceneError(name, f": primitive outside room {room_extent}: {prim}")
+
+
+def _area_sum(surfaces, spec) -> float:
+    """The areas of `surfaces(spec)` summed, inf where one or the sum
+    overflows float64."""
+    with np.errstate(over="ignore"):
+        return float(np.sum([s.area for s in surfaces(spec)]))
 
 
 class _Rect:
@@ -434,20 +498,24 @@ def _box_faces(prim: Primitive):
     ]
 
 
-def scene_surfaces(spec: SceneSpec):
-    """Sampling surfaces in their fixed order: floor, four walls, primitives."""
+def _room_faces(spec: SceneSpec):
+    """The floor, then the four walls."""
     lx, ly, lz = spec.room_extent
     x0, x1 = -lx / 2, lx / 2
     y0, y1 = -ly / 2, ly / 2
-    surfaces = [
+    return [
         _Rect((x0, y0, 0), (lx, 0, 0), (0, ly, 0), (0, 0, 1), spec.floor_class),
         _Rect((x0, y0, 0), (lx, 0, 0), (0, 0, lz), (0, 1, 0), spec.wall_class),
         _Rect((x0, y1, 0), (lx, 0, 0), (0, 0, lz), (0, -1, 0), spec.wall_class),
         _Rect((x0, y0, 0), (0, ly, 0), (0, 0, lz), (1, 0, 0), spec.wall_class),
         _Rect((x1, y0, 0), (0, ly, 0), (0, 0, lz), (-1, 0, 0), spec.wall_class),
     ]
+
+
+def scene_surfaces(spec: SceneSpec):
+    """Sampling surfaces in their fixed order: floor, four walls, primitives."""
+    surfaces = _room_faces(spec)
     for prim in spec.primitives:
-        check_primitive_in_room(prim, spec.room_extent)
         if prim.kind == "box":
             surfaces.extend(_box_faces(prim))
         else:
@@ -466,51 +534,12 @@ def scene_surfaces(spec: SceneSpec):
     return surfaces
 
 
-def check_room(room_extent):
-    """Refuse a room whose face areas overflow float64: `scene_surfaces`
-    weighs each face by its edges' norms, which square each side."""
-    lx, ly, lz = (abs(side) for side in room_extent)
-    areas = (lx * ly, lx * lz, lx * lz, ly * lz, ly * lz)  # the floor, then the walls
-    if not all(math.isfinite(a) for a in (lx * lx, ly * ly, lz * lz, sum(areas))):
-        raise ValueError(f"room {tuple(room_extent)} has face areas that overflow float64")
-
-
 def reach_overflows(room_extent, noise) -> bool:
     """Whether a point within `noise` of the room box can lie farther from the
     origin than float64 measures, squared as `PointCloud.depths` squares it."""
     lx, ly, lz = (abs(side) for side in room_extent)
     x, y, z = lx / 2 + noise, ly / 2 + noise, lz + noise
     return not math.isfinite((x * x + y * y) + z * z)
-
-
-def check_surface_areas(surfaces):
-    """Refuse surfaces whose areas sum past float64: `apportion_counts`
-    divides by that total."""
-    with np.errstate(over="ignore"):
-        total = np.sum([s.area for s in surfaces])
-    if not np.isfinite(total):
-        raise ValueError("the surfaces' areas sum past float64")
-
-
-def check_primitive_in_room(prim: Primitive, room_extent):
-    lx, ly, lz = room_extent
-    cx, cy, cz = prim.center
-    if prim.kind == "box":
-        hx, hy, hz = (s / 2 for s in prim.size)
-    else:
-        radius, height = prim.size
-        hx = hy = radius
-        hz = height / 2
-    inside = (
-        -lx / 2 <= cx - hx
-        and cx + hx <= lx / 2
-        and -ly / 2 <= cy - hy
-        and cy + hy <= ly / 2
-        and 0 <= cz - hz
-        and cz + hz <= lz
-    )
-    if not inside:
-        raise ValueError(f"primitive outside room {room_extent}: {prim}")
 
 
 def apportion_counts(areas, total: int) -> np.ndarray:
@@ -538,11 +567,6 @@ def sampling_plan(spec: SceneSpec):
     """
     surfaces = scene_surfaces(spec)
     classes = spec.class_ids()
-    if spec.num_points < len(classes):
-        raise ValueError(
-            f"{spec.num_points} points cannot cover {len(classes)} classes"
-        )
-    check_surface_areas(surfaces)
     counts = apportion_counts([s.area for s in surfaces], spec.num_points)
 
     def class_totals():

@@ -111,7 +111,8 @@ _TYPES = (
 
 # leaf name -> (what the value must be, test), in place of the default's type
 _SHAPES = {
-    "extent": ("a list of 4 numbers", _list_of(_is_number, 4)),
+    "extent": ("4 numbers [u_min, u_max, v_min, v_max], each min below its max",
+               lambda v: _list_of(_is_number, 4)(v) and v[0] < v[1] and v[2] < v[3]),
     "depth_ref": ("a number", _is_number),
     "room_extent": ("a list of 3 numbers", _list_of(_is_number, 3)),
     "center": ("a list of 3 numbers", _list_of(_is_number, 3)),
@@ -236,47 +237,24 @@ def _from_section(cls, section, **given):
 
 
 def build_scene_spec(scene_tree, section="scene") -> SceneSpec:
-    """The SceneSpec of a validated `section` (`scene` or `eval_scene`).
-
-    The class-id range and room containment that the spec and `synth_scene`
-    enforce span several keys; they are checked here, naming the key."""
-    classes = scene_tree["num_classes"]
-    room = _cast(scene_tree["room_extent"], (0.0,))
+    """The SceneSpec of a validated `section` (`scene` or `eval_scene`): its
+    synth recipe, or the `two_class` builtin at its seed and point count. The
+    spec's refusal names its fields; this names them as keys of `section`."""
     try:
-        cloudmod.check_room(room)
-    except ValueError as exc:
-        raise ConfigError(f"config: {section}.room_extent: {exc}") from exc
-    ids = [(f"{section}.{key}", scene_tree[key]) for key in ("floor_class", "wall_class")]
-    prims = []
-    for i, p in enumerate(scene_tree["primitives"]):
-        key = f"{section}.primitives[{i}]"
-        try:
-            prims.append(Primitive(kind=p["kind"], center=_cast(p["center"], (0.0,)),
-                                   size=_cast(p["size"], (0.0,)), class_id=p["class_id"]))
-            cloudmod.check_primitive_in_room(prims[-1], room)
-        except ValueError as exc:
-            note = ("" if p["kind"] in cloudmod.PRIMITIVE_KINDS else
-                    f"; {key}.kind must be one of {', '.join(cloudmod.PRIMITIVE_KINDS)}")
-            raise ConfigError(f"config: {key}: {exc}{note}") from exc
-        ids.append((f"{key}.class_id", p["class_id"]))
-    for key, cls in ids:
-        if not 0 <= cls < classes:
-            raise ConfigError(f"config: {key} must be a class id in [0, {classes})")
-    spec = _from_section(SceneSpec, scene_tree, primitives=tuple(prims))
-    try:  # the room's own faces sum inside float64 (check_room)
-        cloudmod.check_surface_areas(cloudmod.scene_surfaces(spec))
-    except ValueError as exc:
-        raise ConfigError(f"config: {section}.primitives: {exc}") from exc
-    return spec
+        if scene_tree["kind"] == "builtin":
+            return cloudmod.two_class_spec(seed=scene_tree["seed"],
+                                           num_points=scene_tree["num_points"])
+        prims = tuple(Primitive(kind=p["kind"], center=_cast(p["center"], (0.0,)),
+                                size=_cast(p["size"], (0.0,)), class_id=p["class_id"])
+                      for p in scene_tree["primitives"])
+        return _from_section(SceneSpec, scene_tree, primitives=prims)
+    except cloudmod.SceneError as exc:
+        raise ConfigError(f"config: {exc.under(section)}") from exc
 
 
 def _synth_scene(spec: SceneSpec, section):
-    """`synth_scene(spec)`, its point budget checked against its classes and
-    its noise against the distances float64 can measure."""
-    classes = len(spec.class_ids())
-    if spec.num_points < classes:
-        raise ConfigError(f"config: {section}.num_points: {spec.num_points} points "
-                          f"cannot cover {classes} classes")
+    """`synth_scene(spec)`, its noise checked against the distances float64
+    can measure."""
     noisy = (cloudmod.reach_overflows(spec.room_extent, spec.noise)
              and not cloudmod.reach_overflows(spec.room_extent, 0.0))
     blame = f"{section}.noise {spec.noise:g} can push a point's distance past float64"
@@ -293,16 +271,10 @@ def _synth_scene(spec: SceneSpec, section):
 
 def build_scene(scene_tree, section="scene"):
     """Materialize the scene tree of `section` into a labeled PointCloud."""
-    kind = scene_tree["kind"]
-    if kind == "synth":
+    kind, name = scene_tree["kind"], scene_tree["name"]
+    if kind == "synth" or kind == "builtin" and name == "two_class":
         return _synth_scene(build_scene_spec(scene_tree, section), section)
     if kind == "builtin":
-        name = scene_tree["name"]
-        if name == "two_class":
-            spec = cloudmod.two_class_spec(
-                seed=scene_tree["seed"], num_points=scene_tree["num_points"]
-            )
-            return _synth_scene(spec, section)
         if name == "occlusion":
             return cloudmod.make_occlusion_scene()[0]
         raise ConfigError(f"config: {section}.name: unknown builtin scene {name!r}")
@@ -364,6 +336,22 @@ def build_model_config(tree, num_classes, clouds=()) -> ModelConfig:
             raise ConfigError(f"config: model.voxel_size {config.voxel_size:g} gives more "
                               f"than 2**62 cells across the scene's {span:g} m")
     return config
+
+
+def check_trained_widths(config: ModelConfig, params: dict) -> None:
+    """Refuse the first `model` width unlike the one a checkpoint's tensors
+    `params` were trained at, read back from their shapes. The heads and
+    their size multiply into one width, so both keys are named there."""
+    widths = (("model.point_width", "point/w1", config.point_width),
+              ("model.feature_channels", "enc/mix/W", config.feature_channels),
+              ("model.heads * model.head_dim", "attn/w_query",
+               config.heads * config.head_dim),
+              ("model.fused_channels", "attn/w_out", config.fused_channels))
+    for key, name, width in widths:
+        trained = params.get(name)
+        if trained is not None and trained.ndim == 2 and trained.shape[1] != width:
+            raise ConfigError(f"config: {key} is {width}, but the checkpoint was "
+                              f"trained at {trained.shape[1]}")
 
 
 def build_train_settings(tree) -> TrainSettings:

@@ -17,6 +17,7 @@ per-point pixel table (little-endian):
 
 from __future__ import annotations
 
+import colorsys
 import struct
 from pathlib import Path
 
@@ -74,16 +75,8 @@ def class_palette(num_classes):
     golden = 0.6180339887498949
     for k in range(num_classes):
         hue = (k * golden) % 1.0
-        palette[k + 1] = _hsv_to_rgb(hue, 0.75, 0.95)
+        palette[k + 1] = [round(c * 255) for c in colorsys.hsv_to_rgb(hue, 0.75, 0.95)]
     return palette
-
-
-def _hsv_to_rgb(h, s, v):
-    i = int(h * 6.0) % 6
-    f = h * 6.0 - int(h * 6.0)
-    p, q, t = v * (1 - s), v * (1 - s * f), v * (1 - s * (1 - f))
-    r, g, b = [(v, t, p), (q, v, p), (p, v, t), (p, q, v), (t, p, v), (v, p, q)][i]
-    return np.array([round(r * 255), round(g * 255), round(b * 255)], dtype=np.uint8)
 
 
 def export_plane_images(out_dir, stem, hexset: HexPlaneSet, label_images=None,

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, determinism, exit codes."""
 
 import copy
+import hashlib
 import json
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import yaml
 
 from hexplane.cli import main
 from hexplane.cloud import PointCloud, save_pointcloud
-from hexplane.images import load_projection_index
+from hexplane.images import class_palette, load_projection_index
 
 TINY_CONFIG = {
     "scene": {
@@ -158,6 +159,11 @@ class TestSynthAndProject:
                 (vals - lo) / span * 65534
             ).astype(np.int64)
             assert np.array_equal(img, want), kind
+
+    def test_class_palette_bytes_are_pinned(self):
+        # every class PPM is coloured from this table: 301 rows, black first
+        digest = hashlib.sha256(class_palette(300).tobytes()).hexdigest()
+        assert digest == "fc41998963057a82c3ebfb8569dd5eb2eb841c0537c92db0e06566b67628a7dd"
 
     def test_synth_ascii_round_trip(self, tmp_path, tiny_config):
         out = tmp_path / "scene.txt"
@@ -463,6 +469,34 @@ class TestValidation:
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert "head/point/W" in lines[0]
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("model,key", [
+        ({"point_width": 9}, "model.point_width is 9, but the checkpoint was trained at 8"),
+        ({"feature_channels": 7}, "model.feature_channels is 7"),
+        ({"heads": 3}, "model.heads * model.head_dim is 9, but the checkpoint was trained at 6"),
+        ({"head_dim": 2}, "model.heads * model.head_dim is 4"),
+        ({"fused_channels": 5}, "model.fused_channels is 5"),
+        # the first key in config order is named
+        ({"fused_channels": 5, "point_width": 9}, "model.point_width"),
+    ])
+    def test_checkpoint_width_unlike_the_config_names_the_key(self, tmp_path, tiny_config,
+                                                              capsys, model, key):
+        # these used to name the checkpoint tensor the width sized, not the key
+        from hexplane import config as cfg
+        from hexplane.checkpoint import save_checkpoint
+        from hexplane.model import HexPlaneModel
+
+        tree = cfg.load_config(tiny_config)
+        path = tmp_path / "trained.bin"
+        save_checkpoint(path, HexPlaneModel(cfg.build_model_config(tree, 3)).parameters())
+        user = copy.deepcopy(TINY_CONFIG)
+        user["model"].update(model)
+        other = tmp_path / "other.yaml"
+        other.write_text(yaml.safe_dump(user))
+        code = main(["eval", "--config", str(other), "--checkpoint", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: config:") and key in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_train_scene_is_built_once(self, tmp_path, monkeypatch, command):

@@ -12,13 +12,13 @@ from hexplane.cloud import (
     CloudFormatError,
     PointCloud,
     Primitive,
+    SceneError,
     SceneSpec,
     augment,
     default_features,
     load_pointcloud,
     make_occlusion_scene,
     save_pointcloud,
-    scene_surfaces,
     synth_scene,
 )
 from hexplane.model import HexPlaneModel, ModelConfig
@@ -163,6 +163,9 @@ class TestBinaryFormat:
         assert load_pointcloud(bin_path).n == cloud.n
 
 
+BOX = Primitive("box", center=(2.0, -1.5, 0.5), size=(1.0, 1.2, 1.0), class_id=2)
+
+
 class TestSynthScene:
     def make_spec(self, **kw):
         base = dict(
@@ -171,7 +174,7 @@ class TestSynthScene:
             num_classes=3,
             room_extent=(8.0, 8.0, 3.0),
             primitives=(
-                Primitive("box", center=(2.0, -1.5, 0.5), size=(1.0, 1.2, 1.0), class_id=2),
+                BOX,
                 Primitive("cylinder", center=(-2.0, 2.0, 0.6), size=(0.5, 1.2), class_id=2),
             ),
         )
@@ -231,11 +234,9 @@ class TestSynthScene:
             SceneSpec(seed=0, num_points=0, num_classes=2)
 
     def test_primitive_outside_room_rejected(self):
-        spec = self.make_spec(
-            primitives=(Primitive("box", center=(5.0, 0, 0.5), size=(1, 1, 1), class_id=2),)
-        )
+        box = Primitive("box", center=(5.0, 0, 0.5), size=(1, 1, 1), class_id=2)
         with pytest.raises(ValueError, match="outside room"):
-            scene_surfaces(spec)
+            self.make_spec(primitives=(box,))
 
     @pytest.mark.parametrize("room", [(1e300, 8.0, 3.0), (8.0, -1.4e154, 3.0),
                                       (1e154, 1e154, 1e154)])
@@ -250,9 +251,31 @@ class TestSynthScene:
         # not; this used to warn from apportion_counts' areas.sum()
         cyl = Primitive("cylinder", center=(0.0, 0.0, 2.5e153), size=(2.5e153, 5.0e153),
                         class_id=2)
-        spec = self.make_spec(room_extent=(5.0e153,) * 3, primitives=(cyl,))
         with pytest.raises(ValueError, match="areas sum past float64"):
-            synth_scene(spec)
+            self.make_spec(room_extent=(5.0e153,) * 3, primitives=(cyl,))
+
+    @pytest.mark.parametrize("change,field", [
+        ({"num_points": 0}, "num_points: "),
+        ({"num_classes": 1}, "num_classes: "),
+        ({"room_extent": (1e300, 8.0, 3.0)}, "room_extent: "),
+        ({"room_extent": (0.0, 0.0, 0.0)}, "room_extent: "),
+        ({"primitives": (Primitive("sphere", (0, 0, 1), (1,), 2),)}, "primitives[0]: "),
+        ({"primitives": (BOX, Primitive("box", (0, 0, 1), (1, 1), 2))}, "primitives[1].size: "),
+        ({"primitives": (Primitive("cylinder", (0, 0, 1), (1, 0), 2),)},
+         "primitives[0].size: "),
+        ({"primitives": (Primitive("box", (5, 0, 1), (1, 1, 1), 2),)}, "primitives[0]: "),
+        ({"floor_class": 3}, "floor_class must be a class id in [0, 3)"),
+        ({"wall_class": -1}, "wall_class must be a class id in [0, 3)"),
+        ({"primitives": (BOX, Primitive("box", (0, 0, 1), (1, 1, 1), 3))},
+         "primitives[1].class_id must be a class id in [0, 3)"),
+        ({"num_points": 2}, "num_points: 2 points cannot cover 3 classes"),
+        ({"room_extent": (5.0e153,) * 3, "primitives": (
+            Primitive("cylinder", (0, 0, 2.5e153), (2.5e153, 5.0e153), 2),)}, "primitives: "),
+    ])
+    def test_each_refusal_starts_with_the_field_to_blame(self, change, field):
+        with pytest.raises(SceneError) as caught:
+            self.make_spec(**change)
+        assert str(caught.value).startswith(field)
 
 
 class TestAugment:

@@ -254,6 +254,16 @@ MALFORMED = [
     # a room whose own far corner is past float64 is not blamed on the noise
     ("train", {"scene": {"room_extent": [1.0e153, 8.0, 1.3407e154], "num_points": 300}},
      "config: model.voxel_size 0.4 gives more than 2**62 cells"),
+    # a degenerate extent was refused by the plane spec, naming no key
+    ("project", {"planes": {"xy_top": {"extent": [1, 0, 0, 1]}}},
+     "planes.xy_top.extent must be 4 numbers"),
+    ("train", {"planes": {"yz_right": {"extent": [0, 1, 2, 2]}}}, "planes.yz_right.extent"),
+    # a room with no area printed an overflow warning, then failed in the
+    # sampler as "max() arg is an empty sequence"
+    ("train", {"scene": {"room_extent": [0, 0, 0]}},
+     "config: scene.room_extent: room (0.0, 0.0, 0.0) has no face with an area"),
+    ("train", {"eval_scene": {"kind": "synth", "room_extent": [1.0e-200, 1.0e-200, 1.0]}},
+     "config: eval_scene.room_extent"),
 ]
 
 

@@ -2,9 +2,10 @@
 two_class.yaml, one at a time, set to each value of a fixed table of hostile
 values, through `hexplane train` in-process, and every leaf of
 occlusion_transfer.yaml also through `hexplane eval` and `hexplane project`.
-Each run must end in a documented exit code (0 ok, 1 validation, 2
-numerical) with no traceback and no warning, and an exit 1 must say
-`error: config:` and name the leaf by its dotted key.
+Two leaves the shipped files leave unset, `planes.xy_top.extent` and
+`planes.xy_top.depth_ref`, are fuzzed too. Each run must end in a documented
+exit code (0 ok, 1 validation, 2 numerical) with no traceback and no warning,
+and an exit 1 must say `error: config:` and name the leaf by its dotted key.
 
 The base run is the shipped config at 300 points and 2 steps, so that the
 cases that validate also train, project and evaluate; eval reads the base
@@ -24,7 +25,11 @@ from hexplane import cli
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SHIPPED = CONFIGS / "occlusion_transfer.yaml"
 
-HOSTILE = [0, -1, 3, 0.5, 1e300, -1e300, 1e-300, True, "x", [], None, {"a": 1}]
+# [1, 0, 0, 1] is a list of numbers that no list-valued leaf takes: a
+# degenerate extent, a size of the wrong length, a zero encoder width
+HOSTILE = [0, -1, 3, 0.5, 1e300, -1e300, 1e-300, True, "x", [], [1, 0, 0, 1], None,
+           {"a": 1}]
+UNSET = [("planes", "xy_top", "extent"), ("planes", "xy_top", "depth_ref")]
 
 
 def leaves(tree, path=()):
@@ -57,22 +62,22 @@ def base_tree(shipped):
 
 
 def fuzz(shipped, tmp_path, monkeypatch, capsys,
-         argv=lambda config: ["train", "--config", config], also_refused=()):
-    """Run every (leaf, hostile value) case of `shipped` through the command
-    `argv` builds from the case's config path; assert that each ends as the
-    module docstring says, and that the table reaches both sides of
-    validation. An exit 1 whose message starts with one of `also_refused`
-    need not name the leaf."""
+         argv=lambda config: ["train", "--config", config]):
+    """Run every (leaf, hostile value) case of `shipped`, and of `UNSET`,
+    through the command `argv` builds from the case's config path; assert
+    that each ends as the module docstring says, and that the table reaches
+    both sides of validation."""
     monkeypatch.chdir(tmp_path)
     base = base_tree(shipped)
-    paths = list(leaves(yaml.safe_load(shipped.read_text())))
+    shipped_paths = list(leaves(yaml.safe_load(shipped.read_text())))
+    paths = shipped_paths + [path for path in UNSET if path not in shipped_paths]
     failures, exits = [], {0: 0, 1: 0, 2: 0}
     for path in paths:
         for value in HOSTILE:
             tree = copy.deepcopy(base)
             node = tree
             for part in path[:-1]:
-                node = node[part]
+                node = node[part] if isinstance(part, int) else node.setdefault(part, {})
             node[path[-1]] = value
             config = tmp_path / "fuzz.yaml"
             config.write_text(yaml.safe_dump(tree))
@@ -93,11 +98,11 @@ def fuzz(shipped, tmp_path, monkeypatch, capsys,
                 continue
             exits[code] += 1
             named = err.startswith("error: config:") and dotted(path) in err
-            if code == 1 and not (named or err.startswith(also_refused)):
+            if code == 1 and not named:
                 failures.append(f"{case}: exit 1 says {err.strip()!r}")
     assert not failures, "\n".join(failures)
     assert exits[0] and exits[1], exits
-    return paths
+    return shipped_paths
 
 
 def test_every_leaf_takes_every_hostile_value(tmp_path, monkeypatch, capsys):
@@ -125,10 +130,7 @@ def test_eval_and_project_take_every_hostile_value(tmp_path, monkeypatch, capsys
     assert cli.main(["synth", "--config", str(base), "--out", "cloud.bin"]) == 0
     checkpoint, cloud = str(tmp_path / "out" / "checkpoint.bin"), str(tmp_path / "cloud.bin")
     capsys.readouterr()
-    # a config that validates but sizes a layer unlike the base run's is
-    # refused by the checkpoint's shape check, which names the tensor
     fuzz(SHIPPED, tmp_path, monkeypatch, capsys,
-         lambda config: ["eval", "--config", config, "--checkpoint", checkpoint],
-         also_refused=("error: checkpoint tensor",))
+         lambda config: ["eval", "--config", config, "--checkpoint", checkpoint])
     fuzz(SHIPPED, tmp_path, monkeypatch, capsys,
          lambda config: ["project", cloud, "--config", config, "--out-dir", "planes"])
