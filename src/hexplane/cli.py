@@ -22,9 +22,9 @@ from .cloud import CloudFormatError, load_pointcloud, save_pointcloud
 from .images import export_plane_images, save_projection_index
 from .metrics import ConfusionMatrix, report_json, report_table, segmentation_scores
 from .model import HexPlaneModel
-from .projection import PLANE_KINDS, hexplane_project, rasterize_labels
-from .training import (DivergenceError, NonFiniteGradientError, plane_inputs,
-                       train_toy, write_log)
+from .projection import hexplane_project, rasterize_labels
+from .training import (DivergenceError, NonFiniteGradientError, evaluate,
+                       require_labels, train_toy, write_log)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -91,14 +91,6 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _range_image_confusion(cloud, preds, hexset, num_classes):
-    """Confusion over cylindrical range-image pixels instead of points: each
-    occupied pixel scores its winner's prediction against its label."""
-    winner = hexset.planes[PLANE_KINDS.index("cylindrical")].index.winner
-    win = winner[winner >= 0]
-    return ConfusionMatrix(num_classes).update(preds[win], cloud.labels[win])
-
-
 def cmd_eval(args) -> int:
     tree = cfg.load_config(args.config)
 
@@ -128,24 +120,13 @@ def cmd_eval(args) -> int:
             cloud = cfg.build_scene(tree["eval_scene"], "eval_scene")
         else:
             cloud = train_cloud = cfg.build_scene(tree["scene"])
-        if cloud.labels is None:
-            raise ValueError("evaluation cloud must carry labels")
+        require_labels(cloud, "evaluation")
         num_classes = cfg.scene_num_classes(tree, train_cloud)
-        num_classes = max(num_classes, int(cloud.labels.max()) + 1)
         model = HexPlaneModel(cfg.build_model_config(tree, num_classes, [cloud]))
         params = load_checkpoint(args.checkpoint)
         cfg.check_trained_widths(model.config, params)
         model.load_parameters(params)
-        spec_fn = cfg.plane_spec_builder(tree["planes"])
-        hexset = plane_inputs(model.config, cloud, spec_fn)
-        if hexset is None and args.on_range_image:
-            hexset = hexplane_project(cloud, spec_fn(cloud))
-        out = model.forward(cloud, hexset)
-        preds = out.point_logits.argmax(axis=1)
-        if args.on_range_image:
-            cm = _range_image_confusion(cloud, preds, hexset, num_classes)
-        else:
-            cm = ConfusionMatrix(num_classes).update(preds, cloud.labels)
+        cm = evaluate(model, cloud, cfg.plane_spec_builder(tree["planes"]), args.on_range_image)
 
     scores = segmentation_scores(cm)
     report = report_json(scores)

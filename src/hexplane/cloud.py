@@ -343,6 +343,8 @@ class SceneSpec:
         if not math.isfinite(room_area):
             raise SceneError("room_extent", f": room {self.room_extent} has face areas "
                              "that overflow float64")
+        if any(side < 0 for side in self.room_extent):
+            raise SceneError("room_extent", f": room {self.room_extent} has a negative side")
         if room_area == 0.0:
             raise SceneError("room_extent", f": room {self.room_extent} has no face "
                              "with an area")
@@ -537,7 +539,7 @@ def scene_surfaces(spec: SceneSpec):
 def reach_overflows(room_extent, noise) -> bool:
     """Whether a point within `noise` of the room box can lie farther from the
     origin than float64 measures, squared as `PointCloud.depths` squares it."""
-    lx, ly, lz = (abs(side) for side in room_extent)
+    lx, ly, lz = room_extent
     x, y, z = lx / 2 + noise, ly / 2 + noise, lz + noise
     return not math.isfinite((x * x + y * y) + z * z)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ import yaml
 
 from . import cloud as cloudmod
 from .cloud import Primitive, SceneSpec
+from .metrics import MAX_CLASSES
 from .model import ModelConfig, input_channels
 from .projection import (
     DEFAULT_RESOLUTIONS,
@@ -126,7 +128,8 @@ _SHAPES = {
                      "num_points"), ("a positive integer", _int_from(1))),
     **dict.fromkeys(("seed", "steps", "eval_every"),
                     ("a non-negative integer", _int_from(0))),
-    "num_classes": ("an integer of at least 2", _int_from(2)),
+    "num_classes": (f"an integer in [2, {MAX_CLASSES}]",
+                    lambda v: _int_from(2)(v) and v <= MAX_CLASSES),
     **dict.fromkeys(("voxel_size", "fov_up_deg", "fov_down_deg", "lr_max"),
                     ("a positive number", lambda v: _is_number(v) and v > 0)),
     **dict.fromkeys(("noise", "aux_weight", "weight_decay"),
@@ -339,19 +342,30 @@ def build_model_config(tree, num_classes, clouds=()) -> ModelConfig:
 
 
 def check_trained_widths(config: ModelConfig, params: dict) -> None:
-    """Refuse the first `model` width unlike the one a checkpoint's tensors
-    `params` were trained at, read back from their shapes. The heads and
+    """Refuse the first setting unlike the one a checkpoint's tensors
+    `params` were trained at, read back from their names and shapes: whether
+    there are planes (the other widths then size tensors one side lacks),
+    the class count, then the `model` widths in config order. The heads and
     their size multiply into one width, so both keys are named there."""
-    widths = (("model.point_width", "point/w1", config.point_width),
-              ("model.feature_channels", "enc/mix/W", config.feature_channels),
-              ("model.heads * model.head_dim", "attn/w_query",
-               config.heads * config.head_dim),
-              ("model.fused_channels", "attn/w_out", config.fused_channels))
-    for key, name, width in widths:
-        trained = params.get(name)
-        if trained is not None and trained.ndim == 2 and trained.shape[1] != width:
-            raise ConfigError(f"config: {key} is {width}, but the checkpoint was "
-                              f"trained at {trained.shape[1]}")
+    def width(name, ndim=2):  # last axis of tensor `name`, if it has `ndim` axes
+        arr = params.get(name)
+        return arr.shape[-1] if arr is not None and arr.ndim == ndim else None
+
+    stages = []
+    while (stage := width(f"enc/conv{len(stages)}/W", ndim=4)) is not None:
+        stages.append(stage)
+    settings = (("model.use_planes", config.use_planes, "enc/mix/W" in params),
+                ("scene.num_classes", config.num_classes, width("head/point/W")),
+                ("model.point_width", config.point_width, width("point/w1")),
+                ("model.encoder_widths", list(config.encoder_widths), stages or None),
+                ("model.feature_channels", config.feature_channels, width("enc/mix/W")),
+                ("model.heads * model.head_dim", config.heads * config.head_dim,
+                 width("attn/w_query")),
+                ("model.fused_channels", config.fused_channels, width("attn/w_out")))
+    for key, value, trained in settings:
+        if trained is not None and trained != value:
+            raise ConfigError(f"config: {key} is {json.dumps(value)}, but the checkpoint "
+                              f"was trained at {json.dumps(trained)}")
 
 
 def build_train_settings(tree) -> TrainSettings:

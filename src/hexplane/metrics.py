@@ -15,6 +15,10 @@ import numpy as np
 
 from .cloud import UNLABELED
 
+# the matrix is dense: 128 MiB of int64 at this bound, and update's bincount
+# as much again; a cloud's labels can ask for any width up to 2**31
+MAX_CLASSES = 4096
+
 
 class ConfusionMatrix:
     """K x K accumulator; rows are ground truth, columns are predictions."""
@@ -22,6 +26,9 @@ class ConfusionMatrix:
     def __init__(self, num_classes: int):
         if num_classes < 1:
             raise ValueError("need at least one class")
+        if num_classes > MAX_CLASSES:
+            raise ValueError(f"a confusion matrix holds at most {MAX_CLASSES} classes, "
+                             f"not {num_classes}")
         self.num_classes = num_classes
         self.counts = np.zeros((num_classes, num_classes), dtype=np.int64)
         self.ignored = 0

@@ -13,7 +13,7 @@ from . import heads
 from .cloud import PointCloud, augment
 from .metrics import ConfusionMatrix, segmentation_scores
 from .model import HexPlaneModel, ModelConfig
-from .projection import hexplane_project, rasterize_labels
+from .projection import PLANE_KINDS, hexplane_project, rasterize_labels
 
 ADAMW_EPS = 1e-8
 WARMUP_FRAC, START_DIV, FINAL_DIV = 0.3, 25.0, 100.0  # see lr_schedule
@@ -121,12 +121,30 @@ def plane_inputs(model_config: ModelConfig, cloud: PointCloud, plane_spec_fn):
     )
 
 
-def _evaluate(model, cloud, plane_spec_fn):
-    out = model.forward(cloud, plane_inputs(model.config, cloud, plane_spec_fn))
-    preds = out.point_logits.argmax(axis=1)
-    cm = ConfusionMatrix(model.config.num_classes)
-    cm.update(preds, cloud.labels)
-    return segmentation_scores(cm)
+def require_labels(cloud: PointCloud, role: str) -> PointCloud:
+    """`cloud`, refused unless it carries labels; `role` names it."""
+    if cloud.labels is None:
+        raise ValueError(f"{role} cloud must be labeled")
+    return cloud
+
+
+def evaluate(model, cloud, plane_spec_fn, on_range_image=False) -> ConfusionMatrix:
+    """The confusion of `model`'s argmax predictions on the labeled `cloud`:
+    over every point, or over the cylindrical range image, where each
+    occupied pixel scores its winner. A point-only model's cloud is projected
+    only for the range image. The matrix spans the model's classes and the
+    cloud's labels, so a labeled class the model never predicts is a miss.
+    Train's eval records and `hexplane eval` both score here."""
+    hexset = plane_inputs(model.config, cloud, plane_spec_fn)
+    if hexset is None and on_range_image:
+        hexset = hexplane_project(cloud, plane_spec_fn(cloud))
+    preds = model.forward(cloud, hexset).point_logits.argmax(axis=1)
+    scored = slice(None)
+    if on_range_image:
+        winner = hexset.planes[PLANE_KINDS.index("cylindrical")].index.winner
+        scored = winner[winner >= 0]
+    num_classes = max(model.config.num_classes, int(cloud.labels.max()) + 1)
+    return ConfusionMatrix(num_classes).update(preds[scored], cloud.labels[scored])
 
 
 def _train_step(model, params, state, train_cloud, settings, plane_spec_fn,
@@ -184,9 +202,8 @@ def train_toy(
     of its inputs. Raises DivergenceError if the loss goes non-finite.
     `threads` is accepted and ignored.
     """
-    if train_cloud.labels is None:
-        raise ValueError("training cloud must be labeled")
-    eval_cloud = train_cloud if eval_cloud is None else eval_cloud
+    require_labels(train_cloud, "training")
+    eval_cloud = train_cloud if eval_cloud is None else require_labels(eval_cloud, "evaluation")
 
     model = HexPlaneModel(model_config)
     params = model.parameters()
@@ -195,7 +212,7 @@ def train_toy(
     log = []
 
     def eval_record(step, lr, report):
-        scores = _evaluate(model, eval_cloud, plane_spec_fn)
+        scores = segmentation_scores(evaluate(model, eval_cloud, plane_spec_fn))
         log.append({
             "step": step,
             "lr": lr,

@@ -74,6 +74,13 @@ def range_image_oracle(config_path, checkpoint_path):
     return report_json(segmentation_scores(cm))
 
 
+def save_five_class_cloud(path):
+    """A cloud labeled 0-4: two classes past TINY_CONFIG's three."""
+    rng = np.random.default_rng(5)
+    save_pointcloud(path, PointCloud(positions=rng.uniform(-2.0, 2.0, size=(120, 3)),
+                                     labels=np.arange(120) % 5))
+
+
 @pytest.fixture
 def tiny_config(tmp_path):
     path = tmp_path / "config.yaml"
@@ -296,11 +303,18 @@ class TestTrainEval:
         assert json.loads(report_path.read_text()) == range_image_oracle(
             config, out_dir / "checkpoint.bin")
 
-    @pytest.mark.parametrize("use_planes", [True, False], ids=["planes", "points"])
-    def test_eval_oa_equals_final_logged_oa(self, tmp_path, use_planes):
-        # train and eval must treat the same model and cloud the same way
+    @pytest.mark.parametrize("use_planes,unseen_classes", [
+        (True, False), (False, False), (True, True)],
+        ids=["planes", "points", "eval_scene_with_unseen_classes"])
+    def test_eval_oa_equals_final_logged_oa(self, tmp_path, use_planes, unseen_classes):
+        # train and eval must treat the same model and cloud the same way; an
+        # eval scene labeled past the model's classes used to fail train at
+        # its eval record, and eval as it loaded the checkpoint
         tree = copy.deepcopy(TINY_CONFIG)
         tree["model"]["use_planes"] = use_planes
+        if unseen_classes:
+            save_five_class_cloud(tmp_path / "five.bin")
+            tree["eval_scene"] = {"kind": "file", "path": str(tmp_path / "five.bin")}
         config = tmp_path / "tiny.yaml"
         config.write_text(yaml.safe_dump(tree))
         out_dir = tmp_path / "run"
@@ -310,6 +324,34 @@ class TestTrainEval:
                      str(out_dir / "checkpoint.bin"), "--out", str(report_path)]) == 0
         final = json.loads((out_dir / "log.jsonl").read_text().splitlines()[-1])
         assert json.loads(report_path.read_text())["oa"] == final["oa"]
+
+    def test_eval_counts_a_class_the_model_never_saw_as_a_miss(self, tmp_path, tiny_config):
+        # eval used to widen the model to the cloud's labels, so a 3-class
+        # checkpoint no longer fit it
+        save_five_class_cloud(tmp_path / "five.bin")
+        out_dir = tmp_path / "run"
+        assert main(["train", "--config", str(tiny_config), "--output-dir", str(out_dir)]) == 0
+        report_path = tmp_path / "report.json"
+        assert main(["eval", "--config", str(tiny_config), "--checkpoint",
+                     str(out_dir / "checkpoint.bin"), "--cloud", str(tmp_path / "five.bin"),
+                     "--out", str(report_path)]) == 0
+        iou = json.loads(report_path.read_text())["per_class_iou"]
+        assert len(iou) == 5 and iou[3] == iou[4] == 0.0
+
+    def test_eval_cloud_labeled_past_any_matrix_exits_1(self, tmp_path, tiny_config, capsys):
+        # its labels alone set the matrix's width, and a cloud's labels reach
+        # 2**31 - 1; one past the bound keeps a matrix without it small
+        cloud_path = tmp_path / "wide.bin"
+        save_pointcloud(cloud_path, PointCloud(positions=np.array([[0.5, 0.5, 0.5],
+                                                                   [1.5, 1.5, 0.5]]),
+                                               labels=np.array([0, 4096])))
+        out_dir = tmp_path / "run"
+        assert main(["train", "--config", str(tiny_config), "--output-dir", str(out_dir)]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--config", str(tiny_config), "--checkpoint",
+                     str(out_dir / "checkpoint.bin"), "--cloud", str(cloud_path)]) == 1
+        assert capsys.readouterr().err == ("error: a confusion matrix holds at most 4096 "
+                                           "classes, not 4097\n")
 
     def test_point_only_eval_skips_projection(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -478,6 +520,13 @@ class TestValidation:
         ({"fused_channels": 5}, "model.fused_channels is 5"),
         # the first key in config order is named
         ({"fused_channels": 5, "point_width": 9}, "model.point_width"),
+        # these named a tensor, or listed every tensor one model lacks
+        ({"encoder_widths": [3, 4, 7]},
+         "model.encoder_widths is [3, 4, 7], but the checkpoint was trained at [3, 4, 5]"),
+        ({"encoder_widths": [3, 4]}, "model.encoder_widths is [3, 4], but"),
+        ({"use_planes": False}, "model.use_planes is false, but the checkpoint was trained "
+                                "at true"),
+        ({"num_classes": 4}, "scene.num_classes is 4, but the checkpoint was trained at 3"),
     ])
     def test_checkpoint_width_unlike_the_config_names_the_key(self, tmp_path, tiny_config,
                                                               capsys, model, key):
@@ -490,13 +539,32 @@ class TestValidation:
         path = tmp_path / "trained.bin"
         save_checkpoint(path, HexPlaneModel(cfg.build_model_config(tree, 3)).parameters())
         user = copy.deepcopy(TINY_CONFIG)
-        user["model"].update(model)
+        for name, value in model.items():  # the class count is a scene key
+            user["scene" if name == "num_classes" else "model"][name] = value
         other = tmp_path / "other.yaml"
         other.write_text(yaml.safe_dump(user))
         code = main(["eval", "--config", str(other), "--checkpoint", str(path)])
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: config:") and key in err and err.count("\n") == 1
+
+    def test_unlabeled_eval_scene_is_refused_before_training(self, tmp_path, monkeypatch,
+                                                             capsys):
+        # it used to train every step, then fail as a length mismatch
+        from hexplane import training
+
+        cloud_path = tmp_path / "bare.bin"
+        save_pointcloud(cloud_path, PointCloud(
+            positions=np.random.default_rng(2).uniform(-2.0, 2.0, size=(50, 3))))
+        tree = copy.deepcopy(TINY_CONFIG)
+        tree["eval_scene"] = {"kind": "file", "path": str(cloud_path)}
+        config = tmp_path / "bare.yaml"
+        config.write_text(yaml.safe_dump(tree))
+        monkeypatch.setattr(training, "_train_step",
+                            lambda *args: pytest.fail("a training step ran"))
+        code = main(["train", "--config", str(config), "--output-dir", str(tmp_path / "run")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: evaluation cloud must be labeled\n"
 
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_train_scene_is_built_once(self, tmp_path, monkeypatch, command):

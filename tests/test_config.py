@@ -264,6 +264,14 @@ MALFORMED = [
      "config: scene.room_extent: room (0.0, 0.0, 0.0) has no face with an area"),
     ("train", {"eval_scene": {"kind": "synth", "room_extent": [1.0e-200, 1.0e-200, 1.0]}},
      "config: eval_scene.room_extent"),
+    # a negative side trained on a mirrored room and exited 0
+    ("train", {"scene": {"room_extent": [-6, 6, 2.5]}},
+     "config: scene.room_extent: room (-6.0, 6.0, 2.5) has a negative side"),
+    ("train", {"eval_scene": {"kind": "synth", "room_extent": [8, 8, -3]}},
+     "config: eval_scene.room_extent: room (8.0, 8.0, -3.0) has a negative side"),
+    # a class count no confusion matrix holds used to train and then need one
+    ("train", {"scene": {"num_classes": 4097}}, "scene.num_classes must be an integer in "
+                                                "[2, 4096]"),
 ]
 
 
