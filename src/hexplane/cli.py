@@ -113,17 +113,18 @@ def cmd_eval(args) -> int:
     else:
         if args.checkpoint is None:
             raise ValueError("eval needs either --checkpoint or --pred/--gt")
-        train_cloud = None
         if args.cloud is not None:
             cloud = load_pointcloud(args.cloud)
         elif tree["eval_scene"] is not None:
             cloud = cfg.build_scene(tree["eval_scene"], "eval_scene")
         else:
-            cloud = train_cloud = cfg.build_scene(tree["scene"])
+            cloud = cfg.build_scene(tree["scene"])
         require_labels(cloud, "evaluation")
-        num_classes = cfg.scene_num_classes(tree, train_cloud)
-        model = HexPlaneModel(cfg.build_model_config(tree, num_classes, [cloud]))
         params = load_checkpoint(args.checkpoint)
+        head = params.get("head/point/W")  # its width is the trained class count
+        if head is None or head.ndim != 2:
+            raise ValueError(f"{args.checkpoint}: no 2-axis head/point/W to count classes by")
+        model = HexPlaneModel(cfg.build_model_config(tree, head.shape[1], [cloud]))
         cfg.check_trained_widths(model.config, params)
         model.load_parameters(params)
         cm = evaluate(model, cloud, cfg.plane_spec_builder(tree["planes"]), args.on_range_image)

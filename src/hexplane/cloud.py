@@ -319,7 +319,8 @@ class SceneSpec:
 
     The room spans x in [-Lx/2, Lx/2], y in [-Ly/2, Ly/2], z in [0, Lz]
     with the sensor origin at (0, 0, 0) on the floor. Identical specs
-    produce bit-identical clouds. A recipe that cannot be sampled is
+    produce bit-identical clouds. A recipe that cannot be sampled, or whose
+    points could lie farther from the origin than float64 measures, is
     refused here, by a SceneError naming the field to blame.
     """
 
@@ -362,6 +363,12 @@ class SceneSpec:
                              f"{classes} classes")
         if not math.isfinite(_area_sum(scene_surfaces, self)):
             raise SceneError("primitives", ": the surfaces' areas sum past float64")
+        if reach_overflows(self.room_extent, 0.0):
+            raise SceneError("room_extent", f": room {self.room_extent} has a corner whose "
+                             "distance from the origin overflows float64")
+        if reach_overflows(self.room_extent, self.noise):
+            raise SceneError("noise", f" {self.noise:g} can push a point's distance "
+                             "past float64")
 
     def class_ids(self) -> tuple[int, ...]:
         ids = {self.floor_class, self.wall_class}

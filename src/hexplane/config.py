@@ -70,8 +70,8 @@ DEFAULTS = {
                         "fov_down_deg": math.degrees(DEFAULT_SENSOR.phi_down)})}
         for kind in PLANE_KINDS
     },
-    # raster_channels is not configurable; seed is the top-level key
-    "model": _field_defaults(ModelConfig, skip=("raster_channels", "seed")),
+    # raster_channels is fixed, point_channels read from the scenes, seed top-level
+    "model": _field_defaults(ModelConfig, skip=("raster_channels", "point_channels", "seed")),
     "training": _field_defaults(TrainSettings),
 }
 
@@ -123,9 +123,9 @@ _SHAPES = {
     # stride-4 fusion needs the stride-2 stage and at least one more
     "encoder_widths": ("a list of two or more positive integers",
                        _list_of(_int_from(1), at_least=2)),
-    **dict.fromkeys(("heads", "head_dim", "point_width", "point_channels",
-                     "feature_channels", "fused_channels", "height", "width",
-                     "num_points"), ("a positive integer", _int_from(1))),
+    **dict.fromkeys(("heads", "head_dim", "point_width", "feature_channels",
+                     "fused_channels", "height", "width", "num_points"),
+                    ("a positive integer", _int_from(1))),
     **dict.fromkeys(("seed", "steps", "eval_every"),
                     ("a non-negative integer", _int_from(0))),
     "num_classes": (f"an integer in [2, {MAX_CLASSES}]",
@@ -255,28 +255,11 @@ def build_scene_spec(scene_tree, section="scene") -> SceneSpec:
         raise ConfigError(f"config: {exc.under(section)}") from exc
 
 
-def _synth_scene(spec: SceneSpec, section):
-    """`synth_scene(spec)`, its noise checked against the distances float64
-    can measure."""
-    noisy = (cloudmod.reach_overflows(spec.room_extent, spec.noise)
-             and not cloudmod.reach_overflows(spec.room_extent, 0.0))
-    blame = f"{section}.noise {spec.noise:g} can push a point's distance past float64"
-    # synthesised first, so that a point the noise did push too far is named
-    try:
-        cloud = cloudmod.synth_scene(spec)
-    except ValueError as exc:
-        note = f"; {blame}" if noisy else ""
-        raise ConfigError(f"config: {section}: {exc}{note}") from exc
-    if noisy:
-        raise ConfigError(f"config: {blame}")
-    return cloud
-
-
 def build_scene(scene_tree, section="scene"):
     """Materialize the scene tree of `section` into a labeled PointCloud."""
     kind, name = scene_tree["kind"], scene_tree["name"]
     if kind == "synth" or kind == "builtin" and name == "two_class":
-        return _synth_scene(build_scene_spec(scene_tree, section), section)
+        return cloudmod.synth_scene(build_scene_spec(scene_tree, section))
     if kind == "builtin":
         if name == "occlusion":
             return cloudmod.make_occlusion_scene()[0]
@@ -321,16 +304,17 @@ def plane_spec_builder(planes_tree):
 
 
 def build_model_config(tree, num_classes, clouds=()) -> ModelConfig:
-    """The model of a validated tree; each of `clouds` must provide the
-    `model.point_channels` input channels it reads, and number its voxel
-    cells along each axis in int64, augmented or not."""
+    """The model of a validated tree. Its input width is that of `clouds`,
+    the training scene then the eval scene, which must agree; each must
+    number its voxel cells along each axis in int64, augmented or not."""
+    widths = [input_channels(cloud) for cloud in clouds]
+    if len(set(widths)) > 1:
+        raise ConfigError(f"config: eval_scene provides {widths[1]} input channels, "
+                          f"but scene provides {widths[0]}")
+    given = {"point_channels": widths[0]} if widths else {}
     config = _from_section(ModelConfig, tree["model"], num_classes=num_classes,
-                           seed=tree["seed"])
+                           seed=tree["seed"], **given)
     for cloud in clouds:
-        channels = input_channels(cloud)
-        if channels != config.point_channels:
-            raise ConfigError(f"config: model.point_channels is {config.point_channels}, "
-                              f"but the cloud provides {channels} input channels")
         # flips and rotations about z keep each point's norm, so an augmented
         # copy spans at most twice the largest; 2**62 leaves int64 room to round
         x, y, z = cloud.axes
@@ -345,17 +329,18 @@ def check_trained_widths(config: ModelConfig, params: dict) -> None:
     """Refuse the first setting unlike the one a checkpoint's tensors
     `params` were trained at, read back from their names and shapes: whether
     there are planes (the other widths then size tensors one side lacks),
-    the class count, then the `model` widths in config order. The heads and
-    their size multiply into one width, so both keys are named there."""
-    def width(name, ndim=2):  # last axis of tensor `name`, if it has `ndim` axes
+    the cloud's input width, then the `model` widths in config order. The
+    heads and their size multiply into one width, so both keys are named."""
+    def width(name, ndim=2, axis=-1):  # an axis of tensor `name`, if it has `ndim` axes
         arr = params.get(name)
-        return arr.shape[-1] if arr is not None and arr.ndim == ndim else None
+        return arr.shape[axis] if arr is not None and arr.ndim == ndim else None
 
     stages = []
     while (stage := width(f"enc/conv{len(stages)}/W", ndim=4)) is not None:
         stages.append(stage)
     settings = (("model.use_planes", config.use_planes, "enc/mix/W" in params),
-                ("scene.num_classes", config.num_classes, width("head/point/W")),
+                ("the cloud's input width", config.point_channels,
+                 width("point/w1", axis=0)),
                 ("model.point_width", config.point_width, width("point/w1")),
                 ("model.encoder_widths", list(config.encoder_widths), stages or None),
                 ("model.feature_channels", config.feature_channels, width("enc/mix/W")),
@@ -374,12 +359,17 @@ def build_train_settings(tree) -> TrainSettings:
 
 def scene_num_classes(tree, cloud=None) -> int:
     """Class count of the training scene: a synth recipe's `num_classes`,
-    else one more than the largest label of the scene `build_scene` makes;
-    pass that scene as `cloud` when it is already built."""
+    else one more than the largest label of the scene `build_scene` makes,
+    at most `MAX_CLASSES`; pass that scene as `cloud` when it is built."""
     scene = tree["scene"]
     if scene["kind"] == "synth":
         return scene["num_classes"]
     labels = (build_scene(scene) if cloud is None else cloud).labels
     if labels is None:
         raise ConfigError("config: scene has no labels")
-    return int(labels.max()) + 1
+    num_classes = int(labels.max()) + 1
+    if num_classes > MAX_CLASSES:
+        key = "scene.path" if scene["kind"] == "file" else "scene.name"
+        raise ConfigError(f"config: {key}: label {num_classes - 1} asks for {num_classes} "
+                          f"classes, past the {MAX_CLASSES} a confusion matrix holds")
+    return num_classes

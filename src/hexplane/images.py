@@ -81,15 +81,15 @@ def class_palette(num_classes):
 
 def export_plane_images(out_dir, stem, hexset: HexPlaneSet, label_images=None,
                         num_classes=None):
-    """Write depth PGMs (and label PGM/PPMs when labels are given) per plane.
+    """Write depth PGMs, and label PGM/PPMs of `num_classes` classes, per plane.
 
-    Returns the list of written paths. A label count past the 16-bit PGM
+    Returns the list of written paths. A class count past the 16-bit PGM
     range is refused before any file is written.
     """
     out_dir = Path(out_dir)
-    classes = [num_classes or int(labels.max()) + 1 for labels in label_images or ()]
-    for plane, k in zip(hexset.planes, classes):
-        _check_pgm_maxval(out_dir / f"{stem}.{plane.spec.kind}.label.pgm", max(k, 1))
+    if label_images is not None:
+        maxval = max(num_classes, 1)
+        _check_pgm_maxval(out_dir / f"{stem}.{hexset.planes[0].spec.kind}.label.pgm", maxval)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for m, plane in enumerate(hexset.planes):
@@ -98,12 +98,12 @@ def export_plane_images(out_dir, stem, hexset: HexPlaneSet, label_images=None,
         write_pgm(depth_path, depth_to_pgm_values(plane.index.zbuffer))
         written.append(depth_path)
         if label_images is not None:
-            labels, k = label_images[m], classes[m]
+            labels = label_images[m]
             label_path = out_dir / f"{stem}.{kind}.label.pgm"
-            write_pgm(label_path, labels + 1, maxval=max(k, 1))  # 0 = empty
+            write_pgm(label_path, labels + 1, maxval=maxval)  # 0 = empty
             written.append(label_path)
             ppm_path = out_dir / f"{stem}.{kind}.class.ppm"
-            write_ppm(ppm_path, class_palette(k)[labels + 1])
+            write_ppm(ppm_path, class_palette(num_classes)[labels + 1])
             written.append(ppm_path)
     return written
 

@@ -74,6 +74,15 @@ def range_image_oracle(config_path, checkpoint_path):
     return report_json(segmentation_scores(cm))
 
 
+def save_feature_cloud(path, seed=4, n=120):
+    """A cloud labeled 0-2 whose points carry three feature columns: six
+    input channels, where a cloud without features has four."""
+    rng = np.random.default_rng(seed)
+    save_pointcloud(path, PointCloud(positions=rng.uniform(-2.0, 2.0, size=(n, 3)),
+                                     features=rng.uniform(0.0, 1.0, size=(n, 3)),
+                                     labels=np.arange(n) % 3))
+
+
 def save_five_class_cloud(path):
     """A cloud labeled 0-4: two classes past TINY_CONFIG's three."""
     rng = np.random.default_rng(5)
@@ -353,6 +362,48 @@ class TestTrainEval:
         assert capsys.readouterr().err == ("error: a confusion matrix holds at most 4096 "
                                            "classes, not 4097\n")
 
+    def test_feature_file_scene_trains_and_evals_without_a_width_key(self, tmp_path):
+        # the input width is read from the cloud: a file scene with feature
+        # columns used to need model.point_channels restated, or exit 1
+        from hexplane.checkpoint import load_checkpoint
+
+        save_feature_cloud(tmp_path / "feats.bin")
+        tree = copy.deepcopy(TINY_CONFIG)
+        tree["scene"] = {"kind": "file", "path": str(tmp_path / "feats.bin")}
+        config = tmp_path / "feats.yaml"
+        config.write_text(yaml.safe_dump(tree))
+        out_dir = tmp_path / "run"
+        assert main(["train", "--config", str(config), "--output-dir", str(out_dir)]) == 0
+        assert load_checkpoint(out_dir / "checkpoint.bin")["point/w1"].shape[0] == 6
+        report_path = tmp_path / "report.json"
+        assert main(["eval", "--config", str(config), "--checkpoint",
+                     str(out_dir / "checkpoint.bin"), "--out", str(report_path)]) == 0
+        final = json.loads((out_dir / "log.jsonl").read_text().splitlines()[-1])
+        assert json.loads(report_path.read_text())["oa"] == final["oa"]
+
+    def test_eval_cloud_needs_no_train_scene_file(self, tmp_path, capsys):
+        # eval --cloud used to load the train scene to count its classes, and
+        # exited 1 once that file was gone
+        train_path, cloud_path = tmp_path / "train.bin", tmp_path / "cloud.bin"
+        save_feature_cloud(train_path)
+        save_feature_cloud(cloud_path, seed=9, n=90)
+        tree = copy.deepcopy(TINY_CONFIG)
+        tree["scene"] = {"kind": "file", "path": str(train_path)}
+        config = tmp_path / "run.yaml"
+        config.write_text(yaml.safe_dump(tree))
+        out_dir = tmp_path / "run"
+        assert main(["train", "--config", str(config), "--output-dir", str(out_dir)]) == 0
+        reports = []
+        for name in ("with_file", "without_file"):
+            report_path = tmp_path / f"{name}.json"
+            assert main(["eval", "--config", str(config), "--checkpoint",
+                         str(out_dir / "checkpoint.bin"), "--cloud", str(cloud_path),
+                         "--out", str(report_path)]) == 0
+            reports.append(report_path.read_bytes())
+            train_path.unlink(missing_ok=True)
+        assert reports[0] == reports[1]
+        assert capsys.readouterr().err == ""
+
     def test_point_only_eval_skips_projection(self, tmp_path):
         rng = np.random.default_rng(3)
         positions = rng.uniform(-2.0, 2.0, size=(120, 3))
@@ -462,20 +513,22 @@ class TestValidation:
     ], ids=["file_without_path", "unknown_builtin"])
     def test_eval_on_cloud_with_bad_train_scene(self, tmp_path, tiny_config, capsys,
                                                 scene, named):
-        # the class count comes from the train scene even when --cloud is given
+        # the class count is read from the checkpoint, so eval --cloud builds no
+        # train scene; it used to exit 1 naming the train scene's `named` key
         cloud = tmp_path / "cloud.bin"
         assert main(["synth", "--config", str(tiny_config), "--out", str(cloud)]) == 0
         assert main(["train", "--config", str(tiny_config), "--steps", "0",
                      "--output-dir", str(tmp_path / "run")]) == 0
         path = tmp_path / "eval.yaml"
         path.write_text(yaml.safe_dump({**TINY_CONFIG, "scene": scene}))
-        capsys.readouterr()
-        code = main(["eval", "--config", str(path), "--cloud", str(cloud),
-                     "--checkpoint", str(tmp_path / "run" / "checkpoint.bin")])
-        lines = capsys.readouterr().err.splitlines()
-        assert code == 1
-        assert len(lines) == 1 and lines[0].startswith("error: config:")
-        assert named in lines[0]
+        reports = []
+        for config in (tiny_config, path):
+            out = tmp_path / f"{config.stem}.json"
+            assert main(["eval", "--config", str(config), "--cloud", str(cloud), "--out",
+                         str(out), "--checkpoint", str(tmp_path / "run" / "checkpoint.bin")]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("argv, key", [
         (["train", "--steps", "-1"], "training.steps"),
@@ -526,7 +579,6 @@ class TestValidation:
         ({"encoder_widths": [3, 4]}, "model.encoder_widths is [3, 4], but"),
         ({"use_planes": False}, "model.use_planes is false, but the checkpoint was trained "
                                 "at true"),
-        ({"num_classes": 4}, "scene.num_classes is 4, but the checkpoint was trained at 3"),
     ])
     def test_checkpoint_width_unlike_the_config_names_the_key(self, tmp_path, tiny_config,
                                                               capsys, model, key):
@@ -539,14 +591,89 @@ class TestValidation:
         path = tmp_path / "trained.bin"
         save_checkpoint(path, HexPlaneModel(cfg.build_model_config(tree, 3)).parameters())
         user = copy.deepcopy(TINY_CONFIG)
-        for name, value in model.items():  # the class count is a scene key
-            user["scene" if name == "num_classes" else "model"][name] = value
+        user["model"].update(model)
         other = tmp_path / "other.yaml"
         other.write_text(yaml.safe_dump(user))
         code = main(["eval", "--config", str(other), "--checkpoint", str(path)])
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: config:") and key in err and err.count("\n") == 1
+
+    def test_checkpoint_trained_at_another_input_width_names_both_widths(
+            self, tmp_path, tiny_config, capsys):
+        # the width row replaces the class-count row, which named a key eval no
+        # longer reads; the shape mismatch used to name a tensor
+        save_feature_cloud(tmp_path / "feats.bin")
+        tree = copy.deepcopy(TINY_CONFIG)
+        tree["scene"] = {"kind": "file", "path": str(tmp_path / "feats.bin")}
+        config = tmp_path / "feats.yaml"
+        config.write_text(yaml.safe_dump(tree))
+        assert main(["train", "--config", str(config), "--steps", "0",
+                     "--output-dir", str(tmp_path / "run")]) == 0
+        capsys.readouterr()
+        code = main(["eval", "--config", str(tiny_config),
+                     "--checkpoint", str(tmp_path / "run" / "checkpoint.bin")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == ("error: config: the cloud's input width is 4, but the checkpoint was "
+                       "trained at 6\n")
+
+    @pytest.mark.parametrize("head", [None, np.zeros(3)], ids=["missing", "one_axis"])
+    def test_checkpoint_without_a_point_head_exits_1_before_building_a_model(
+            self, tmp_path, tiny_config, capsys, monkeypatch, head):
+        # the point head's width is the class count eval builds its model at
+        from hexplane import cli
+        from hexplane import config as cfg
+        from hexplane.checkpoint import save_checkpoint
+        from hexplane.model import HexPlaneModel
+
+        params = HexPlaneModel(cfg.build_model_config(cfg.load_config(tiny_config), 3)).parameters()
+        del params["head/point/W"]
+        if head is not None:
+            params["head/point/W"] = head
+        path = tmp_path / "headless.bin"
+        save_checkpoint(path, params)
+        monkeypatch.setattr(cli, "HexPlaneModel", lambda config: pytest.fail("a model was built"))
+        code = main(["eval", "--config", str(tiny_config), "--checkpoint", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: {path}: no 2-axis head/point/W to count classes by\n"
+
+    def test_eval_scene_of_another_width_exits_1_naming_it(self, tmp_path, capsys):
+        # it used to name model.point_channels, a key the scenes now set
+        save_feature_cloud(tmp_path / "feats.bin")
+        tree = copy.deepcopy(TINY_CONFIG)
+        tree["eval_scene"] = {"kind": "file", "path": str(tmp_path / "feats.bin")}
+        config = tmp_path / "mixed.yaml"
+        config.write_text(yaml.safe_dump(tree))
+        out_dir = tmp_path / "run"
+        code = main(["train", "--config", str(config), "--output-dir", str(out_dir)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: config: eval_scene provides 6 input channels, but scene provides 4\n"
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("label", [5000, 2**31 - 1])
+    def test_file_scene_labeled_past_any_matrix_exits_1_before_training(
+            self, tmp_path, capsys, label):
+        # its largest label sets the class count: 2**31 - 1 died allocating the
+        # heads, and 5000 trained to its first eval record, then exited 1 with
+        # no checkpoint written
+        cloud_path = tmp_path / "wide.bin"
+        save_pointcloud(cloud_path, PointCloud(
+            positions=np.random.default_rng(6).uniform(-2.0, 2.0, size=(40, 3)),
+            labels=np.where(np.arange(40) == 7, label, np.arange(40) % 3)))
+        tree = copy.deepcopy(TINY_CONFIG)
+        tree["scene"] = {"kind": "file", "path": str(cloud_path)}
+        config = tmp_path / "wide.yaml"
+        config.write_text(yaml.safe_dump(tree))
+        out_dir = tmp_path / "run"
+        code = main(["train", "--config", str(config), "--output-dir", str(out_dir)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: config: scene.path: ") and err.count("\n") == 1
+        assert f"{label + 1} classes, past the 4096" in err and "Traceback" not in err
+        assert not (out_dir / "checkpoint.bin").exists()
 
     def test_unlabeled_eval_scene_is_refused_before_training(self, tmp_path, monkeypatch,
                                                              capsys):

@@ -203,16 +203,15 @@ MALFORMED = [
     ("train", {"eval_scene": {"primitives": [
         {"kind": "cylinder", "center": [0, 0, 2.5], "size": [0.5, 2], "class_id": 2}]}},
      "eval_scene.primitives[0]: primitive outside room"),
-    # a point budget below the class count, and an input width the cloud does
-    # not have, failed in the sampler and the model in messages naming no key
+    # a point budget below the class count failed in the sampler, naming no key
     ("train", {"scene": {"num_classes": 3, "num_points": 2, "primitives": [BOX]}},
      "scene.num_points: 2 points cannot cover 3 classes"),
     ("train", {"eval_scene": {"num_points": 2, "primitives": [BOX]}},
      "eval_scene.num_points: 2 points cannot cover 3 classes"),
     ("train", {"scene": {"kind": "builtin", "name": "two_class", "num_points": 1}},
      "scene.num_points: 1 points cannot cover 2 classes"),
-    ("train", {"model": {"point_channels": 5}},
-     "model.point_channels is 5, but the cloud provides 4 input channels"),
+    # the input width is read from the scenes: the retired key restated it
+    ("train", {"model": {"point_channels": 5}}, "config: unknown key 'model.point_channels'"),
     # a negative rate trained by gradient ascent and a negative decay grew
     # every weight each step, both exiting 0
     ("train", {"training": {"lr_max": -0.003}}, "training.lr_max must be a positive number"),
@@ -231,9 +230,10 @@ MALFORMED = [
     ("train", {"eval_scene": {"kind": "builtin", "name": "nope"}},
      "config: eval_scene.name: unknown builtin scene 'nope'"),
     ("train", {"scene": {"kind": "nope"}}, "config: scene.kind: unknown scene kind 'nope'"),
-    # a synthesised point too far from the origin named no key
-    ("train", {"scene": {"noise": 1e300, "num_points": 300}},
-     "config: scene: point 0 is too far from the origin"),
+    # a noise that can push a point past float64 is named before any point is
+    # sampled; a sampled point too far from the origin named no key
+    ("train", {"scene": {"room_extent": [1.0e153, 8.0, 1.3e154], "noise": 3.0e153}},
+     "config: scene.noise 3e+153 can push a point's distance past float64"),
     # a cell index past int64 used to train through a cast warning to exit 0
     ("train", {"model": {"voxel_size": 1.0e-300}}, "config: model.voxel_size"),
     # a room whose face areas overflow printed four warnings, then failed in
@@ -251,9 +251,10 @@ MALFORMED = [
      "scene.noise 1e+300 can push a point's distance past float64"),
     ("train", {"eval_scene": {"kind": "synth", "noise": 1.0e154}},
      "config: eval_scene.noise 1e+154 can push"),
-    # a room whose own far corner is past float64 is not blamed on the noise
+    # a room whose own far corner is past float64 is not blamed on the noise,
+    # nor on model.voxel_size once its points are sampled
     ("train", {"scene": {"room_extent": [1.0e153, 8.0, 1.3407e154], "num_points": 300}},
-     "config: model.voxel_size 0.4 gives more than 2**62 cells"),
+     "config: scene.room_extent: room (1e+153, 8.0, 1.3407e+154) has a corner"),
     # a degenerate extent was refused by the plane spec, naming no key
     ("project", {"planes": {"xy_top": {"extent": [1, 0, 0, 1]}}},
      "planes.xy_top.extent must be 4 numbers"),
@@ -308,12 +309,12 @@ def test_flags_are_laid_over_the_file_before_validation(tmp_path):
 
 def test_a_distance_that_overflows_exits_1_without_a_warning(tmp_path, capsys):
     # coordinates near 1e300 are finite, but their squared distance is not:
-    # they used to train into a non-finite loss (exit 2) after five warnings
+    # they used to train into a non-finite loss (exit 2) after five warnings,
+    # then to be named by the first sampled point too far from the origin
     path = tmp_path / "far.yaml"
     path.write_text(yaml.safe_dump({"scene": {"noise": 1.0e300, "num_points": 300}}))
     code = main(["train", "--config", str(path), "--steps", "1",
                  "--output-dir", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith("error: config: scene: point ") and "too far from the origin" in err
-    assert err.count("\n") == 1
+    assert err == "error: config: scene.noise 1e+300 can push a point's distance past float64\n"
