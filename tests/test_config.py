@@ -273,6 +273,10 @@ MALFORMED = [
     # a class count no confusion matrix holds used to train and then need one
     ("train", {"scene": {"num_classes": 4097}}, "scene.num_classes must be an integer in "
                                                 "[2, 4096]"),
+    # a room within float64 but wider than int64 cells of the default voxel
+    # is refused on the voxel size once its points are sampled
+    ("train", {"scene": {"room_extent": [2.0e19, 8.0, 3.0], "num_points": 300}},
+     "config: model.voxel_size 0.4 gives more than 2**62 cells"),
 ]
 
 
