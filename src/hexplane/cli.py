@@ -68,7 +68,9 @@ def cmd_train(args) -> int:
     train_cloud = cfg.build_scene(tree["scene"])
     eval_cloud = None
     if tree["eval_scene"] is not None:
-        eval_cloud = cfg.build_scene(tree["eval_scene"], "eval_scene")
+        eval_cloud = require_labels(cfg.build_scene(tree["eval_scene"], "eval_scene"),
+                                    "evaluation")
+        cfg.label_classes(eval_cloud.labels, "eval_scene")  # refused before step 0
     num_classes = cfg.scene_num_classes(tree, train_cloud)
     clouds = [c for c in (train_cloud, eval_cloud) if c is not None]
     model_config = cfg.build_model_config(tree, num_classes, clouds)
@@ -92,7 +94,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    tree = cfg.load_config(args.config)
+    # --cloud X is the eval scene {kind: file, path: X}, laid over the config's
+    cloud_scene = None if args.cloud is None else {"kind": "file", "path": args.cloud}
+    tree = cfg.load_config(args.config, {"eval_scene": cloud_scene})
 
     if args.pred is not None or args.gt is not None:
         if not (args.pred and args.gt):
@@ -113,12 +117,8 @@ def cmd_eval(args) -> int:
     else:
         if args.checkpoint is None:
             raise ValueError("eval needs either --checkpoint or --pred/--gt")
-        if args.cloud is not None:
-            cloud = load_pointcloud(args.cloud)
-        elif tree["eval_scene"] is not None:
-            cloud = cfg.build_scene(tree["eval_scene"], "eval_scene")
-        else:
-            cloud = cfg.build_scene(tree["scene"])
+        section = "scene" if tree["eval_scene"] is None else "eval_scene"
+        cloud = cfg.build_scene(tree[section], section)
         require_labels(cloud, "evaluation")
         params = load_checkpoint(args.checkpoint)
         head = params.get("head/point/W")  # its width is the trained class count

@@ -267,9 +267,11 @@ def _load_binary(raw: bytes) -> PointCloud:
         raise CloudFormatError("no records")
     dtype = _record_dtype(c, bool(has_labels))
     payload = raw[head:]
-    if len(payload) != n * dtype.itemsize:
+    if len(payload) < n * dtype.itemsize:
         got = len(payload) // dtype.itemsize
         raise CloudFormatError(f"truncated binary record at record {got}")
+    if len(payload) > n * dtype.itemsize:
+        raise CloudFormatError("trailing bytes after last record")
     rec = np.frombuffer(payload, dtype=dtype)
     labels = rec["label"] if has_labels else None
     return _finish_load(rec["f"], labels)
@@ -650,19 +652,6 @@ def augment(
 # ---------------------------------------------------------------------------
 # Fixed test scenes
 # ---------------------------------------------------------------------------
-
-
-def two_class_spec(seed: int = 7, num_points: int = 1500) -> SceneSpec:
-    """Floor-vs-wall scene, linearly separable in z. Used by the toy runs."""
-    return SceneSpec(
-        seed=seed,
-        num_points=num_points,
-        num_classes=2,
-        room_extent=(6.0, 6.0, 2.5),
-        primitives=(),
-        floor_class=0,
-        wall_class=1,
-    )
 
 
 def make_occlusion_scene():

@@ -16,6 +16,7 @@ import copy
 import dataclasses
 import json
 import math
+import sys
 
 import numpy as np
 import yaml
@@ -53,8 +54,7 @@ DEFAULTS = {
     "output_dir": "runs/out",
     "threads": None,              # accepted and ignored
     "scene": {
-        "kind": "synth",          # synth | builtin | file
-        "name": None,             # builtin: two_class | occlusion
+        "kind": "synth",          # synth | occlusion | file
         "path": None,             # cloud file for kind=file
         "seed": 0,
         "num_points": 2000,
@@ -76,7 +76,7 @@ DEFAULTS = {
 }
 
 # leaves where None is a meaningful value, by leaf name
-_NULLABLE = {"threads", "eval_scene", "name", "path", "extent", "depth_ref"}
+_NULLABLE = {"threads", "eval_scene", "path", "extent", "depth_ref"}
 
 # one scene.primitives entry; every key is required
 _PRIMITIVE = {"kind": "box", "center": [], "size": [], "class_id": 0}
@@ -86,8 +86,9 @@ def _is_int(v):
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _is_number(v):
-    return _is_int(v) or isinstance(v, float) and math.isfinite(v)
+def _is_number(v):  # a finite float, or an int that a float64 holds
+    return (isinstance(v, float) and math.isfinite(v)
+            or _is_int(v) and abs(v) <= sys.float_info.max)
 
 
 def _list_of(test, length=None, at_least=1):
@@ -115,7 +116,8 @@ _TYPES = (
 _SHAPES = {
     "extent": ("4 numbers [u_min, u_max, v_min, v_max], each min below its max",
                lambda v: _list_of(_is_number, 4)(v) and v[0] < v[1] and v[2] < v[3]),
-    "depth_ref": ("a number", _is_number),
+    "depth_ref": ("a number whose square is within float64",
+                  lambda v: _is_number(v) and math.isfinite(float(v) * float(v))),
     "room_extent": ("a list of 3 numbers", _list_of(_is_number, 3)),
     "center": ("a list of 3 numbers", _list_of(_is_number, 3)),
     "size": ("a list of numbers", _list_of(_is_number)),
@@ -130,8 +132,11 @@ _SHAPES = {
                     ("a non-negative integer", _int_from(0))),
     "num_classes": (f"an integer in [2, {MAX_CLASSES}]",
                     lambda v: _int_from(2)(v) and v <= MAX_CLASSES),
-    **dict.fromkeys(("voxel_size", "fov_up_deg", "fov_down_deg", "lr_max"),
+    **dict.fromkeys(("voxel_size", "lr_max"),
                     ("a positive number", lambda v: _is_number(v) and v > 0)),
+    **dict.fromkeys(("fov_up_deg", "fov_down_deg"),
+                    ("a number that is positive in radians",
+                     lambda v: _is_number(v) and math.radians(v) > 0)),
     **dict.fromkeys(("noise", "aux_weight", "weight_decay"),
                     ("a non-negative number", lambda v: _is_number(v) and v >= 0)),
     **dict.fromkeys(("beta1", "beta2"),
@@ -240,13 +245,9 @@ def _from_section(cls, section, **given):
 
 
 def build_scene_spec(scene_tree, section="scene") -> SceneSpec:
-    """The SceneSpec of a validated `section` (`scene` or `eval_scene`): its
-    synth recipe, or the `two_class` builtin at its seed and point count. The
-    spec's refusal names its fields; this names them as keys of `section`."""
+    """The SceneSpec of the synth recipe of a validated `section`. The spec's
+    refusal names its fields; this names them as keys of `section`."""
     try:
-        if scene_tree["kind"] == "builtin":
-            return cloudmod.two_class_spec(seed=scene_tree["seed"],
-                                           num_points=scene_tree["num_points"])
         prims = tuple(Primitive(kind=p["kind"], center=_cast(p["center"], (0.0,)),
                                 size=_cast(p["size"], (0.0,)), class_id=p["class_id"])
                       for p in scene_tree["primitives"])
@@ -257,13 +258,11 @@ def build_scene_spec(scene_tree, section="scene") -> SceneSpec:
 
 def build_scene(scene_tree, section="scene"):
     """Materialize the scene tree of `section` into a labeled PointCloud."""
-    kind, name = scene_tree["kind"], scene_tree["name"]
-    if kind == "synth" or kind == "builtin" and name == "two_class":
+    kind = scene_tree["kind"]
+    if kind == "synth":
         return cloudmod.synth_scene(build_scene_spec(scene_tree, section))
-    if kind == "builtin":
-        if name == "occlusion":
-            return cloudmod.make_occlusion_scene()[0]
-        raise ConfigError(f"config: {section}.name: unknown builtin scene {name!r}")
+    if kind == "occlusion":
+        return cloudmod.make_occlusion_scene()[0]
     if kind == "file":
         if not scene_tree["path"]:
             raise ConfigError(f"config: {section}.path required for kind 'file'")
@@ -357,19 +356,29 @@ def build_train_settings(tree) -> TrainSettings:
     return _from_section(TrainSettings, tree["training"])
 
 
+def label_classes(labels, section) -> int:
+    """One more than the largest of the `labels` of the scene of `section`, at
+    most `MAX_CLASSES`: only a file scene asks for more, so its path is named."""
+    num_classes = int(labels.max()) + 1
+    if num_classes > MAX_CLASSES:
+        raise ConfigError(f"config: {section}.path: label {num_classes - 1} asks for "
+                          f"{num_classes} classes, past the {MAX_CLASSES} a confusion "
+                          "matrix holds")
+    return num_classes
+
+
 def scene_num_classes(tree, cloud=None) -> int:
     """Class count of the training scene: a synth recipe's `num_classes`,
     else one more than the largest label of the scene `build_scene` makes,
-    at most `MAX_CLASSES`; pass that scene as `cloud` when it is built."""
+    in [2, `MAX_CLASSES`]; pass that scene as `cloud` when it is built."""
     scene = tree["scene"]
     if scene["kind"] == "synth":
         return scene["num_classes"]
     labels = (build_scene(scene) if cloud is None else cloud).labels
     if labels is None:
         raise ConfigError("config: scene has no labels")
-    num_classes = int(labels.max()) + 1
-    if num_classes > MAX_CLASSES:
-        key = "scene.path" if scene["kind"] == "file" else "scene.name"
-        raise ConfigError(f"config: {key}: label {num_classes - 1} asks for {num_classes} "
-                          f"classes, past the {MAX_CLASSES} a confusion matrix holds")
+    num_classes = label_classes(labels, "scene")
+    if num_classes < 2:
+        raise ConfigError(f"config: scene.path: largest label {num_classes - 1} gives "
+                          f"{num_classes} classes, fewer than 2")
     return num_classes

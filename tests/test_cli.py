@@ -3,7 +3,6 @@
 import copy
 import hashlib
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -471,8 +470,7 @@ class TestTrainEval:
                      "--output-dir", str(tmp_path / "nan")])
         assert code == 2
 
-    @pytest.mark.parametrize("keys", [("training", "aux_weight"),
-                                      ("planes", "xy_top", "depth_ref")])
+    @pytest.mark.parametrize("keys", [("training", "aux_weight")])
     def test_gradient_whose_square_overflows_exits_2(self, tmp_path, capsys, keys):
         # finite gradients near 1e300: their second moment overflows in AdamW
         tree = copy.deepcopy(TINY_CONFIG)
@@ -509,8 +507,8 @@ class TestValidation:
 
     @pytest.mark.parametrize("scene, named", [
         ({"kind": "file"}, "scene.path"),
-        ({"kind": "builtin", "name": "nope"}, "'nope'"),
-    ], ids=["file_without_path", "unknown_builtin"])
+        ({"kind": "nope"}, "scene.kind"),
+    ], ids=["file_without_path", "unknown_kind"])
     def test_eval_on_cloud_with_bad_train_scene(self, tmp_path, tiny_config, capsys,
                                                 scene, named):
         # the class count is read from the checkpoint, so eval --cloud builds no
@@ -695,25 +693,97 @@ class TestValidation:
 
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_train_scene_is_built_once(self, tmp_path, monkeypatch, command):
-        # a builtin or file train scene is read once, not again to count classes
+        # a file train scene is read once, not again to count classes
         from hexplane import config as cfg
 
-        config = str(Path(__file__).resolve().parents[1] / "configs" / "two_class.yaml")
+        save_five_class_cloud(tmp_path / "five.bin")
+        tree = copy.deepcopy(TINY_CONFIG)
+        tree["scene"] = {"kind": "file", "path": str(tmp_path / "five.bin")}
+        config = tmp_path / "five.yaml"
+        config.write_text(yaml.safe_dump(tree))
         run = tmp_path / "run"
-        argv = ["train", "--config", config, "--steps", "0", "--output-dir", str(run)]
+        argv = ["train", "--config", str(config), "--steps", "0", "--output-dir", str(run)]
         if command == "eval":
             assert main(argv) == 0
-            argv = ["eval", "--config", config, "--checkpoint", str(run / "checkpoint.bin")]
+            argv = ["eval", "--config", str(config), "--checkpoint", str(run / "checkpoint.bin")]
         built = []
         build_scene = cfg.build_scene
 
-        def counting(scene_tree):
-            built.append(scene_tree["kind"])
-            return build_scene(scene_tree)
+        def counting(scene_tree, section="scene"):
+            built.append(section)
+            return build_scene(scene_tree, section)
 
         monkeypatch.setattr(cfg, "build_scene", counting)
         assert main(argv) == 0
-        assert built == ["builtin"]
+        assert built == ["scene"]
+
+    def test_eval_cloud_flag_is_the_file_kind_of_eval_scene(self, tmp_path, tiny_config):
+        # --cloud X is laid over the config as eval_scene {kind: file, path: X}
+        cloud = tmp_path / "five.bin"
+        save_five_class_cloud(cloud)
+        assert main(["train", "--config", str(tiny_config), "--steps", "0",
+                     "--output-dir", str(tmp_path / "run")]) == 0
+        tree = copy.deepcopy(TINY_CONFIG)
+        tree["eval_scene"] = {"kind": "file", "path": str(cloud)}
+        path = tmp_path / "eval.yaml"
+        path.write_text(yaml.safe_dump(tree))
+        checkpoint = str(tmp_path / "run" / "checkpoint.bin")
+        reports = []
+        for extra in (["--config", str(tiny_config), "--cloud", str(cloud)],
+                      ["--config", str(path)]):
+            out = tmp_path / f"report{len(reports)}.json"
+            assert main(["eval", "--checkpoint", checkpoint, "--out", str(out)] + extra) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
+    def test_eval_scene_labeled_past_any_matrix_exits_1_before_training(
+            self, tmp_path, monkeypatch, capsys):
+        # it used to train every step, then exit 1 on the confusion matrix's
+        # bound with no checkpoint written
+        from hexplane import training
+
+        cloud_path = tmp_path / "wide.bin"
+        save_pointcloud(cloud_path, PointCloud(
+            positions=np.random.default_rng(2).uniform(-2.0, 2.0, size=(50, 3)),
+            labels=np.where(np.arange(50) == 7, 5000, np.arange(50) % 3)))
+        tree = copy.deepcopy(TINY_CONFIG)
+        tree["eval_scene"] = {"kind": "file", "path": str(cloud_path)}
+        config = tmp_path / "wide.yaml"
+        config.write_text(yaml.safe_dump(tree))
+        monkeypatch.setattr(training, "_train_step",
+                            lambda *args: pytest.fail("a training step ran"))
+        out_dir = tmp_path / "run"
+        code = main(["train", "--config", str(config), "--output-dir", str(out_dir)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == ("error: config: eval_scene.path: label 5000 asks for 5001 classes, "
+                       "past the 4096 a confusion matrix holds\n")
+        assert not (out_dir / "checkpoint.bin").exists()
+
+    @pytest.mark.parametrize("label, classes", [(-1, 0), (0, 1)], ids=["unlabeled", "one"])
+    def test_file_scene_of_fewer_than_two_classes_exits_1_before_training(
+            self, tmp_path, monkeypatch, capsys, label, classes):
+        # all -1 built a 0-class model that failed as numpy's empty argmax; all 0
+        # trained a 1-class model to an OA of 1
+        from hexplane import training
+
+        cloud_path = tmp_path / "flat.bin"
+        save_pointcloud(cloud_path, PointCloud(
+            positions=np.random.default_rng(3).uniform(-2.0, 2.0, size=(50, 3)),
+            labels=np.full(50, label)))
+        tree = copy.deepcopy(TINY_CONFIG)
+        tree["scene"] = {"kind": "file", "path": str(cloud_path)}
+        config = tmp_path / "flat.yaml"
+        config.write_text(yaml.safe_dump(tree))
+        monkeypatch.setattr(training, "_train_step",
+                            lambda *args: pytest.fail("a training step ran"))
+        out_dir = tmp_path / "run"
+        code = main(["train", "--config", str(config), "--output-dir", str(out_dir)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == (f"error: config: scene.path: largest label {label} gives {classes} "
+                       "classes, fewer than 2\n")
+        assert not out_dir.exists()
 
     def test_missing_cloud_file(self, tmp_path, tiny_config):
         code = main(["project", str(tmp_path / "nope.bin"),

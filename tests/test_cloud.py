@@ -144,6 +144,14 @@ class TestBinaryFormat:
         with pytest.raises(CloudFormatError, match="truncated.*record 9"):
             load_pointcloud(path)
 
+    def test_trailing_bytes_are_not_called_a_truncated_record(self, tmp_path):
+        # a payload longer than its records read "truncated ... at record 10"
+        path = tmp_path / "t.bin"
+        save_pointcloud(path, random_cloud(np.random.default_rng(3), n=10), format="binary")
+        path.write_bytes(path.read_bytes() + b"\0\0\0")
+        with pytest.raises(CloudFormatError, match="^trailing bytes after last record$"):
+            load_pointcloud(path)
+
     def test_signalling_nan_is_format_error_without_warning(self, tmp_path):
         path = tmp_path / "snan.bin"
         save_pointcloud(path, PointCloud(positions=np.ones((2, 3))), format="binary")

@@ -208,7 +208,7 @@ MALFORMED = [
      "scene.num_points: 2 points cannot cover 3 classes"),
     ("train", {"eval_scene": {"num_points": 2, "primitives": [BOX]}},
      "eval_scene.num_points: 2 points cannot cover 3 classes"),
-    ("train", {"scene": {"kind": "builtin", "name": "two_class", "num_points": 1}},
+    ("train", {"scene": {"num_classes": 2, "num_points": 1}},
      "scene.num_points: 1 points cannot cover 2 classes"),
     # the input width is read from the scenes: the retired key restated it
     ("train", {"model": {"point_channels": 5}}, "config: unknown key 'model.point_channels'"),
@@ -226,9 +226,9 @@ MALFORMED = [
      "training.lr_max * training.weight_decay must be below 1"),
     ("train", {"training": {"lr_max": 2.0, "weight_decay": 0.5}},
      "training.lr_max * training.weight_decay must be below 1, got 2 * 0.5"),
-    # an unknown builtin or kind named the value, not the key
-    ("train", {"eval_scene": {"kind": "builtin", "name": "nope"}},
-     "config: eval_scene.name: unknown builtin scene 'nope'"),
+    # an unknown kind named the value, not the key
+    ("train", {"eval_scene": {"kind": "builtin"}},
+     "config: eval_scene.kind: unknown scene kind 'builtin'"),
     ("train", {"scene": {"kind": "nope"}}, "config: scene.kind: unknown scene kind 'nope'"),
     # a noise that can push a point past float64 is named before any point is
     # sampled; a sampled point too far from the origin named no key
@@ -277,6 +277,22 @@ MALFORMED = [
     # is refused on the voxel size once its points are sampled
     ("train", {"scene": {"room_extent": [2.0e19, 8.0, 3.0], "num_points": 300}},
      "config: model.voxel_size 0.4 gives more than 2**62 cells"),
+    # a scene is a synth recipe, the occlusion scene or a file: no name picks one
+    ("train", {"scene": {"name": "two_class"}}, "config: unknown key 'scene.name'"),
+    # a depth whose square overflows exited 2 as a non-finite gradient
+    ("train", {"planes": {"xy_top": {"depth_ref": 1.0e300}}},
+     "config: planes.xy_top.depth_ref must be a number whose square is within float64"),
+    # a FOV whose radians round to 0 was refused by the sensor, naming no key
+    ("project", {"planes": {"cylindrical": {"fov_up_deg": 5.0e-324}}},
+     "config: planes.cylindrical.fov_up_deg must be a number that is positive in radians"),
+    # an integer past float64 died in the float cast with an OverflowError traceback
+    *(("train", tree, f"config: {key} must be")
+      for key, tree in (
+          ("training.lr_max", {"training": {"lr_max": 10**400}}),
+          ("planes.xy_top.depth_ref", {"planes": {"xy_top": {"depth_ref": 10**400}}}),
+          ("scene.noise", {"scene": {"noise": 10**400}}),
+          ("scene.room_extent", {"scene": {"room_extent": [8, 10**400, 3]}}),
+          ("model.voxel_size", {"model": {"voxel_size": 10**400}}))),
 ]
 
 

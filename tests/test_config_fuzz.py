@@ -110,7 +110,7 @@ def test_every_leaf_takes_every_hostile_value(tmp_path, monkeypatch, capsys):
 
 
 def test_every_two_class_leaf_takes_every_hostile_value(tmp_path, monkeypatch, capsys):
-    # a builtin scene: its name, seed and point count, and no eval scene
+    # a synth recipe of seed, point count, class count and room, and no eval scene
     assert len(fuzz(CONFIGS / "two_class.yaml", tmp_path, monkeypatch, capsys)) > 20
 
 
