@@ -259,8 +259,8 @@ def cross_attention_backward(grad, cache, out=None):
 
 
 def init_point_encoder(c_in, c_point, rng):
-    """Point MLP weights, keyed like the gradients of
-    `encode_points_backward`: w1 (C_in, C_p), b1, w2 (2*C_p, C_p), b2."""
+    """Point MLP weights, keyed like the gradients of `voxel_pool_backward`
+    and `encode_points_backward`: w1 (C_in, C_p), b1, w2 (2*C_p, C_p), b2."""
     return {
         "w1": ops.uniform_init(rng, (c_in, c_point), c_in),
         "b1": np.zeros(c_point),
@@ -309,36 +309,43 @@ def voxel_pool(positions, feats, params, voxel_size):
 
 def encode_points(feats, pool, params, rows):
     """Per-point features with local context of the points in `rows`,
-    (B, C_p), and their cache.
+    (B, C_p), and their cache, (first, tail).
 
     Lift each point's input vector with a linear layer, join the point's
     voxel-cell mean of the lifted features from `pool`, the output of
     `voxel_pool` on the same `feats` and `params`, and mix the two through a
     second layer. The first layer is computed again on the rows, with the
-    bits it has in the pool. Only a cache of every point is one that
-    `encode_points_backward` can read: the backward pools over the cells.
+    bits it has in the pool. `encode_points_backward` reads `tail`, and
+    `voxel_pool_backward` reads `first`, which must be of every point.
     """
     inverse, counts, means = pool
+    cells = inverse[rows]
     pre1, lin1 = ops.linear_forward(feats[rows], params["w1"], params["b1"])
     h1, act1 = ops.leaky_relu_forward(pre1)
-    both = np.concatenate([h1, means[inverse[rows]]], axis=1)
+    both = np.concatenate([h1, means[cells]], axis=1)
     pre2, lin2 = ops.linear_forward(both, params["w2"], params["b2"])
     out, act2 = ops.leaky_relu_forward(pre2)
-    return out, (lin1, act1, inverse, counts, lin2, act2, h1.shape[1])
+    return out, ((lin1, act1, cells, counts), (lin2, act2, cells, len(counts)))
 
 
-def encode_points_backward(grad, cache):
-    """Returns (dfeats, grads dict with w1, b1, w2, b2). The cell mean is
-    symmetric, so its backward is the mean of the gradient over each cell,
-    here one scatter of every column."""
-    lin1, act1, inverse, counts, lin2, act2, width = cache
-    g = ops.leaky_relu_backward(grad, act2)
-    dboth, dw2, db2 = ops.linear_backward(g, lin2)
-    dh1 = dboth[:, :width].copy()
-    means = ops.scatter_groups(inverse, [dboth[:, width:]], len(counts), width)
-    means /= counts[:, None]
-    dh1 += means[inverse]
+def encode_points_backward(grad, tail):
+    """The second layer's backward over the rows of its forward: (d_h1, the
+    first layer's direct gradient (B, C_p); cell_sums, the pooled half's
+    gradient summed over each cell (cells, C_p); grads dict with w2, b2)."""
+    lin2, act2, inverse, cells = tail
+    width = act2.shape[1]
+    dboth, dw2, db2 = ops.linear_backward(ops.leaky_relu_backward(grad, act2), lin2)
+    d_h1 = dboth[:, :width].copy()
+    cell_sums = ops.scatter_groups(inverse, [dboth[:, width:]], cells, width)
+    return d_h1, cell_sums, {"w2": dw2, "b2": db2}
 
-    g1 = ops.leaky_relu_backward(dh1, act1)
-    dfeats, dw1, db1 = ops.linear_backward(g1, lin1)
-    return dfeats, {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2}
+
+def voxel_pool_backward(d_h1, cell_sums, first):
+    """The first layer's backward over every point from its direct gradient
+    and the whole cell sums, both consumed: the cell mean is symmetric, so
+    its backward is the mean over each cell. Returns (dfeats, grads w1, b1)."""
+    lin1, act1, inverse, counts = first
+    cell_sums /= counts[:, None]
+    d_h1 += cell_sums[inverse]
+    dfeats, dw1, db1 = ops.linear_backward(ops.leaky_relu_backward(d_h1, act1), lin1)
+    return dfeats, {"w1": dw1, "b1": db1}

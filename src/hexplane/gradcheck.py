@@ -14,15 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ops
-from .attention import (
-    cross_attention_backward,
-    cross_attention_forward,
-    encode_points,
-    encode_points_backward,
-    init_attention_params,
-    init_point_encoder,
-    voxel_pool,
-)
+from .attention import (cross_attention_backward, cross_attention_forward, encode_points,
+                        encode_points_backward, init_attention_params, init_point_encoder,
+                        voxel_pool, voxel_pool_backward)
 from .encoder import (
     encode_plane,
     encode_plane_backward,
@@ -167,8 +161,10 @@ def _check_point_encoder(rng, eps):
     r = rng.normal(size=(10, 6))
 
     def backward(g, cache):
-        dfeats, grads = encode_points_backward(g, cache)
-        return {"feats": dfeats, **grads}
+        first, tail = cache
+        d_h1, cell_sums, tail_grads = encode_points_backward(g, tail)
+        dfeats, first_grads = voxel_pool_backward(d_h1, cell_sums, first)
+        return {"feats": dfeats, **first_grads, **tail_grads}
 
     return _probe(eps, r, {"feats": feats, **params},
                   lambda: encode_points(feats, voxel_pool(positions, feats, params, 1.3),

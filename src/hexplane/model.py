@@ -1,9 +1,9 @@
-"""End-to-end model: point branch, shared plane encoder, attention fusion,
-and segmentation heads, with explicit forward caches and backward.
-
-A single 2D encoder is shared across all six planes; auxiliary heads are
-per-plane. With `use_planes` off the model degrades to the point-only
-baseline: point branch straight into the point head.
+"""End-to-end model, with explicit caches and backward, in two parts: a
+plane stage run once on the whole cloud (the voxel pool, one 2D encoder
+shared by all six planes, per-plane aux heads, the stacked maps, the winner
+table) and a point step over one block of points (the point encoder's
+tail, the plane gather, attention, the point head). With `use_planes` off
+the model degrades to the point-only baseline: point encoder to point head.
 """
 
 from __future__ import annotations
@@ -13,18 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import heads, ops
-from .attention import (
-    cross_attention_backward,
-    cross_attention_forward,
-    encode_points,
-    encode_points_backward,
-    gather_plane_features,
-    gather_plane_features_backward,
-    init_attention_params,
-    init_point_encoder,
-    stack_planes,
-    voxel_pool,
-)
+from .attention import (cross_attention_backward, cross_attention_forward, encode_points,
+                        encode_points_backward, gather_plane_features,
+                        gather_plane_features_backward, init_attention_params, init_point_encoder,
+                        stack_planes, voxel_pool, voxel_pool_backward)
 from .cloud import PointCloud, default_features
 from .encoder import (
     encode_plane,
@@ -56,7 +48,7 @@ class ModelConfig:
 class ModelOutput:
     point_logits: np.ndarray
     aux_logits: list
-    cache: tuple | None  # None unless the forward ran with grad=True
+    cache: dict | None  # None unless the forward ran with grad=True
 
 
 def input_channels(cloud: PointCloud) -> int:
@@ -142,106 +134,109 @@ class HexPlaneModel:
             return default_features(cloud)
         return np.concatenate([cloud.positions, cloud.features], axis=1)
 
-    def forward(self, cloud: PointCloud, hexset: HexPlaneSet | None,
-                grad: bool = False) -> ModelOutput:
-        """Logits for `cloud`. Only with `grad` does the output carry the
-        cache `backward` reads; without it each layer's cache dies as the
-        layer returns and `cache` is None.
-
-        The voxel pool and the planes run on the whole cloud. The point
-        encoder's layers, the offsets, the plane gather, attention and point
-        head run over the blocks of `ops.row_blocks` without `grad`, so no
-        per-point temporary grows with the point count, and as one block of
-        every point with it, so that the backward gets whole-batch caches."""
+    def plane_stage(self, cloud: PointCloud, hexset: HexPlaneSet | None, keep: bool = False):
+        """The whole-cloud half of a forward: the voxel pool and, with planes,
+        each plane's encoder, fusion and aux head, the stacked maps and the
+        winner table. Returns (stage, which `point_step` reads; aux_logits;
+        each plane's (encoder, fusion, aux head) cache with `keep`, else [])."""
         c, groups = self.config, self.groups
-        kept = (lambda result: result) if grad else (lambda result: (*result[:-1], None))
-        feats = self.input_features(cloud)
-        pool = voxel_pool(cloud.positions, feats, groups["point"], c.voxel_size)
-
-        plane_caches = gather_cache = attn_cache = None
-        aux_logits = []
+        stage = {"cloud": cloud, "feats": self.input_features(cloud)}
+        stage["pool"] = voxel_pool(cloud.positions, stage["feats"], groups["point"], c.voxel_size)
+        fused_maps, aux_logits, plane_caches = [], [], []
         if c.use_planes:
             if hexset is None:
                 raise ValueError("plane branch enabled but no hexplane set given")
-            fused_maps, plane_caches = [], []
             for m, plane in enumerate(hexset.planes):
-                pyramid, enc_cache = kept(encode_plane(plane.raster, groups["enc"]))
-                fmap, fuse_cache = kept(fuse_scales(pyramid, groups["enc"]))
+                pyramid, enc_cache = encode_plane(plane.raster, groups["enc"])
+                fmap, fuse_cache = fuse_scales(pyramid, groups["enc"])
                 aux = groups[f"head/aux{m}"]
-                logits, aux_cache = kept(heads.aux_head_forward(fmap, aux["W"], aux["b"]))
+                logits, aux_cache = heads.aux_head_forward(fmap, aux["W"], aux["b"])
                 fused_maps.append(fmap)
                 aux_logits.append(logits)
-                plane_caches.append((enc_cache, fuse_cache, aux_cache))
-            planes = stack_planes(fused_maps, hexset)
+                if keep:
+                    plane_caches.append((enc_cache, fuse_cache, aux_cache))
+                del pyramid, enc_cache, fuse_cache, aux_cache  # before the next plane's
+            stage["planes"] = stack_planes(fused_maps, hexset)
             del fused_maps
-            winners = winner_table(cloud, hexset)
+            stage["winners"] = winner_table(cloud, hexset)
+        return stage, aux_logits, plane_caches
 
-        head = groups["head/point"]
-        point_logits = np.empty((cloud.n, head["W"].shape[1]))
+    def point_step(self, stage, rows, keep: bool = False):
+        """Logits of the points in `rows`, a slice of `ops.row_blocks`, and
+        the step's cache, keyed by layer, with `keep`, else None, so that
+        the block's gathered features die with the step."""
+        c, groups, head = self.config, self.groups, self.groups["head/point"]
+        cache = {}
+        head_in, (cache["first"], cache["tail"]) = encode_points(
+            stage["feats"], stage["pool"], groups["point"], rows)
+        if c.use_planes:
+            gathered, valid, cache["gather"] = gather_plane_features(stage["planes"], rows)
+            offsets = gather_offsets(stage["cloud"], stage["winners"], rows)
+            head_in, cache["attn"] = cross_attention_forward(
+                head_in, gathered, valid, offsets, groups["attn"], c.heads)
+        logits, cache["head"] = heads.point_head_forward(head_in, head["W"], head["b"])
+        return logits, cache if keep else None
+
+    def point_step_backward(self, d_logits, cache):
+        """Backward of a kept point step: (grads of head/point, attn and point
+        w2/b2; d_gathered, over the cache's gathered features, or None; d_h1
+        and cell_sums for `voxel_pool_backward`). It pops each part it reads,
+        which then dies; the gather's taps and the first layer's cache stay."""
+        d_in, dw, db = heads.point_head_backward(d_logits, cache.pop("head"))
+        grads, d_gathered = {"head/point": {"W": dw, "b": db}}, None
+        if self.config.use_planes:
+            attn_cache = cache.pop("attn")
+            grads["attn"] = cross_attention_backward(d_in, attn_cache, out=attn_cache[1])
+            del attn_cache
+            d_in, d_gathered = grads["attn"].pop("point_feats"), grads["attn"].pop("gathered")
+        d_h1, cell_sums, grads["point"] = encode_points_backward(d_in, cache.pop("tail"))
+        return grads, d_gathered, d_h1, cell_sums
+
+    def forward(self, cloud: PointCloud, hexset: HexPlaneSet | None,
+                grad: bool = False) -> ModelOutput:
+        """The plane stage, then the point step over `ops.row_blocks`. Without
+        `grad`, blocks of `ops.POINT_BLOCK` points, so no per-point temporary
+        grows with the cloud, and no cache. With it, one block of every point
+        keeps the cache `backward` reads, so each sum over the points is one
+        whole-batch product and the pool's backward sees whole cells."""
+        stage, aux_logits, plane_caches = self.plane_stage(cloud, hexset, keep=grad)
+        point_logits = np.empty((cloud.n, self.config.num_classes))
         for rows in ops.row_blocks(cloud.n, cloud.n if grad else ops.POINT_BLOCK):
-            head_in, point_cache = kept(encode_points(feats, pool, groups["point"], rows))
-            if c.use_planes:
-                gathered, valid, gather_cache = kept(gather_plane_features(planes, rows))
-                head_in, attn_cache = kept(cross_attention_forward(
-                    head_in, gathered, valid, gather_offsets(cloud, winners, rows),
-                    groups["attn"], c.heads
-                ))
-                del gathered  # before the next block's gather
-            point_logits[rows], head_cache = kept(
-                heads.point_head_forward(head_in, head["W"], head["b"]))
-        cache = (point_cache, plane_caches, gather_cache, attn_cache, head_cache)
-        return ModelOutput(point_logits=point_logits, aux_logits=aux_logits,
-                           cache=cache if grad else None)
+            point_logits[rows], step_cache = self.point_step(stage, rows, keep=grad)
+        return ModelOutput(point_logits, aux_logits,
+                           {"planes": plane_caches, "points": step_cache} if grad else None)
 
     def backward(self, output: ModelOutput, d_point_logits, d_aux_logits=None):
-        """Gradients for every parameter, keyed like `parameters()`.
-
-        d_aux_logits holds one gradient per plane; None or empty means the
-        auxiliary heads are not supervised and get zero gradients. The
-        output's cache is consumed, so a second backward on it raises.
-        """
+        """Gradients keyed like `parameters()`: the point step's backward,
+        the planes' from its d_gathered, then the voxel pool's. d_aux_logits
+        has one gradient per plane; None or empty gives the aux heads zero
+        gradients. The cache is consumed: a second backward raises."""
         if output.cache is None:
             raise ValueError("backward needs the output of forward(..., grad=True)")
-        point_cache, plane_caches, gather_cache, attn_cache, head_cache = output.cache
+        points, plane_caches = output.cache["points"], output.cache["planes"]
         output.cache = None  # consumed: each part's cache dies after its backward
-        grads = {}
-
-        d_head_in, dw, db = heads.point_head_backward(d_point_logits, head_cache)
-        grads["head/point"] = {"W": dw, "b": db}
-        del head_cache
+        grads, d_gathered, d_h1, cell_sums = self.point_step_backward(d_point_logits, points)
 
         if self.config.use_planes:
-            # d_gathered is written over the consumed cache's own gathered features
-            attn_grads = cross_attention_backward(d_head_in, attn_cache, out=attn_cache[1])
-            del attn_cache
-            grads["attn"] = {key: attn_grads[key] for key in self.groups["attn"]}
-            d_f_p = attn_grads["point_feats"]
-
-            dmaps = gather_plane_features_backward(attn_grads.pop("gathered"), gather_cache)
-            del gather_cache
-            d_aux_logits = d_aux_logits or [None] * len(plane_caches)
+            dmaps = gather_plane_features_backward(d_gathered, points.pop("gather"))
+            del d_gathered
+            d_aux_logits = d_aux_logits or [None] * len(dmaps)
             enc = grads["enc"] = {}
-            for m in range(len(plane_caches)):
-                enc_cache, fuse_cache, aux_cache = plane_caches[m]
-                d_fused = dmaps[m]
-                plane_caches[m] = dmaps[m] = None  # each dies with its plane's backward
+            for m in range(len(dmaps)):  # each plane's cache and map die with its backward
+                (enc_cache, fuse_cache, aux_cache), d_fused = plane_caches.pop(0), dmaps.pop(0)
                 if d_aux_logits[m] is None:
-                    aux = self.groups[f"head/aux{m}"]
-                    dw_aux, db_aux = np.zeros_like(aux["W"]), np.zeros_like(aux["b"])
+                    grads[f"head/aux{m}"] = {key: np.zeros_like(value) for key, value
+                                             in self.groups[f"head/aux{m}"].items()}
                 else:
-                    d_from_aux, dw_aux, db_aux = heads.aux_head_backward(
-                        d_aux_logits[m], aux_cache
-                    )
+                    d_from_aux, dw, db = heads.aux_head_backward(d_aux_logits[m], aux_cache)
+                    grads[f"head/aux{m}"] = {"W": dw, "b": db}
                     d_fused = d_fused + d_from_aux
-                grads[f"head/aux{m}"] = {"W": dw_aux, "b": db_aux}
 
                 grad_pyramid, mix_grads = fuse_scales_backward(d_fused, fuse_cache)
                 _, conv_grads = encode_plane_backward(grad_pyramid, enc_cache, input_grad=False)
                 for key, value in {**conv_grads, **mix_grads}.items():
                     enc[key] = enc[key] + value if key in enc else value
                 del enc_cache, fuse_cache, aux_cache, d_fused, grad_pyramid
-        else:
-            d_f_p = d_head_in
 
-        _, grads["point"] = encode_points_backward(d_f_p, point_cache)
+        grads["point"].update(voxel_pool_backward(d_h1, cell_sums, points.pop("first"))[1])
         return _named(grads)

@@ -18,11 +18,11 @@ from .cloud import UNLABELED
 
 # points per block of the per-point work whose temporaries would otherwise
 # grow with the point count: the bilinear sample's taps, the attention
-# forward and backward, and the inference forward's block loop
-# (`HexPlaneModel.forward`: the point encoder's layers, the offsets, the
-# plane gather, the attention and the point head). Every such loop takes its
-# blocks from `row_blocks`, so per-point results have the same bits in any
-# block; every sum over the points stays one whole-batch product.
+# forward and backward, and an inference forward's `HexPlaneModel.point_step`
+# (the point encoder's tail, offsets, plane gather, attention, point head).
+# Every such loop takes its blocks from `row_blocks`, so per-point results
+# have the same bits in any block; every sum over the points stays one
+# whole-batch product.
 POINT_BLOCK = 256
 
 

@@ -271,7 +271,7 @@ def test_eval_forward_cache_keeps_no_im2col_copy():
     out = model.forward(cloud, hexset, grad=True)
 
     im2col_bytes = input_bytes = 0
-    for plane, (enc_cache, _, _) in zip(hexset.planes, out.cache[1]):
+    for plane, (enc_cache, _, _) in zip(hexset.planes, out.cache["planes"]):
         in_shape = plane.raster.shape
         for conv_cache, act_cache in enc_cache:
             kh, kw, c_in, _ = conv_cache[2]
@@ -378,7 +378,8 @@ def test_train_run_peak_memory_holds_one_step_at_a_time():
 # a time (the peak was then inside encode_points), 2.4 MB since the point
 # encoder's layers, the offsets and the gather's coordinates do too, the
 # voxel pool scatters 8 columns at a time, and no block's gathered features
-# or attention temporaries outlive their use
+# or attention temporaries outlive their use; 2.3 MB since the last plane's
+# fused map and pyramid die with the plane stage, before the point steps
 EVAL_FORWARD_PEAK_BYTES = 2_700_000
 
 

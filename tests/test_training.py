@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from hexplane import config as cfg
+from hexplane.attention import attention_weights
 from hexplane.checkpoint import load_checkpoint, save_checkpoint
 from hexplane.cloud import PointCloud, SceneSpec, synth_scene
 from hexplane import model as model_module
 from hexplane.heads import aux_label_grids, composite_loss, downsample_labels
 from hexplane.gradcheck import micro_model_instance
 from hexplane.model import HexPlaneModel, ModelConfig
+from hexplane.ops import row_blocks
 from hexplane.projection import (
     SensorConfig,
     default_plane_specs,
@@ -115,13 +117,15 @@ class TestModel:
         assert out.point_logits.shape == (cloud.n, 3)
         assert len(out.aux_logits) == 6
 
-    # the inference forward runs its per-point layers over POINT_BLOCK (256)
-    # rows at a time, the grad=True forward as one block: the cases put the
-    # last block at one row short, exact, and one row over, with a point out
-    # of FOV on every plane at the rows either side of the first block edge.
-    # A one-row rest would go through numpy's one-row (gemv) product, whose
-    # bits differ; the point-only and 513-point cases have a last row that
-    # is in view, so its layers are not all zeros
+    # the inference forward runs its point step over POINT_BLOCK (256) rows
+    # at a time after one plane stage, the grad=True forward as one block:
+    # the cases put the last block at one row short, exact, and one row
+    # over, with a point out of FOV on every plane at the rows either side
+    # of the first block edge. A one-row rest would go through numpy's
+    # one-row (gemv) product, whose bits differ; the point-only and
+    # 513-point cases have a last row that is in view, so its layers are
+    # not all zeros. Point steps that keep their caches over the inference
+    # blocks give the attention weights of the grad=True forward's one block
     @pytest.mark.parametrize("use_planes, points", [
         (True, None), (False, None), (True, 255), (True, 256), (True, 257), (False, 257),
         (True, 513), (True, "eval"),
@@ -141,6 +145,12 @@ class TestModel:
         assert out.point_logits.tobytes() == kept.point_logits.tobytes()
         for lean, full in zip(out.aux_logits, kept.aux_logits):
             assert lean.tobytes() == full.tobytes()
+        if use_planes:
+            stage, _, _ = model.plane_stage(cloud, hexset)
+            blocks = [model.point_step(stage, rows, keep=True)[1]["attn"]
+                      for rows in row_blocks(cloud.n)]
+            joined = np.concatenate([attention_weights(cache) for cache in blocks])
+            assert joined.tobytes() == attention_weights(kept.cache["points"]["attn"]).tobytes()
         d_point = np.ones_like(out.point_logits)
         with pytest.raises(ValueError, match="grad=True"):
             model.backward(out, d_point)
