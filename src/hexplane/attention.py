@@ -332,11 +332,11 @@ def encode_points_backward(grad, tail):
     """The second layer's backward over the rows of its forward: (d_h1, the
     first layer's direct gradient (B, C_p); cell_sums, the pooled half's
     gradient summed over each cell (cells, C_p); grads dict with w2, b2)."""
-    lin2, act2, inverse, cells = tail
+    lin2, act2, inverse, n_cells = tail
     width = act2.shape[1]
     dboth, dw2, db2 = ops.linear_backward(ops.leaky_relu_backward(grad, act2), lin2)
     d_h1 = dboth[:, :width].copy()
-    cell_sums = ops.scatter_groups(inverse, [dboth[:, width:]], cells, width)
+    cell_sums = ops.scatter_groups(inverse, [dboth[:, width:]], n_cells, width)
     return d_h1, cell_sums, {"w2": dw2, "b2": db2}
 
 
