@@ -90,6 +90,7 @@ def export_plane_images(out_dir, stem, hexset: HexPlaneSet, label_images=None,
     if label_images is not None:
         maxval = max(num_classes, 1)
         _check_pgm_maxval(out_dir / f"{stem}.{hexset.planes[0].spec.kind}.label.pgm", maxval)
+        palette = class_palette(num_classes)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for m, plane in enumerate(hexset.planes):
@@ -103,7 +104,7 @@ def export_plane_images(out_dir, stem, hexset: HexPlaneSet, label_images=None,
             write_pgm(label_path, labels + 1, maxval=maxval)  # 0 = empty
             written.append(label_path)
             ppm_path = out_dir / f"{stem}.{kind}.class.ppm"
-            write_ppm(ppm_path, class_palette(num_classes)[labels + 1])
+            write_ppm(ppm_path, palette[labels + 1])
             written.append(ppm_path)
     return written
 

@@ -57,6 +57,13 @@ def input_channels(cloud: PointCloud) -> int:
     return 3 + (1 if cloud.features is None else cloud.features.shape[1])
 
 
+class _Discard(dict):
+    """A cache that keeps nothing, so each layer's cache dies as it returns."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
 def _named(groups):
     """Flatten {group: {key: array}} to {"group/key": array}: the one naming
     rule of parameters, gradients and checkpoints."""
@@ -163,10 +170,10 @@ class HexPlaneModel:
 
     def point_step(self, stage, rows, keep: bool = False):
         """Logits of the points in `rows`, a slice of `ops.row_blocks`, and
-        the step's cache, keyed by layer, with `keep`, else None, so that
-        the block's gathered features die with the step."""
+        the step's cache, keyed by layer, with `keep`, else None: each
+        layer's cache then dies as the layer returns."""
         c, groups, head = self.config, self.groups, self.groups["head/point"]
-        cache = {}
+        cache = {} if keep else _Discard()
         head_in, (cache["first"], cache["tail"]) = encode_points(
             stage["feats"], stage["pool"], groups["point"], rows)
         if c.use_planes:

@@ -103,9 +103,10 @@ class PlaneSpec:
 class GridCoords:
     """Continuous grid coordinates of every point on one plane.
 
-    u: column, v: row, both in [0, W) x [0, H) when in_fov; depth is the
-    distance along the plane's viewing direction; pixel is the flat pixel,
-    row * W + column, of each in-FOV point in point order.
+    Every array is (N,), in point order. u: column, v: row, both in
+    [0, W) x [0, H) when in_fov, else unconstrained (NaN or +-inf); depth is
+    the distance along the viewing direction; pixel is the flat pixel,
+    row * W + column, in FOV, and the discard pixel H * W out of it.
     """
 
     u: np.ndarray
@@ -175,18 +176,18 @@ def project_cylindrical(cloud: PointCloud, plane: PlaneSpec) -> GridCoords:
     in_fov = (elev >= -sensor.phi_down) & (elev <= sensor.phi_up)
     np.copyto(v, np.nextafter(float(h), 0.0), where=in_fov & (v == h))
     in_fov &= (u >= 0) & (u < w) & (v >= 0) & (v < h)
-    return GridCoords(u=u, v=v, depth=d, in_fov=in_fov, pixel=_pixels(u, v, in_fov, w))
+    return GridCoords(u=u, v=v, depth=d, in_fov=in_fov, pixel=_pixels(u, v, in_fov, h, w))
 
 
-def _pixels(u, v, in_fov, width):
-    """Flat pixel, row * width + column, of each in-FOV point; in FOV u and
-    v are >= 0, so truncation is the floor. A plane with every point in view
-    reads u and v as they are."""
-    if not in_fov.all():
-        u, v = u[in_fov], v[in_fov]
-    pixel = v.astype(np.int64)
-    pixel *= width
-    pixel += u.astype(np.int64)
+def _pixels(u, v, in_fov, height, width):
+    """Flat pixel, row * width + column, of every point: in FOV u and v are
+    >= 0, so truncation is the floor; out of it their cast may be invalid
+    (NaN, +-inf) and gives way to the discard pixel height * width."""
+    with np.errstate(invalid="ignore"):
+        pixel = v.astype(np.int64)
+        pixel *= width
+        pixel += u.astype(np.int64)
+    pixel[~in_fov] = height * width
     return pixel
 
 
@@ -204,10 +205,11 @@ def project_orthographic(cloud: PointCloud, plane: PlaneSpec, grids=None) -> Gri
     key = (ua, va, plane.extent, h, w)
     if key not in grids:
         u0, u1, v0, v1 = plane.extent
-        u = (cloud.axes[ua] - u0) / (u1 - u0) * w
-        v = (cloud.axes[va] - v0) / (v1 - v0) * h
+        with np.errstate(over="ignore"):  # only a point far out of FOV overflows
+            u = (cloud.axes[ua] - u0) / (u1 - u0) * w
+            v = (cloud.axes[va] - v0) / (v1 - v0) * h
         in_fov = (u >= 0) & (u < w) & (v >= 0) & (v < h)
-        grids[key] = (u, v, in_fov, _pixels(u, v, in_fov, w))
+        grids[key] = (u, v, in_fov, _pixels(u, v, in_fov, h, w))
         for array in grids[key]:
             array.flags.writeable = False
     u, v, in_fov, pixel = grids[key]
@@ -228,36 +230,26 @@ def rasterize(cloud, coords, plane, channels=DEFAULT_CHANNELS):
     lowest point index; raster channels are taken from the winner, empty
     pixels stay zero.
     """
-    n = cloud.n
-    if coords.u.shape[0] != n:
+    if coords.u.shape[0] != cloud.n:
         raise ValueError("coords/cloud length mismatch")
     h, w = plane.height, plane.width
-
-    winner = np.full((h, w), EMPTY, dtype=np.int64)
-    zbuffer = np.full((h, w), np.inf, dtype=np.float64)
-
-    pix = coords.pixel
-    if pix.size:
-        # a plane with every point in view needs no compacted copy: the
-        # in-view positions are then the point indices themselves
-        idx = None if coords.in_fov.all() else np.flatnonzero(coords.in_fov)
-        depth = coords.depth if idx is None else coords.depth[idx]
-        # two scatter-mins: the nearest depth per pixel, then the lowest
-        # point index among the points at exactly that depth
-        zflat = zbuffer.ravel()
-        np.minimum.at(zflat, pix, depth)
-        tie = np.flatnonzero(depth == zflat[pix])
-        none = np.iinfo(np.int64).max
-        wflat = np.full(h * w, none)
-        np.minimum.at(wflat, pix[tie], tie if idx is None else idx[tie])
-        hit = wflat != none
-        winner.ravel()[hit] = wflat[hit]
-        # the winner's own depth keeps the sign of a zero depth
-        zflat[hit] = coords.depth[wflat[hit]]
+    pix, depth = coords.pixel, coords.depth
+    # two scatter-mins over the h * w pixels and the discard pixel, which
+    # takes every point out of FOV and is dropped: the nearest depth per
+    # pixel, then the lowest point index among the points at that depth
+    zflat = np.full(h * w + 1, np.inf)
+    np.minimum.at(zflat, pix, depth)
+    tie = np.flatnonzero(depth == zflat[pix])
+    none = np.iinfo(np.int64).max
+    wflat = np.full(h * w + 1, none)
+    np.minimum.at(wflat, pix[tie], tie)
+    winner, zbuffer = wflat[:-1].reshape(h, w), zflat[:-1].reshape(h, w)
+    occupied = winner != none
+    win = winner[occupied]
+    zbuffer[occupied] = depth[win]  # the winner's own depth keeps the sign of a zero depth
+    winner[~occupied] = EMPTY
 
     raster = np.zeros((h, w, len(channels)), dtype=np.float64)
-    occupied = winner >= 0
-    win = winner[occupied]
     for ci, name in enumerate(channels):
         plate = raster[:, :, ci]
         if name == "occupancy":
@@ -290,14 +282,16 @@ def winner_table(cloud: PointCloud, hexset: HexPlaneSet):
     point out of FOV stands as its own winner, so its offset is x - x = +0.0
     (positions are finite)."""
     n = cloud.n
+    own = np.arange(n)
     winners = np.empty((n, len(hexset.planes)), dtype=np.int64)
     for m, plane in enumerate(hexset.planes):
         coords = plane.index.coords
         if coords.u.shape[0] != n:
             raise ValueError("hexplane set built from a different cloud")
-        win = winners[:, m]
-        win[...] = np.arange(n)
-        win[coords.in_fov] = plane.index.winner.ravel()[coords.pixel]
+        # the discard pixel clips to the last real one, whose winner the
+        # point's own index then replaces
+        won = plane.index.winner.take(coords.pixel, mode="clip")
+        winners[:, m] = np.where(coords.in_fov, won, own)
     return winners
 
 

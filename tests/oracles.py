@@ -89,7 +89,8 @@ def project_columns_reference(positions, specs):
     (N, 3) copy of `positions`, with the formulas of a cloud that stores its
     points row by row. Returns (depths, planes, offsets): per plane a dict
     of u, v, depth, in_fov, pixel, winner, zbuffer and the x, y, z, depth,
-    occupancy raster; offsets (N, M, 3) to each point's pixel winner."""
+    occupancy raster; offsets (N, M, 3) to each point's pixel winner. The
+    pixel of a point out of FOV is the discard pixel h * w."""
     pos = np.array(positions, dtype=np.float64, order="C")
     n = pos.shape[0]
     x, y, z = pos[:, 0], pos[:, 1], pos[:, 2]
@@ -116,7 +117,9 @@ def project_columns_reference(positions, specs):
             in_fov = np.ones(n, dtype=bool)
             depth = sign * (pos[:, da] - spec.depth_ref)
         in_fov &= (u >= 0) & (u < w) & (v >= 0) & (v < h)
-        pixel = np.floor(v[in_fov]).astype(np.int64) * w + np.floor(u[in_fov]).astype(np.int64)
+        pixel = np.full(n, h * w, dtype=np.int64)
+        pixel[in_fov] = (np.floor(v[in_fov]).astype(np.int64) * w
+                         + np.floor(u[in_fov]).astype(np.int64))
         winner, zbuffer = zbuffer_sequential(u, v, depth, in_fov, h, w)
         occupied = winner >= 0
         raster = np.zeros((h, w, 5))
@@ -125,7 +128,7 @@ def project_columns_reference(positions, specs):
         raster[:, :, 3][occupied] = zbuffer[occupied]
         raster[:, :, 4][occupied] = 1.0
         win = np.arange(n)
-        win[in_fov] = winner.ravel()[pixel]
+        win[in_fov] = winner.ravel()[pixel[in_fov]]
         offsets[:, m] = pos - pos[win]
         planes.append({"u": u, "v": v, "depth": depth, "in_fov": in_fov, "pixel": pixel,
                        "winner": winner, "zbuffer": zbuffer, "raster": raster})

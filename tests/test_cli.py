@@ -180,6 +180,19 @@ class TestSynthAndProject:
         digest = hashlib.sha256(class_palette(300).tobytes()).hexdigest()
         assert digest == "fc41998963057a82c3ebfb8569dd5eb2eb841c0537c92db0e06566b67628a7dd"
 
+    def test_class_palette_is_built_once_per_export(self, tmp_path, tiny_config, monkeypatch):
+        # one table colours every plane's class PPM
+        from hexplane import images
+        calls = []
+        monkeypatch.setattr(images, "class_palette",
+                            lambda n: calls.append(n) or class_palette(n))
+        main(["synth", "--config", str(tiny_config), "--out", str(tmp_path / "s.bin")])
+        code = main(["project", str(tmp_path / "s.bin"), "--config", str(tiny_config),
+                     "--out-dir", str(tmp_path / "imgs"), "--stem", "s"])
+        assert code == 0
+        assert len(list((tmp_path / "imgs").glob("s.*.class.ppm"))) == 6
+        assert calls == [3]
+
     def test_synth_ascii_round_trip(self, tmp_path, tiny_config):
         out = tmp_path / "scene.txt"
         code = main(["synth", "--config", str(tiny_config), "--format", "ascii",

@@ -383,15 +383,33 @@ def test_train_run_peak_memory_holds_one_step_at_a_time():
 EVAL_FORWARD_PEAK_BYTES = 2_700_000
 
 
-def test_inference_forward_peak_memory():
+def _eval_scene_model():
     tree = _shipped()
     cloud = cfg.build_scene(tree["eval_scene"], "eval_scene")
     num_classes = max(cfg.scene_num_classes(tree), int(cloud.labels.max()) + 1)
     model = HexPlaneModel(cfg.build_model_config(tree, num_classes))
-    hexset = plane_inputs(model.config, cloud, cfg.plane_spec_builder(tree["planes"]))
+    return model, cloud, plane_inputs(model.config, cloud, cfg.plane_spec_builder(tree["planes"]))
+
+
+def test_inference_forward_peak_memory():
+    model, cloud, hexset = _eval_scene_model()
     with traced_peak() as traced:
         model.forward(cloud, hexset)
     assert traced.peak <= EVAL_FORWARD_PEAK_BYTES, f"traced peak {traced.peak} B"
+
+
+# the same for one inference point step over the eval scene's first
+# POINT_BLOCK rows, after the plane stage: 1.29 MB while every layer's cache
+# lived until the step returned, 1.15 MB since each dies as its layer returns
+POINT_STEP_PEAK_BYTES = 1_220_000
+
+
+def test_inference_point_step_drops_each_cache_as_its_layer_returns():
+    model, cloud, hexset = _eval_scene_model()
+    stage, _, _ = model.plane_stage(cloud, hexset)
+    with traced_peak() as traced:
+        model.point_step(stage, slice(0, ops.POINT_BLOCK))
+    assert traced.peak <= POINT_STEP_PEAK_BYTES, f"traced peak {traced.peak} B"
 
 
 # the same for the occlusion_transfer training scene synthesised at 20,000

@@ -425,7 +425,7 @@ class TestGatherAndOffsets:
         want = np.zeros_like(offsets)
         for m, plane in enumerate(hexset.planes):
             mask = plane.index.coords.in_fov
-            win = plane.index.winner.ravel()[plane.index.coords.pixel]
+            win = plane.index.winner.ravel()[plane.index.coords.pixel[mask]]
             want[mask, m] = cloud.positions[mask] - cloud.positions[win]
             assert np.array_equal(valid[:, m], mask)
         assert same_bits(offsets, want)

@@ -239,11 +239,20 @@ class TestRasterize:
         rng = np.random.default_rng(7)
         cloud = random_cloud(rng, n=1000, labeled=False)
         specs = default_plane_specs(cloud, sensor=WIDE_SENSOR)
-        # a front view narrower than the cloud: an orthographic plane with
-        # points out of view takes the compacting path
+        # a front view narrower than the cloud: points out of view land on
+        # the discard pixel
         u0, u1, v0, v1 = specs[1].extent
         specs.append(dataclasses.replace(specs[1], extent=(u0, (u0 + u1) / 2, v0, v1)))
         cases = [(cloud, spec, project(cloud, spec)) for spec in specs]
+        # a top view of a 1e-308 m square: the cloud's grid coordinates
+        # overflow to +-inf, and 50 points inside the square stay in view
+        tiny = PointCloud(positions=np.concatenate(
+            [cloud.positions[:200], rng.uniform(0.0, 1e-308, (50, 3))]))
+        spec = PlaneSpec("xy_top", 8, 8, extent=(0.0, 1e-308, 0.0, 1e-308), depth_ref=1.0)
+        coords = project(tiny, spec)
+        assert np.isposinf(coords.u).any() and np.isneginf(coords.v).any()
+        assert coords.in_fov.sum() == 50
+        cases.append((tiny, spec, coords))
         # tie-heavy: lattice-snapped points plus exact duplicates share pixels
         # and depths; viewing planes on a lattice value give depths of exactly
         # 0.0, and half of those get their sign flipped so +0.0 and -0.0 meet
@@ -262,7 +271,7 @@ class TestRasterize:
         assert np.signbit(zeros).any() and not np.signbit(zeros).all()
         # both sides of rasterize's choice: every point in view, or not
         every = [bool(c.in_fov.all()) for _, _, c in cases]
-        assert every == [True] * 5 + [False, False] + [True] * 5 + [False], every
+        assert every == [True] * 5 + [False, False, False] + [True] * 5 + [False], every
         for cl, spec, coords in cases:
             _, index = rasterize(cl, coords, spec)
             winner, zbuf = oracles.zbuffer_sequential(
@@ -308,11 +317,17 @@ class TestRasterize:
 
 
 class TestPixel:
+    """`pixel` is point-aligned: floored row-major in FOV, and the discard
+    pixel h * w, one past the last real one, out of FOV."""
+
     @staticmethod
-    def floored(coords, width):
+    def check(coords, height, width):
         mask = coords.in_fov
-        return (np.floor(coords.v[mask]).astype(np.int64) * width
-                + np.floor(coords.u[mask]).astype(np.int64))
+        assert coords.pixel.shape == coords.u.shape
+        assert np.all(coords.pixel[~mask] == height * width)
+        floored = (np.floor(coords.v[mask]).astype(np.int64) * width
+                   + np.floor(coords.u[mask]).astype(np.int64))
+        assert np.array_equal(coords.pixel[mask], floored)
 
     def test_orthographic_pixel_is_floored_row_major(self):
         # u = x and v = z exactly here: points on integer grid lines, one ulp
@@ -326,8 +341,8 @@ class TestPixel:
         ])
         coords = project_orthographic(PointCloud(positions=pos), spec)
         assert coords.in_fov.tolist() == [True] * 7 + [False, False, True]
-        assert coords.pixel.tolist() == [0, 9, 19, 31, 31, 7, 26, 0]
-        assert np.array_equal(coords.pixel, self.floored(coords, 8))
+        assert coords.pixel.tolist() == [0, 9, 19, 31, 31, 7, 26, 32, 32, 0]
+        self.check(coords, 4, 8)
 
     def test_cylindrical_bottom_boundary_row(self):
         pos = np.array([[2.0, 0.0, -1.0], [1.0, 0.0, 0.0], [0.0, 0.0, 5.0]])
@@ -337,7 +352,8 @@ class TestPixel:
         coords = project_cylindrical(PointCloud(positions=pos), plane)
         assert coords.in_fov.tolist() == [True, True, False]
         assert coords.pixel[0] == 63 * 512 + 256  # the last row, not row 64
-        assert np.array_equal(coords.pixel, self.floored(coords, 512))
+        assert coords.pixel[2] == 64 * 512  # out of FOV: the discard pixel
+        self.check(coords, 64, 512)
 
     def test_every_plane_of_a_random_cloud(self):
         rng = np.random.default_rng(31)
@@ -345,7 +361,7 @@ class TestPixel:
         for spec in default_plane_specs(cloud, sensor=WIDE_SENSOR):
             coords = project(cloud, spec)
             assert coords.pixel.dtype == np.int64
-            assert np.array_equal(coords.pixel, self.floored(coords, spec.width)), spec.kind
+            self.check(coords, spec.height, spec.width)
 
 
 class TestHexPlaneProject:
@@ -531,7 +547,7 @@ class TestAxisMajorLayout:
 
     @pytest.mark.parametrize("sensor,narrow", [(SensorConfig(math.pi / 2, math.pi / 2), False),
                                                (KITTI_SENSOR, True)],
-                             ids=["in_view", "compacting"])
+                             ids=["in_view", "partly_in_view"])
     def test_matches_column_oracle(self, sensor, narrow):
         rng = np.random.default_rng(61)
         cloud = random_cloud(rng, n=1000)
