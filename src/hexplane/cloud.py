@@ -40,7 +40,7 @@ _VERSION = 1
 
 
 class CloudFormatError(ValueError):
-    """Malformed point-cloud file (bad header, record, or value)."""
+    """Malformed point-cloud file, or a cloud value that the format cannot hold."""
 
 
 def _frozen(value, dtype) -> np.ndarray:
@@ -141,6 +141,10 @@ def save_pointcloud(path, cloud: PointCloud, format: str = "binary") -> None:
     cols = _canonical_columns(cloud)
     n, c = cols.shape
     has_labels = cloud.labels is not None
+    if has_labels and cloud.labels.max() > _LABEL_MAX:
+        bad = int(np.argmax(cloud.labels > _LABEL_MAX))
+        raise CloudFormatError(f"label out of range at point {bad}: the format "
+                               "stores labels as int32")
     if format == "ascii":
         lines = [f"hexpc ascii {n} {c} {int(has_labels)}"]
         for i in range(n):
@@ -368,6 +372,8 @@ class SceneSpec:
         if reach_overflows(self.room_extent, 0.0):
             raise SceneError("room_extent", f": room {self.room_extent} has a corner whose "
                              "distance from the origin overflows float64")
+        if self.noise < 0:
+            raise SceneError("noise", f" must be a non-negative number, got {self.noise:g}")
         if reach_overflows(self.room_extent, self.noise):
             raise SceneError("noise", f" {self.noise:g} can push a point's distance "
                              "past float64")
@@ -485,10 +491,9 @@ class _Disk:
 
 
 def _surface_noise(rng, count, sigma):
-    # truncated at one sigma so surface membership tests have a hard bound
-    if sigma == 0.0:
-        rng.normal(0.0, 1.0, count)  # keep the draw sequence stable
-        return np.zeros(count)
+    # truncated at one sigma so surface membership tests have a hard bound;
+    # sigma 0 still draws, so the sequence stays stable, and -0.0 draws as 0.0
+    sigma = abs(sigma)
     return np.clip(rng.normal(0.0, sigma, count), -sigma, sigma)
 
 

@@ -75,9 +75,6 @@ DEFAULTS = {
     "training": _field_defaults(TrainSettings),
 }
 
-# leaves where None is a meaningful value, by leaf name
-_NULLABLE = {"threads", "eval_scene", "path", "extent", "depth_ref"}
-
 # one scene.primitives entry; every key is required
 _PRIMITIVE = {"kind": "box", "center": [], "size": [], "class_id": 0}
 
@@ -162,7 +159,7 @@ def _validate(defaults, user, path="", required=False):
             if required:
                 raise ConfigError(f"config: {sub} is required")
             tree[key] = copy.deepcopy(default)
-        elif value is None and key in _NULLABLE:
+        elif value is None and default is None:
             tree[key] = None
         elif isinstance(default, dict) or key == "eval_scene":
             # an empty section takes its defaults

@@ -13,35 +13,23 @@ from .encoder import FUSE_STRIDE, feature_grid
 IGNORE = UNLABELED
 
 
-def point_head_forward(features, w, b):
-    """Per-point class logits, (N, K) = features @ w + b."""
-    return ops.linear_forward(features, w, b)
-
-
-def point_head_backward(grad, cache):
-    return ops.linear_backward(grad, cache)
-
-
-def aux_head_forward(feature_map, w, b):
-    """Per-pixel class logits over a fused plane feature map, (H_f, W_f, K)."""
-    return ops.linear_forward(feature_map, w, b)
-
-
-def aux_head_backward(grad, cache):
-    return ops.linear_backward(grad, cache)
+# class logits x @ w + b per point, (N, K), and per fused-map pixel,
+# (H_f, W_f, K); two names, so that a profiler can tell the heads apart
+point_head_forward = aux_head_forward = ops.linear_forward
+point_head_backward = aux_head_backward = ops.linear_backward
 
 
 @dataclass(frozen=True)
 class LossReport:
     """Decomposition of one training objective evaluation.
 
-    total == main + aux_weight * sum(aux) by construction.
+    total == main + aux_weight * sum(aux) by construction, for the
+    aux_weight passed to `composite_loss`.
     """
 
     total: float
     main: float
     aux: tuple
-    aux_weight: float
 
 
 def composite_loss(point_logits, point_labels, aux_logits, aux_labels, aux_weight):
@@ -71,10 +59,7 @@ def composite_loss(point_logits, point_labels, aux_logits, aux_labels, aux_weigh
         raise ValueError("all labels are IGNORE; nothing to supervise")
 
     total = main + aux_weight * sum(aux_terms)
-    report = LossReport(
-        total=float(total), main=float(main), aux=tuple(aux_terms), aux_weight=aux_weight
-    )
-    return report, d_point, d_aux
+    return LossReport(float(total), float(main), tuple(aux_terms)), d_point, d_aux
 
 
 def downsample_labels(label_image, num_classes):

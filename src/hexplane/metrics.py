@@ -53,10 +53,6 @@ class ConfusionMatrix:
             self.counts += np.bincount(flat, minlength=k * k).reshape(k, k)
         return self
 
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
 
 @dataclass(frozen=True)
 class SegmentationScores:

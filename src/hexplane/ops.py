@@ -178,7 +178,6 @@ def _axis_taps(n_in, n_out):
     else:
         src = np.arange(n_out) * (n_in - 1) / (n_out - 1)
     i0 = np.floor(src).astype(np.int64)
-    i0 = np.minimum(i0, n_in - 1)
     i1 = np.minimum(i0 + 1, n_in - 1)
     w1 = src - i0
     return i0, i1, w1
@@ -231,8 +230,8 @@ def bilinear_sample_forward(table, u, v, grid):
     base, h, w = grid
     x = np.clip(u, 0.0, w - 1.0)
     y = np.clip(v, 0.0, h - 1.0)
-    x0 = np.minimum(np.floor(x).astype(np.int64), w - 1)
-    y0 = np.minimum(np.floor(y).astype(np.int64), h - 1)
+    x0 = np.floor(x).astype(np.int64)
+    y0 = np.floor(y).astype(np.int64)
     x1 = np.minimum(x0 + 1, w - 1)
     y1 = np.minimum(y0 + 1, h - 1)
     fx = (x - x0)[..., None]

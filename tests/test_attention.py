@@ -97,6 +97,17 @@ class TestGatherPlaneFeatures:
             assert np.array_equal(valid[:, m], plane.index.coords.in_fov)
         assert np.all(gathered[~valid] == 0.0)
 
+    @pytest.mark.parametrize("edit, field", [
+        (lambda fmaps: fmaps[:5], "one feature map per plane"),
+        (lambda fmaps: fmaps + fmaps[:1], "one feature map per plane"),
+        (lambda fmaps: fmaps[:2] + [fmaps[2][:, 1:]] + fmaps[3:], "feature map 2 is"),
+    ], ids=["five_maps", "seven_maps", "narrow_map"])
+    def test_stack_planes_refuses_maps_that_do_not_fit(self, edit, field):
+        _, hexset, fmaps = self.build()
+        with pytest.raises(ValueError) as caught:
+            stack_planes(edit(fmaps), hexset)
+        assert type(caught.value) is ValueError and field in str(caught.value)
+
     def test_matches_bilinear_oracle(self):
         rng = np.random.default_rng(2)
         fmap = rng.normal(size=(7, 9, 3))

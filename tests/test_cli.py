@@ -501,6 +501,18 @@ class TestTrainEval:
         assert "gradient for parameter" in lines[0]
 
 
+def list_root_config(tmp_path):
+    return "- seed: 1\n- seed: 2\n"
+
+
+def unlabeled_file_scene_config(tmp_path):
+    save_pointcloud(tmp_path / "bare.bin", PointCloud(
+        positions=np.random.default_rng(2).uniform(-2.0, 2.0, size=(50, 3))))
+    tree = copy.deepcopy(TINY_CONFIG)
+    tree["scene"] = {"kind": "file", "path": str(tmp_path / "bare.bin")}
+    return yaml.safe_dump(tree)
+
+
 class TestValidation:
     def test_unknown_config_key_names_it(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"
@@ -816,6 +828,19 @@ class TestValidation:
         out = capsys.readouterr().out
         for cmd in ("synth", "project", "train", "eval", "gradcheck"):
             assert cmd in out
+
+    @pytest.mark.parametrize("write, err", [
+        (list_root_config, "error: config: root must be a mapping\n"),
+        (unlabeled_file_scene_config, "error: config: scene has no labels\n"),
+    ], ids=["list_root", "unlabeled_file_scene"])
+    def test_refused_config_exits_1_naming_it(self, tmp_path, capsys, write, err):
+        config = tmp_path / "c.yaml"
+        config.write_text(write(tmp_path))
+        out_dir = tmp_path / "run"
+        code = main(["train", "--config", str(config), "--output-dir", str(out_dir)])
+        assert code == 1
+        assert capsys.readouterr().err == err
+        assert not out_dir.exists()
 
 
 class TestGradcheckCommand:

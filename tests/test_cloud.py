@@ -1,5 +1,6 @@
 """Point-cloud I/O, synthetic scenes, and augmentation."""
 
+import hashlib
 import math
 import struct
 import warnings
@@ -171,6 +172,20 @@ class TestBinaryFormat:
         assert load_pointcloud(bin_path).n == cloud.n
 
 
+@pytest.mark.parametrize("fmt", ["ascii", "binary"])
+@pytest.mark.parametrize("label", [2**31, 2**32 - 1, 2**32 + 5])
+def test_save_refuses_a_label_past_int32_before_writing(tmp_path, fmt, label):
+    # binary used to wrap these (2**32 - 1 read back as -1, unlabeled) and
+    # ASCII wrote a file that load_pointcloud refuses
+    cloud = PointCloud(positions=np.ones((3, 3)), labels=[0, label, label])
+    path = tmp_path / "c"
+    with pytest.raises(CloudFormatError, match="^label out of range at point 1:"):
+        save_pointcloud(path, cloud, format=fmt)
+    assert not path.exists()
+    save_pointcloud(path, PointCloud(np.ones((2, 3)), labels=[-1, 2**31 - 1]), format=fmt)
+    assert load_pointcloud(path).labels.tolist() == [-1, 2**31 - 1]
+
+
 BOX = Primitive("box", center=(2.0, -1.5, 0.5), size=(1.0, 1.2, 1.0), class_id=2)
 
 
@@ -279,11 +294,26 @@ class TestSynthScene:
         ({"num_points": 2}, "num_points: 2 points cannot cover 3 classes"),
         ({"room_extent": (5.0e153,) * 3, "primitives": (
             Primitive("cylinder", (0, 0, 2.5e153), (2.5e153, 5.0e153), 2),)}, "primitives: "),
+        # numpy used to refuse this one mid-sample, with "scale < 0"
+        ({"noise": -1.0}, "noise must be a non-negative number, got -1"),
     ])
     def test_each_refusal_starts_with_the_field_to_blame(self, change, field):
         with pytest.raises(SceneError) as caught:
             self.make_spec(**change)
         assert str(caught.value).startswith(field)
+
+
+    @pytest.mark.parametrize("seed,digest", [(0, "151db377b9f1"), (1, "7fb778cbc766"),
+                                             (2, "a5c8b5479376")])
+    @pytest.mark.parametrize("noise", [0.0, -0.0])
+    def test_noiseless_scenes_keep_their_bytes(self, seed, digest, noise):
+        # zero noise still draws its normals, so the rest of the sequence and
+        # every position keep their bytes; -0.0 samples as 0.0 does
+        spec = SceneSpec(seed=seed, num_points=3000, num_classes=3, noise=noise, primitives=(
+            Primitive("box", (1.0, 1.0, 0.5), (1.0, 1.0, 1.0), 2),
+            Primitive("cylinder", (-1.0, -1.0, 0.5), (0.4, 1.0), 2)))
+        positions = synth_scene(spec).positions
+        assert hashlib.sha256(positions.tobytes()).hexdigest()[:12] == digest
 
 
 class TestAugment:

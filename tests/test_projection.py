@@ -640,3 +640,38 @@ def test_cylindrical_quantization_round_trip():
     re_coords = project_cylindrical(PointCloud(positions=stored), WIDE)
     assert np.array_equal(np.floor(re_coords.v).astype(int), occupied[:, 0])
     assert np.array_equal(np.floor(re_coords.u).astype(int), occupied[:, 1])
+
+
+def _forty_point_set():
+    cloud = random_cloud(np.random.default_rng(40), n=40)
+    return hexplane_project(cloud, default_plane_specs(
+        cloud, sensor=WIDE_SENSOR, resolutions=dict.fromkeys(PLANE_KINDS, (4, 8))))
+
+
+FIVE = random_cloud(np.random.default_rng(0), n=5)
+UNIT = (0.0, 1.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("refused, field", [
+    (lambda: PlaneSpec("sphere", 4, 4), "kind 'sphere'"),
+    (lambda: PlaneSpec("cylindrical", 4, 4, extent=UNIT), "needs a sensor"),
+    (lambda: PlaneSpec("cylindrical", 4, 4, sensor=WIDE_SENSOR, extent=UNIT), "not an extent"),
+    (lambda: PlaneSpec("xy_top", 4, 4, extent=UNIT, depth_ref=0.0, sensor=WIDE_SENSOR),
+     "not a sensor"),
+    (lambda: PlaneSpec("xy_top", 4, 4, depth_ref=0.0), "needs an extent"),
+    (lambda: PlaneSpec("xz_front", 4, 4, extent=UNIT), "depth_ref"),
+    (lambda: PlaneSpec("yz_left", 0, 4, extent=UNIT, depth_ref=0.0), "grid"),
+    (lambda: PlaneSpec("cylindrical", 4, -1, sensor=WIDE_SENSOR), "grid"),
+    (lambda: SensorConfig(phi_up=0.0, phi_down=0.5), "phi_up and phi_down"),
+    (lambda: SensorConfig(phi_up=0.5, phi_down=-0.1), "phi_up and phi_down"),
+    (lambda: project_orthographic(FIVE, WIDE), "cylindrical is not an orthographic plane"),
+    (lambda: rasterize(FIVE, project(FIVE, WIDE), WIDE, channels=("occupancy", "colour")),
+     "channel 'colour'"),
+    (lambda: winner_table(FIVE, _forty_point_set()), "hexplane set"),
+], ids=["unknown_kind", "cylinder_extent", "cylinder_both", "ortho_sensor", "ortho_no_extent",
+        "no_depth_ref", "zero_rows", "negative_cols", "zero_phi_up", "negative_phi_down",
+        "ortho_on_cylinder", "unknown_channel", "other_cloud"])
+def test_each_refusal_names_its_field(refused, field):
+    with pytest.raises(ValueError) as caught:
+        refused()
+    assert type(caught.value) is ValueError and field in str(caught.value)

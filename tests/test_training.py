@@ -301,6 +301,19 @@ class TestModel:
         with pytest.raises(ValueError, match="head/point/W"):
             model.load_parameters(load_checkpoint(path))
 
+    @pytest.mark.parametrize("refused, field", [
+        (lambda model, cloud: model.load_parameters({}), "missing ['attn/w_key'"),
+        (lambda model, cloud: model.load_parameters({**model.parameters(), "x/W": 0}),
+         "extra ['x/W']"),
+        (lambda model, cloud: model.input_features(PointCloud(cloud.positions, np.ones(
+            (cloud.n, 2)))), "provides 5 input channels, model expects 4"),
+        (lambda model, cloud: model.forward(cloud, None), "no hexplane set"),
+    ], ids=["missing_tensor", "extra_tensor", "input_width", "no_hexplane_set"])
+    def test_each_refusal_names_its_field(self, refused, field):
+        with pytest.raises(ValueError) as caught:
+            refused(HexPlaneModel(tiny_model_config()), tiny_scene(n=50))
+        assert type(caught.value) is ValueError and field in str(caught.value)
+
 
 class TestCheckpointContainer:
     def test_bytes_deterministic(self, tmp_path):
