@@ -307,6 +307,14 @@ def voxel_pool(positions, feats, params, voxel_size):
     return inverse, counts, means
 
 
+def _join(x, means, cells, params):
+    """The second layer's input for the point rows `x`, their first layer
+    beside their cell means (B, 2*C_p), and the first layer's two caches."""
+    pre1, lin1 = ops.linear_forward(x, params["w1"], params["b1"])
+    h1, act1 = ops.leaky_relu_forward(pre1)
+    return np.concatenate([h1, means[cells]], axis=1), lin1, act1
+
+
 def encode_points(feats, pool, params, rows):
     """Per-point features with local context of the points in `rows`,
     (B, C_p), and their cache, (first, tail).
@@ -317,26 +325,31 @@ def encode_points(feats, pool, params, rows):
     second layer. The first layer is computed again on the rows, with the
     bits it has in the pool. `encode_points_backward` reads `tail`, and
     `voxel_pool_backward` reads `first`, which must be of every point.
+    `tail` holds the rows, the means, the cells and `params`, not the
+    join: the backward rebuilds that bit for bit, so it must run before the
+    parameters change, as `ops.conv2d_forward` requires of its input.
     """
     inverse, counts, means = pool
     cells = inverse[rows]
-    pre1, lin1 = ops.linear_forward(feats[rows], params["w1"], params["b1"])
-    h1, act1 = ops.leaky_relu_forward(pre1)
-    both = np.concatenate([h1, means[cells]], axis=1)
-    pre2, lin2 = ops.linear_forward(both, params["w2"], params["b2"])
-    out, act2 = ops.leaky_relu_forward(pre2)
-    return out, ((lin1, act1, cells, counts), (lin2, act2, cells, len(counts)))
+    both, lin1, act1 = _join(feats[rows], means, cells, params)
+    out, act2 = ops.leaky_relu_forward(ops.linear_forward(both, params["w2"], params["b2"])[0])
+    return out, ((lin1, act1, cells, counts), (lin1[0], means, cells, params, act2))
 
 
 def encode_points_backward(grad, tail):
     """The second layer's backward over the rows of its forward: (d_h1, the
     first layer's direct gradient (B, C_p); cell_sums, the pooled half's
-    gradient summed over each cell (cells, C_p); grads dict with w2, b2)."""
-    lin2, act2, inverse, n_cells = tail
+    gradient summed over each cell (cells, C_p); grads dict with w2, b2).
+    The join that w2's gradient reads is rebuilt from the cached rows,
+    means and `params`, so this must run before the parameters change; the
+    join dies once that gradient is formed."""
+    x, means, cells, params, act2 = tail
     width = act2.shape[1]
+    lin2 = (_join(x, means, cells, params)[0], params["w2"])
     dboth, dw2, db2 = ops.linear_backward(ops.leaky_relu_backward(grad, act2), lin2)
+    del lin2
     d_h1 = dboth[:, :width].copy()
-    cell_sums = ops.scatter_groups(inverse, [dboth[:, width:]], n_cells, width)
+    cell_sums = ops.scatter_groups(cells, [dboth[:, width:]], len(means), width)
     return d_h1, cell_sums, {"w2": dw2, "b2": db2}
 
 

@@ -130,10 +130,17 @@ def default_features(cloud: PointCloud) -> np.ndarray:
 
 
 def _canonical_columns(cloud: PointCloud) -> np.ndarray:
-    """Float32 record matrix: positions first, then extra feature columns."""
-    if cloud.features is None:
-        return cloud.positions.astype(np.float32)
-    return np.concatenate([cloud.positions, cloud.features], axis=1).astype(np.float32)
+    """Float32 record matrix: positions first, then extra feature columns.
+    A value that float32 cannot hold is refused, as the loader would."""
+    cols = cloud.positions if cloud.features is None else np.concatenate(
+        [cloud.positions, cloud.features], axis=1)
+    with np.errstate(over="ignore"):
+        cols = cols.astype(np.float32)
+    bad = ~np.isfinite(cols).all(axis=1)
+    if bad.any():
+        raise CloudFormatError(f"value at point {int(np.argmax(bad))} is not a finite "
+                               "float32, as the format stores positions and features")
+    return cols
 
 
 def save_pointcloud(path, cloud: PointCloud, format: str = "binary") -> None:

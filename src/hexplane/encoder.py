@@ -74,17 +74,9 @@ def encode_plane_backward(grad_pyramid, caches, input_grad=True):
     return upstream, grads
 
 
-def fuse_scales(pyramid, params):
-    """Resample all levels to level 1's grid, concat, mix to C_f channels."""
-    if len(pyramid) < 2:
-        raise ValueError(f"pyramid needs two or more levels, got {len(pyramid)}")
-    for finer, coarser in zip(pyramid, pyramid[1:]):
-        want = tuple(-(-s // ops.CONV_STRIDE) for s in finer.shape[:2])
-        if coarser.shape[:2] != want:
-            raise ValueError(
-                f"pyramid levels disagree ({finer.shape[:2]} -> "
-                f"{coarser.shape[:2]}); not built from one plane"
-            )
+def _stack_levels(pyramid):
+    """Every level resampled onto level 1's grid and concatenated, (H_f, W_f,
+    sum of widths), and each level's resize cache, None for level 1."""
     th, tw = pyramid[1].shape[:2]
     resized, resize_caches = [], []
     for level in pyramid:
@@ -95,21 +87,43 @@ def fuse_scales(pyramid, params):
             r, cache = ops.bilinear_resize_forward(level, th, tw)
             resized.append(r)
             resize_caches.append(cache)
-    stacked = np.concatenate(resized, axis=2)
-    mixed, lin_cache = ops.linear_forward(stacked, params["mix/W"], params["mix/b"])
-    widths = [level.shape[2] for level in pyramid]
-    return mixed, (lin_cache, resize_caches, widths)
+    return np.concatenate(resized, axis=2), resize_caches
+
+
+def fuse_scales(pyramid, params):
+    """Resample all levels to level 1's grid, concat, mix to C_f channels.
+
+    The cache holds the pyramid and mix/W, not the concatenated stack:
+    `fuse_scales_backward` rebuilds that from the pyramid, bit for bit, so
+    it must run before the pyramid or the parameters change, as
+    `ops.conv2d_forward` requires of its input."""
+    if len(pyramid) < 2:
+        raise ValueError(f"pyramid needs two or more levels, got {len(pyramid)}")
+    for finer, coarser in zip(pyramid, pyramid[1:]):
+        want = tuple(-(-s // ops.CONV_STRIDE) for s in finer.shape[:2])
+        if coarser.shape[:2] != want:
+            raise ValueError(
+                f"pyramid levels disagree ({finer.shape[:2]} -> "
+                f"{coarser.shape[:2]}); not built from one plane"
+            )
+    mixed, _ = ops.linear_forward(_stack_levels(pyramid)[0], params["mix/W"], params["mix/b"])
+    return mixed, (pyramid, params["mix/W"])
 
 
 def fuse_scales_backward(grad, cache):
-    """Returns (grad per pyramid level, grads dict with mix/W, mix/b)."""
-    lin_cache, resize_caches, widths = cache
-    dstacked, dw, db = ops.linear_backward(grad, lin_cache)
+    """Returns (grad per pyramid level, grads dict with mix/W, mix/b). The
+    stack that mix/W's gradient reads is rebuilt from the cached pyramid, so
+    this must run before the pyramid or the parameters change; the stack
+    dies once that gradient is formed."""
+    pyramid, w = cache
+    stacked, resize_caches = _stack_levels(pyramid)
+    dstacked, dw, db = ops.linear_backward(grad, (stacked, w))
+    del stacked
     grad_pyramid = []
     start = 0
-    for width, rc in zip(widths, resize_caches):
-        piece = dstacked[:, :, start : start + width]
-        start += width
+    for level, rc in zip(pyramid, resize_caches):
+        piece = dstacked[:, :, start : start + level.shape[2]]
+        start += level.shape[2]
         if rc is None:
             grad_pyramid.append(piece)
         else:

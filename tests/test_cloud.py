@@ -186,6 +186,25 @@ def test_save_refuses_a_label_past_int32_before_writing(tmp_path, fmt, label):
     assert load_pointcloud(path).labels.tolist() == [-1, 2**31 - 1]
 
 
+@pytest.mark.parametrize("fmt", ["ascii", "binary"])
+@pytest.mark.parametrize("position, features", [
+    ([1e39, 0, 0], None),
+    ([0, 0, -1e39], None),
+    ([0, 0, 0], [[0.0], [4e38]]),
+    ([0, 0, 0], [[0.0], [np.nan]]),
+])
+def test_save_refuses_a_value_past_float32_before_writing(tmp_path, fmt, position, features):
+    # the float32 cast used to warn and write an inf or NaN that
+    # load_pointcloud refuses as a non-finite coordinate
+    cloud = PointCloud([[0, 0, 0], position], features=features)
+    path = tmp_path / "c"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CloudFormatError, match="^value at point 1 is not a finite float32"):
+            save_pointcloud(path, cloud, format=fmt)
+    assert not path.exists()
+
+
 BOX = Primitive("box", center=(2.0, -1.5, 0.5), size=(1.0, 1.2, 1.0), class_id=2)
 
 

@@ -14,6 +14,7 @@ import pytest
 import oracles
 from hexplane import config as cfg
 from hexplane import heads, ops
+from hexplane.attention import voxel_pool
 from hexplane.encoder import (
     encode_plane,
     encode_plane_backward,
@@ -270,9 +271,10 @@ def test_eval_forward_cache_keeps_no_im2col_copy():
     hexset = plane_inputs(model.config, cloud, cfg.plane_spec_builder(tree["planes"]))
     out = model.forward(cloud, hexset, grad=True)
 
-    im2col_bytes = input_bytes = 0
+    im2col_bytes = input_bytes = stack_bytes = coarsest_bytes = 0
     for plane, (enc_cache, _, _) in zip(hexset.planes, out.cache["planes"]):
         in_shape = plane.raster.shape
+        levels = []
         for conv_cache, act_cache in enc_cache:
             kh, kw, c_in, _ = conv_cache[2]
             out_h, out_w, _ = act_cache.shape
@@ -280,13 +282,24 @@ def test_eval_forward_cache_keeps_no_im2col_copy():
             im2col_bytes += layer_im2col
             input_bytes += int(np.prod(in_shape)) * 8
             in_shape = act_cache.shape
+            levels.append(in_shape)
             for entry in conv_cache:
                 assert np.asarray(entry).nbytes < layer_im2col
+        stack_bytes += levels[1][0] * levels[1][1] * sum(c for _, _, c in levels) * 8
+        coarsest_bytes += int(np.prod(in_shape)) * 8
     total = sum(a.nbytes for a in _cached_arrays(out.cache, {}).values())
     # the im2col matrices (5.0 MB) are gone and the inputs (2.2 MB) kept; the
-    # attention keeps neither a nor g_bar, (N, h, C_f) each, 2.0 MB together
+    # attention keeps neither a nor g_bar, (N, h, C_f) each, 4.0 MB together
     attention_bytes = 2 * cloud.n * model.config.heads * model.config.feature_channels * 8
-    assert total <= CACHE_BYTES_WITH_IM2COL - im2col_bytes + input_bytes - attention_bytes
+    # nor the point encoder its (N, 2 C_p) join (1.0 MB), nor the fusion its
+    # concatenated stacks (1.0 MB): each keeps what it rebuilds them from,
+    # of which only the cell means and the coarsest levels (0.25 MB) are new
+    join_bytes = cloud.n * 2 * model.config.point_width * 8
+    means = voxel_pool(cloud.positions, model.input_features(cloud), model.groups["point"],
+                       model.config.voxel_size)[2]
+    rebuilt_bytes = join_bytes + stack_bytes - means.nbytes - coarsest_bytes
+    assert total <= (CACHE_BYTES_WITH_IM2COL - im2col_bytes + input_bytes - attention_bytes
+                     - rebuilt_bytes)
 
 
 class traced_peak:
@@ -317,9 +330,11 @@ def _shipped(name="occlusion_transfer"):
 # cache, 16.3 MB with point blocks and a cache that dies part by part, 13.4 MB
 # since the sampler, the attention forward and the rest of its backward run
 # over point blocks and the backward writes d_gathered over the cache's
-# gathered features. The same scene at 10,000 points: 70.3 MB, then 54.9 MB
-TRAIN_STEP_PEAK_BYTES = 14_700_000
-TRAIN_STEP_10K_PEAK_BYTES = 60_500_000
+# gathered features, 11.7 MB since the point encoder and the scale fusion
+# keep their inputs, not the join and the stacks their backward rebuilds.
+# The same scene at 10,000 points: 70.3 MB, then 54.9 MB, then 49.2 MB
+TRAIN_STEP_PEAK_BYTES = 13_100_000
+TRAIN_STEP_10K_PEAK_BYTES = 54_800_000
 
 
 def _train_step_peak(points):
@@ -355,8 +370,9 @@ def test_train_step_peak_memory_at_10000_points():
 # gradients outlived the step into the next projection and the evaluation,
 # 22.9 MB when they die with the step, 19.0 MB before and 16.1 MB after the
 # train step's per-point temporaries went to point blocks, 15.2 MB since the
-# step drops its hexplane set once the labels are rasterized
-TRAIN_RUN_PEAK_BYTES = 16_700_000
+# step drops its hexplane set once the labels are rasterized, 13.6 MB since
+# the point encoder's join and the fusion's stacks are rebuilt in the backward
+TRAIN_RUN_PEAK_BYTES = 15_100_000
 
 
 def test_train_run_peak_memory_holds_one_step_at_a_time():
