@@ -19,13 +19,13 @@ g_m its feature and o_m its offset on plane m:
 
 so no (N*M, h*d) key or value tensor is formed.
 
-The forward cache holds the inputs, the queries q, the softmax weights and
-the context, but no (N, h, C_f) tensor: the backward rebuilds
-a_h = W_key_h q_h and g_bar_h = sum_m w_hm g_m, one product each and bit
-for bit, and frees each whole-batch temporary once it is consumed. Forward
-and backward run their per-point products over the blocks of
-`ops.row_blocks`, which never leaves a one-row rest, so bit for bit as on
-the whole batch; products that sum over the points run on the whole batch.
+The forward cache holds the inputs and the softmax weights only: the
+backward rebuilds the queries q, a_h = W_key_h q_h, g_bar_h = sum_m w_hm g_m
+and the context from them, each by the forward's own product and so bit for
+bit, and frees each whole-batch temporary once it is consumed. Forward and
+backward run their per-point products over the blocks of `ops.row_blocks`,
+which never leaves a one-row rest, so bit for bit as on the whole batch;
+products that sum over the points run on the whole batch.
 """
 
 from __future__ import annotations
@@ -87,8 +87,8 @@ def gather_plane_features(planes, rows):
     valid (B, M), cache); out-of-FOV entries are zero-filled and flagged
     invalid. Every point is sampled, so out-of-FOV coordinates, which may be
     NaN, are moved onto the grid at 0 first. The cache is each map's
-    (H_f, W_f), as ints, and the sampler's taps, x0, x1, y0, y1 (B, M) and
-    fx, fy (B, M, 1).
+    (H_f, W_f), as ints, and the sampler's coordinates u, v (B, M), on the
+    fused maps and zeroed out of FOV, from which its backward rebuilds taps.
     """
     table, grid, views = planes
     valid = np.stack([coords.in_fov[rows] for coords, _, _ in views], axis=1)
@@ -98,20 +98,20 @@ def gather_plane_features(planes, rows):
         np.multiply(coords.v[rows], scale_v, out=v[:, m])
     np.copyto(u, 0.0, where=~valid)
     np.copyto(v, 0.0, where=~valid)
-    gathered, taps = ops.bilinear_sample_forward(table, u, v, grid)
+    gathered, coords = ops.bilinear_sample_forward(table, u, v, grid)
     gathered[~valid] = 0.0
-    return gathered, valid, (list(zip(grid[1].tolist(), grid[2].tolist())), *taps)
+    return gathered, valid, (list(zip(grid[1].tolist(), grid[2].tolist())), *coords)
 
 
 def gather_plane_features_backward(grad, cache):
     """Scatter per-point gradients back onto each plane's feature map.
 
-    Plane m's columns of the taps are the cache of its own (h_m, w_m, C_f)
+    Plane m's columns of u and v are the cache of its own (h_m, w_m, C_f)
     sample. Rows of out-of-FOV points carry zero gradient, so they add
     nothing to any bin and need no mask."""
-    shapes, *taps = cache
+    shapes, *coords = cache
     return [ops.bilinear_sample_backward(
-                grad[:, m], ((h, w, grad.shape[2]), *(tap[:, m] for tap in taps)))
+                grad[:, m], ((h, w, grad.shape[2]), *(c[:, m] for c in coords)))
             for m, (h, w) in enumerate(shapes)]
 
 
@@ -125,6 +125,12 @@ def _join_heads(blocks):
     return blocks.transpose(1, 0, 2).reshape(blocks.shape[1], -1)
 
 
+def _queries(point_feats, params, heads):
+    """The (h, B, d) queries of the points `point_feats` (B, C_p)."""
+    q = point_feats @ params["w_query"]
+    return q.reshape(len(q), heads, q.shape[1] // heads).transpose(1, 0, 2)
+
+
 def cross_attention_forward(point_feats, gathered, valid, offsets, params, heads):
     """Fuse the six gathered plane features into one vector per point.
 
@@ -132,14 +138,15 @@ def cross_attention_forward(point_feats, gathered, valid, offsets, params, heads
     keys, with the offset embedding added, and the values, reassociated as
     the module docstring shows; `heads` splits the inner width h*d. Softmax
     runs over the valid planes only; a point with none gets a zero context.
-    Returns (fused (N, C_out), cache).
+    Returns (fused (N, C_out), cache). The cache holds the inputs and the
+    weights, and `params` must not change before the backward reads it.
     """
     n, m, _ = gathered.shape
     h, d = heads, params["w_query"].shape[1] // heads
     w_key, w_pos, w_value = (_head_blocks(params[k], h) for k in ("w_key", "w_pos", "w_value"))
 
     # per-head GEMMs over (h, N, .) views; the key side folds into the query
-    q = (point_feats @ params["w_query"]).reshape(n, h, d).transpose(1, 0, 2)
+    q = _queries(point_feats, params, h)
     weights = np.empty((n, h, m))
     context = np.empty((n, h, d))
     for rows in ops.row_blocks(n):
@@ -167,15 +174,13 @@ def cross_attention_forward(point_feats, gathered, valid, offsets, params, heads
         g_bar = weights[rows] @ gathered[rows]  # (B, h, C_f)
         np.matmul(g_bar.transpose(1, 0, 2), w_value, out=context[rows].transpose(1, 0, 2))
         del g_bar
-    context = context.reshape(n, h * d)
-    fused = context @ params["w_out"]
-    cache = (point_feats, gathered, offsets, q, weights, context, params)
-    return fused, cache
+    fused = context.reshape(n, h * d) @ params["w_out"]
+    return fused, (point_feats, gathered, offsets, weights, params)
 
 
 def attention_weights(cache):
     """(N, heads, M) softmax weights from a forward cache; zero on masked planes."""
-    return cache[4]
+    return cache[3]
 
 
 def cross_attention_backward(grad, cache, out=None):
@@ -190,14 +195,21 @@ def cross_attention_backward(grad, cache, out=None):
     features: each block of points overwrites its rows after its last read
     of them, so a caller that consumes the cache needs no second array.
     """
-    point_feats, gathered, offsets, q, weights, context, params = cache
-    h, n, d = q.shape
-    c_f = gathered.shape[2]
+    point_feats, gathered, offsets, weights, params = cache
+    n, h, _ = weights.shape
+    d, c_f = params["w_query"].shape[1] // h, gathered.shape[2]
     w_key, w_value, w_pos = (_head_blocks(params[k], h) for k in ("w_key", "w_value", "w_pos"))
 
+    # g_bar and the context from it, rebuilt whole and the context laid out
+    # as the forward's; it dies before d_context is formed
+    g_bar = weights @ gathered
+    context = np.empty((n, h, d))
+    np.matmul(g_bar.transpose(1, 0, 2), w_value, out=context.transpose(1, 0, 2))
+    dw_out = context.reshape(n, h * d).T @ grad
+    del context
     d_context = (grad @ params["w_out"].T).reshape(n, h, d).transpose(1, 0, 2)
-    dw_out = context.T @ grad
-    dw_value = (weights @ gathered).transpose(1, 2, 0) @ d_context  # g_bar rebuilt
+    dw_value = g_bar.transpose(1, 2, 0) @ d_context
+    del g_bar
 
     # per point, over the blocks of `ops.row_blocks`. First d_g_bar, into the
     # (N, h, C_f) array that then takes d_a block by block, so that
@@ -210,8 +222,8 @@ def cross_attention_backward(grad, cache, out=None):
         np.matmul(d_context[:, rows], w_value.transpose(0, 2, 1), out=d_a[rows].transpose(1, 0, 2))
     del d_context
 
-    # then d_g_bar beside the rebuilt a, so that w^T d_g_bar + d_scores^T a
-    # is one product
+    # then d_g_bar beside a, rebuilt from the block's queries, so that
+    # w^T d_g_bar + d_scores^T a is one product
     d_gathered = np.empty_like(gathered) if out is None else out
     largest = max((b.stop - b.start for b in blocks), default=0)
     d_g_bar_a = np.empty((largest, 2 * h, c_f))
@@ -220,7 +232,8 @@ def cross_attention_backward(grad, cache, out=None):
         block = d_g_bar_a[:len(w)]
         d_g_bar = block[:, :h]
         d_g_bar[...] = d_a[rows]
-        np.matmul(q[:, rows], w_key.transpose(0, 2, 1), out=block[:, h:].transpose(1, 0, 2))
+        np.matmul(_queries(point_feats[rows], params, h), w_key.transpose(0, 2, 1),
+                  out=block[:, h:].transpose(1, 0, 2))
 
         # softmax backward; rows of `weights` are zero exactly on masked planes
         d_weights = d_g_bar @ gathered[rows].transpose(0, 2, 1)
@@ -234,11 +247,14 @@ def cross_attention_backward(grad, cache, out=None):
         del block, d_g_bar  # views of the buffer, which dies below
     del d_g_bar_a
 
-    # products that sum over the points run on the whole batch
+    # products that sum over the points run on the whole batch; q is rebuilt
+    # whole for the two that read it and dies before dq is formed
     d_a, d_b = d_a.transpose(1, 0, 2), d_b.transpose(1, 0, 2)  # (h, n, .)
+    q = _queries(point_feats, params, h)
+    dw_key, dw_pos = (_join_heads(g.transpose(0, 2, 1) @ q) for g in (d_a, d_b))
+    del q
     dq = np.empty((n, h, d))  # d_a w_key + d_b w_pos, laid out as (n, h*d)
     np.matmul(d_a, w_key, out=dq.transpose(1, 0, 2))
-    dw_key = _join_heads(d_a.transpose(0, 2, 1) @ q)
     del d_a
     dq += (d_b @ w_pos).transpose(1, 0, 2)
     dq = dq.reshape(n, h * d)
@@ -248,7 +264,7 @@ def cross_attention_backward(grad, cache, out=None):
         "w_query": point_feats.T @ dq,
         "w_key": dw_key,
         "w_value": _join_heads(dw_value),
-        "w_pos": _join_heads(d_b.transpose(0, 2, 1) @ q),
+        "w_pos": dw_pos,
         "w_out": dw_out,
     }
 

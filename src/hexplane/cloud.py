@@ -103,6 +103,9 @@ class PointCloud:
             feats = _frozen(self.features, np.float64)
             if feats.ndim != 2 or feats.shape[0] != n:
                 raise ValueError(f"features must have {n} rows, got shape {feats.shape}")
+            finite = np.isfinite(feats).all(axis=1)
+            if not finite.all():
+                raise ValueError(f"non-finite feature at point {int(np.argmin(finite))}")
             object.__setattr__(self, "features", feats)
 
         if self.labels is not None:

@@ -149,7 +149,7 @@ def _check_bilinear_sample(rng, eps):
     # one map as a one-map table: a view, so the probe's perturbations reach it
     return _probe(eps, r, {"fmap": fmap},
                   lambda: ops.bilinear_sample_forward(fmap.reshape(48, 4), u, v, (0, 6, 8)),
-                  lambda g, taps: {"fmap": ops.bilinear_sample_backward(g, ((6, 8, 4), *taps))})
+                  lambda g, uv: {"fmap": ops.bilinear_sample_backward(g, ((6, 8, 4), *uv))})
 
 
 def _check_point_encoder(rng, eps):

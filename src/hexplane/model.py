@@ -188,7 +188,7 @@ class HexPlaneModel:
         """Backward of a kept point step: (grads of head/point, attn and point
         w2/b2; d_gathered, over the cache's gathered features, or None; d_h1
         and cell_sums for `voxel_pool_backward`). It pops each part it reads,
-        which then dies; the gather's taps and the first layer's cache stay."""
+        which then dies; the gather's coordinates and the first layer's cache stay."""
         d_in, dw, db = heads.point_head_backward(d_logits, cache.pop("head"))
         grads, d_gathered = {"head/point": {"W": dw, "b": db}}, None
         if self.config.use_planes:

@@ -215,6 +215,16 @@ def bilinear_resize_backward(grad, cache):
     return (r_h.T @ cols.reshape(out_h, w * c)).reshape(-1, w, c)
 
 
+def _sample_taps(u, v, h, w):
+    """The four taps of (u, v) clamped to an h x w map, as row-major indices
+    into it, and the fractions fx, fy with a trailing axis."""
+    x, y = np.clip(u, 0.0, w - 1.0), np.clip(v, 0.0, h - 1.0)
+    x0, y0 = np.floor(x).astype(np.int64), np.floor(y).astype(np.int64)
+    x1, y1 = np.minimum(x0 + 1, w - 1), np.minimum(y0 + 1, h - 1)
+    ids = (y0 * w + x0, y0 * w + x1, y1 * w + x0, y1 * w + x1)
+    return ids, (x - x0)[..., None], (y - y0)[..., None]
+
+
 def bilinear_sample_forward(table, u, v, grid):
     """Sample maps stacked in a (rows, C) table at fractional grid
     coordinates; integer (u, v) hit nodes.
@@ -222,41 +232,31 @@ def bilinear_sample_forward(table, u, v, grid):
     With `grid` = (base, h, w), each sample reads the h x w map stored
     row-major from table row `base` on; the three broadcast against u and v.
     Coordinates are clamped to the map, so queries on or past the border
-    read the edge value. u and v have at least one axis, and the output has
-    shape u.shape + (C,). The cache is the taps, x0, x1, y0, y1 and fx, fy;
-    those of the samples from one map, with that map's (h, w, C), are the
-    cache `bilinear_sample_backward` reads.
+    read the edge value. u and v have one shape, with at least one axis,
+    and the output has shape u.shape + (C,). Taps are formed per block of
+    rows, and the cache is (u, v); those of the samples from one map, with
+    that map's (h, w, C), are the cache `bilinear_sample_backward` reads.
     """
     base, h, w = grid
-    x = np.clip(u, 0.0, w - 1.0)
-    y = np.clip(v, 0.0, h - 1.0)
-    x0 = np.floor(x).astype(np.int64)
-    y0 = np.floor(y).astype(np.int64)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    fx = (x - x0)[..., None]
-    fy = (y - y0)[..., None]
-    taps = [(base + row * w + col, weight) for row, col, weight in (
-        (y0, x0, (1 - fy) * (1 - fx)), (y0, x1, (1 - fy) * fx),
-        (y1, x0, fy * (1 - fx)), (y1, x1, fy * fx))]
     # ((A + B) + C) + D a block of rows at a time, each tap scaled in place
     # in one reused block buffer, so no temporary grows with the rows.
     # Every index is in range, so "clip" changes no value; it lets `take`
     # write to `out` without a buffer.
-    out = np.empty(taps[0][0].shape + (table.shape[1],))
+    out = np.empty(u.shape + (table.shape[1],))
     blocks = list(row_blocks(len(out)))
     tap = np.empty((max((b.stop - b.start for b in blocks), default=0),) + out.shape[1:])
-    (first, first_weight), *rest = taps
     for rows in blocks:
+        ids, fx, fy = _sample_taps(u[rows], v[rows], h, w)
+        weights = ((1 - fy) * (1 - fx), (1 - fy) * fx, fy * (1 - fx), fy * fx)
         acc = out[rows]
         part = tap[:len(acc)]
-        np.take(table, first[rows], axis=0, out=acc, mode="clip")
-        acc *= first_weight[rows]
-        for ids, weight in rest:
-            np.take(table, ids[rows], axis=0, out=part, mode="clip")
-            part *= weight[rows]
+        np.take(table, base + ids[0], axis=0, out=acc, mode="clip")
+        acc *= weights[0]
+        for tap_ids, weight in zip(ids[1:], weights[1:]):
+            np.take(table, base + tap_ids, axis=0, out=part, mode="clip")
+            part *= weight
             acc += part
-    return out, (x0, x1, y0, y1, fx, fy)
+    return out, (u, v)
 
 
 SCATTER_GROUP = 8  # most columns per bin-table group: sample backward, voxel pool
@@ -268,9 +268,11 @@ def bilinear_sample_backward(grad, cache):
     The tap products are written group-major, as the C columns' groups of
     gcd(C, SCATTER_GROUP), so that the scatter's bin table is (4N, group),
     not (4N, C). Each bin still adds its terms in the same order from zero,
-    so the sums have the same bits as one scatter of every column."""
-    (h, w, c), x0, x1, y0, y1, fx, fy = cache
-    ids = np.concatenate([y0 * w + x0, y0 * w + x1, y1 * w + x0, y1 * w + x1])
+    so the sums have the same bits as one scatter of every column. The taps
+    are rebuilt from (u, v), with the forward's bits."""
+    (h, w, c), u, v = cache
+    ids, fx, fy = _sample_taps(u, v, h, w)
+    ids = np.concatenate(ids)
     group = math.gcd(c, SCATTER_GROUP)
     # one buffer, no large temporaries; each tap keeps the left-to-right
     # rounding of grad * (1 - fy) * (1 - fx) and its three siblings

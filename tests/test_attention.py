@@ -49,10 +49,11 @@ def make_instance(seed, n=7, m=6, c_p=5, c_f=4, heads=HEADS, head_dim=3, c_out=6
 def sample_one_map(fmap, u, v):
     """The sampler on one (h, w, C) map, stacked alone in its table and read
     through scalar bounds; returns the samples and the cache
-    `ops.bilinear_sample_backward` reads."""
+    `ops.bilinear_sample_backward` reads, the map's shape and the sampled
+    coordinates."""
     h, w, c = fmap.shape
-    out, taps = ops.bilinear_sample_forward(fmap.reshape(h * w, c), u, v, (0, h, w))
-    return out, (fmap.shape, *taps)
+    out, coords = ops.bilinear_sample_forward(fmap.reshape(h * w, c), u, v, (0, h, w))
+    return out, (fmap.shape, *coords)
 
 
 class TestGatherPlaneFeatures:

@@ -191,11 +191,12 @@ def test_save_refuses_a_label_past_int32_before_writing(tmp_path, fmt, label):
     ([1e39, 0, 0], None),
     ([0, 0, -1e39], None),
     ([0, 0, 0], [[0.0], [4e38]]),
-    ([0, 0, 0], [[0.0], [np.nan]]),
+    ([0, 0, 0], [[0.0], [-4e38]]),
 ])
 def test_save_refuses_a_value_past_float32_before_writing(tmp_path, fmt, position, features):
-    # the float32 cast used to warn and write an inf or NaN that
-    # load_pointcloud refuses as a non-finite coordinate
+    # the float32 cast used to warn and write an inf that load_pointcloud
+    # refuses as a non-finite coordinate; a NaN feature never gets here, as
+    # PointCloud refuses it
     cloud = PointCloud([[0, 0, 0], position], features=features)
     path = tmp_path / "c"
     with warnings.catch_warnings():
@@ -412,6 +413,16 @@ class TestCloudInvariants:
         pos = np.array([[0.0, 0.0, np.inf]])
         with pytest.raises(ValueError, match="non-finite"):
             PointCloud(positions=pos)
+
+    @pytest.mark.parametrize("value, row", [(np.nan, 1), (np.inf, 2), (-np.inf, 4)])
+    def test_rejects_a_non_finite_feature(self, value, row):
+        # such a feature would reach the model and make its cell's logits NaN
+        feats = np.ones((5, 2))
+        feats[row, 1] = value
+        with pytest.raises(ValueError) as caught:
+            PointCloud(positions=np.zeros((5, 3)), features=feats)
+        assert type(caught.value) is ValueError
+        assert str(caught.value) == f"non-finite feature at point {row}"
 
     def test_rejects_a_distance_that_overflows(self):
         # each coordinate is finite but the squared distance is not; the check

@@ -331,10 +331,12 @@ def _shipped(name="occlusion_transfer"):
 # since the sampler, the attention forward and the rest of its backward run
 # over point blocks and the backward writes d_gathered over the cache's
 # gathered features, 11.7 MB since the point encoder and the scale fusion
-# keep their inputs, not the join and the stacks their backward rebuilds.
-# The same scene at 10,000 points: 70.3 MB, then 54.9 MB, then 49.2 MB
-TRAIN_STEP_PEAK_BYTES = 13_100_000
-TRAIN_STEP_10K_PEAK_BYTES = 54_800_000
+# keep their inputs, not the join and the stacks their backward rebuilds,
+# 10.3 MB since the attention keeps no queries or context and the gather no
+# taps, only the coordinates they are rebuilt from. The same scene at 10,000
+# points: 70.3 MB, then 54.9 MB, then 49.2 MB, then 42.2 MB
+TRAIN_STEP_PEAK_BYTES = 11_700_000
+TRAIN_STEP_10K_PEAK_BYTES = 47_800_000
 
 
 def _train_step_peak(points):
@@ -355,6 +357,27 @@ def _train_step_peak(points):
     return traced.peak
 
 
+# bytes reachable from the kept point-step cache of one 2,000-point
+# occlusion_transfer train step while the attention kept its queries
+# (h, N, d) and its context (N, h*d), and the gather the sampler's four int64
+# (N, 6) tap indices, with the fractions fx, fy where u, v are now
+POINT_CACHE_BYTES_WITH_QUERIES = 6_864_240
+
+
+def test_train_point_cache_keeps_no_queries_context_or_taps():
+    tree = _shipped()
+    cloud = cfg.build_scene(tree["scene"], "scene")
+    model = HexPlaneModel(cfg.build_model_config(tree, cfg.scene_num_classes(tree)))
+    hexset = plane_inputs(model.config, cloud, cfg.plane_spec_builder(tree["planes"]))
+    out = model.forward(cloud, hexset, grad=True)
+    total = sum(a.nbytes for a in _cached_arrays(out.cache["points"], {}).values())
+    # the backward rebuilds each of them from the inputs the cache keeps
+    query_bytes = context_bytes = cloud.n * model.config.heads * model.config.head_dim * 8
+    tap_bytes = 4 * cloud.n * len(hexset.planes) * np.dtype(np.int64).itemsize
+    assert total <= (POINT_CACHE_BYTES_WITH_QUERIES - query_bytes - context_bytes
+                     - tap_bytes), f"the point-step cache holds {total} B"
+
+
 def test_train_step_peak_memory():
     peak = _train_step_peak(2000)
     assert peak <= TRAIN_STEP_PEAK_BYTES, f"traced peak {peak} B"
@@ -371,8 +394,9 @@ def test_train_step_peak_memory_at_10000_points():
 # 22.9 MB when they die with the step, 19.0 MB before and 16.1 MB after the
 # train step's per-point temporaries went to point blocks, 15.2 MB since the
 # step drops its hexplane set once the labels are rasterized, 13.6 MB since
-# the point encoder's join and the fusion's stacks are rebuilt in the backward
-TRAIN_RUN_PEAK_BYTES = 15_100_000
+# the point encoder's join and the fusion's stacks are rebuilt in the backward,
+# 12.1 MB since the attention's queries and context and the sampler's taps are
+TRAIN_RUN_PEAK_BYTES = 13_700_000
 
 
 def test_train_run_peak_memory_holds_one_step_at_a_time():

@@ -412,8 +412,8 @@ class TestGatherAndOffsets:
         for m, (dmap, fmap, plane) in enumerate(zip(dmaps, fmaps, hexset.planes)):
             c, (h, w) = plane.index.coords, plane.raster.shape[:2]
             mask = c.in_fov
-            # the masked sample's cache: a one-map sample's taps of the
-            # in-FOV rows, not the cache under test
+            # the masked sample's cache: a one-map sample's coordinates of
+            # the in-FOV rows, not the cache under test
             _, masked = sample_one_map(
                 fmap, c.u[mask] * (fmap.shape[1] / w), c.v[mask] * (fmap.shape[0] / h))
             want = ops.bilinear_sample_backward(d_gathered[mask, m], masked)
@@ -449,11 +449,11 @@ def test_forward_never_samples_a_non_finite_coordinate():
     hexset = HexPlaneSet(tuple(planes))
     model = HexPlaneModel(ModelConfig(num_classes=3))
     out = model.forward(cloud, hexset)
-    gathered, valid, (_, _, _, _, _, fx, fy) = gather_plane_features(
+    gathered, valid, (_, u, v) = gather_plane_features(
         stack_planes(feature_maps(hexset, 4), hexset), slice(None))
     assert np.isfinite(out.point_logits).all()
     assert np.all(gathered[~valid] == 0.0) and np.isfinite(gathered).all()
     for m, plane in enumerate(hexset.planes):
         assert not np.isfinite(plane.index.coords.u).all(), m
         # every coordinate the sampler saw was finite
-        assert np.isfinite(fx[:, m]).all() and np.isfinite(fy[:, m]).all(), m
+        assert np.isfinite(u[:, m]).all() and np.isfinite(v[:, m]).all(), m

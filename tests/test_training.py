@@ -1,5 +1,6 @@
 """Model assembly, training loop, checkpoints, and gradient flow."""
 
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from hexplane.projection import (
 from hexplane.training import (
     DivergenceError,
     TrainSettings,
+    plane_inputs,
     train_toy,
 )
 
@@ -417,3 +419,42 @@ class TestTrainToy:
         first = result.log[0]["total"]
         last = result.log[-1]["total"]
         assert last < first
+
+
+# sha256 of (the logits, the named gradients in sorted order) of one
+# occlusion_transfer train step at seed 0, by point count
+TRAIN_STEP_DIGESTS = {
+    2000: ("7babc5827b7e1bbd9cbc46636f26d3014d862f12083da2453c7caa937d54c55a",
+           "4c8f03ed537c9a6cdc09a3e3911b3bde1d24f3c958b87f9ee86adadf5f4659fe"),
+    513: ("aee353cd365531ce2e26fe7a12a63df7ad7651475ccfacc09238cdd1177c4b16",
+          "b62e841c53b42298c79e9856949a80e914ca2c89e94a52edeaabc385d6ddbbad"),
+}
+
+
+def test_train_step_gradients_keep_their_bits():
+    """One occlusion_transfer train step, seed 0, on its training scene at
+    2,000 points (the shipped size) and at 513 (two point blocks, the last
+    with the one-row rest joined to it), keeps the bits of its logits and of
+    every gradient. A change that only moves where a product is formed, or
+    what a cache keeps, must leave both digests alone. The pins hold for
+    numpy 2.4.6 on scipy-openblas, which the package runs on one thread;
+    another numpy or BLAS may round differently."""
+    tree = cfg.load_config(CONFIGS / "occlusion_transfer.yaml")
+    num_classes = cfg.scene_num_classes(tree)
+    aux_weight = cfg.build_train_settings(tree).aux_weight
+    measured = {}
+    for points in TRAIN_STEP_DIGESTS:
+        cloud = cfg.build_scene(dict(tree["scene"], num_points=points), "scene")
+        model = HexPlaneModel(cfg.build_model_config(tree, num_classes))
+        hexset = plane_inputs(model.config, cloud, cfg.plane_spec_builder(tree["planes"]))
+        aux_labels = aux_label_grids(rasterize_labels(cloud, hexset), num_classes)
+        out = model.forward(cloud, hexset, grad=True)
+        _, d_point, d_aux = composite_loss(out.point_logits, cloud.labels, out.aux_logits,
+                                           aux_labels, aux_weight)
+        grads = model.backward(out, d_point, d_aux)
+        digest = hashlib.sha256()
+        for name in sorted(grads):
+            digest.update(name.encode() + grads[name].tobytes())
+        measured[points] = (hashlib.sha256(out.point_logits.tobytes()).hexdigest(),
+                            digest.hexdigest())
+    assert measured == TRAIN_STEP_DIGESTS, f"measured {measured}"
