@@ -120,6 +120,7 @@ def cmd_eval(args) -> int:
         section = "scene" if tree["eval_scene"] is None else "eval_scene"
         cloud = cfg.build_scene(tree[section], section)
         require_labels(cloud, "evaluation")
+        cfg.label_classes(cloud.labels, section)  # refused before the checkpoint is read
         params = load_checkpoint(args.checkpoint)
         head = params.get("head/point/W")  # its width is the trained class count
         if head is None or head.ndim != 2:

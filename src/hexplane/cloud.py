@@ -168,13 +168,11 @@ def save_pointcloud(path, cloud: PointCloud, format: str = "binary") -> None:
         with open(path, "wb") as fh:
             fh.write(_MAGIC)
             fh.write(struct.pack("<HQHB", _VERSION, n, c, int(has_labels)))
+            rec = np.zeros(n, dtype=_record_dtype(c, has_labels))
+            rec["f"] = cols
             if has_labels:
-                rec = np.zeros(n, dtype=_record_dtype(c, True))
-                rec["f"] = cols
                 rec["label"] = cloud.labels.astype(np.int32)
-                fh.write(rec.tobytes())
-            else:
-                fh.write(cols.tobytes())  # C order, whatever the layout
+            fh.write(rec.tobytes())
     else:
         raise ValueError(f"unknown format {format!r}")
 

@@ -18,7 +18,6 @@ import json
 import math
 import sys
 
-import numpy as np
 import yaml
 
 from . import cloud as cloudmod
@@ -30,7 +29,6 @@ from .projection import (
     DEFAULT_SENSOR,
     PLANE_KINDS,
     SensorConfig,
-    _ORTHO_AXES,
     default_plane_specs,
 )
 from .training import TrainSettings
@@ -65,13 +63,13 @@ DEFAULTS = {
     "planes": {
         kind: {"height": DEFAULT_RESOLUTIONS[kind][0],
                "width": DEFAULT_RESOLUTIONS[kind][1],
-               **({"extent": None, "depth_ref": None} if kind in _ORTHO_AXES
+               **({"extent": None, "depth_ref": None} if kind != "cylindrical"
                   else {"fov_up_deg": math.degrees(DEFAULT_SENSOR.phi_up),
                         "fov_down_deg": math.degrees(DEFAULT_SENSOR.phi_down)})}
         for kind in PLANE_KINDS
     },
-    # raster_channels is fixed, point_channels read from the scenes, seed top-level
-    "model": _field_defaults(ModelConfig, skip=("raster_channels", "point_channels", "seed")),
+    # point_channels is read from the scenes, seed is top-level
+    "model": _field_defaults(ModelConfig, skip=("point_channels", "seed")),
     "training": _field_defaults(TrainSettings),
 }
 
@@ -267,12 +265,6 @@ def build_scene(scene_tree, section="scene"):
     raise ConfigError(f"config: {section}.kind: unknown scene kind {kind!r}")
 
 
-def build_sensor(planes_tree) -> SensorConfig:
-    cyl = planes_tree["cylindrical"]
-    return SensorConfig(phi_up=math.radians(cyl["fov_up_deg"]),
-                        phi_down=math.radians(cyl["fov_down_deg"]))
-
-
 def plane_spec_builder(planes_tree):
     """Returns plane_spec_fn(cloud) -> six PlaneSpec.
 
@@ -280,20 +272,17 @@ def plane_spec_builder(planes_tree):
     an orthographic extent/depth ref given in the config replaces the one
     derived from each cloud's padded bounding box.
     """
-    sensor = build_sensor(planes_tree)
-    sizes = {kind: (planes_tree[kind]["height"], planes_tree[kind]["width"])
-             for kind in PLANE_KINDS}
-    given = {}
-    for kind in _ORTHO_AXES:
-        sub = planes_tree[kind]
-        given[kind] = {}
-        if sub["extent"] is not None:
-            given[kind]["extent"] = tuple(float(v) for v in sub["extent"])
-        if sub["depth_ref"] is not None:
-            given[kind]["depth_ref"] = float(sub["depth_ref"])
+    cyl = planes_tree["cylindrical"]
+    sensor = SensorConfig(phi_up=math.radians(cyl["fov_up_deg"]),
+                          phi_down=math.radians(cyl["fov_down_deg"]))
+    sizes = {kind: (sub["height"], sub["width"]) for kind, sub in planes_tree.items()}
+    given = {kind: {key: _cast(sub[key], default)
+                    for key, default in (("extent", (0.0,)), ("depth_ref", 0.0))
+                    if sub.get(key) is not None}
+             for kind, sub in planes_tree.items()}
 
     def build(cloud):
-        return [dataclasses.replace(spec, **given.get(spec.kind, {}))
+        return [dataclasses.replace(spec, **given[spec.kind])
                 for spec in default_plane_specs(cloud, sensor, sizes)]
 
     return build
@@ -313,8 +302,7 @@ def build_model_config(tree, num_classes, clouds=()) -> ModelConfig:
     for cloud in clouds:
         # flips and rotations about z keep each point's norm, so an augmented
         # copy spans at most twice the largest; 2**62 leaves int64 room to round
-        x, y, z = cloud.axes
-        span = 2.0 * float(np.hypot(np.hypot(x, y), z).max())
+        span = 2.0 * float(cloud.depths.max())
         if not span / config.voxel_size < 2.0**62:
             raise ConfigError(f"config: model.voxel_size {config.voxel_size:g} gives more "
                               f"than 2**62 cells across the scene's {span:g} m")

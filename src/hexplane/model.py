@@ -9,6 +9,7 @@ the model degrades to the point-only baseline: point encoder to point head.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -40,8 +41,8 @@ class ModelConfig:
     head_dim: int = 16
     fused_channels: int = 64
     use_planes: bool = True
-    raster_channels: tuple = DEFAULT_CHANNELS
     seed: int = 0
+    raster_channels: ClassVar[tuple] = DEFAULT_CHANNELS  # each plane's raster; not a setting
 
 
 @dataclass

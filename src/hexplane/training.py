@@ -116,9 +116,7 @@ def plane_inputs(model_config: ModelConfig, cloud: PointCloud, plane_spec_fn):
     model. Train and eval both project through here."""
     if not model_config.use_planes:
         return None
-    return hexplane_project(
-        cloud, plane_spec_fn(cloud), channels=model_config.raster_channels
-    )
+    return hexplane_project(cloud, plane_spec_fn(cloud))
 
 
 def require_labels(cloud: PointCloud, role: str) -> PointCloud:

@@ -3,6 +3,7 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines live.
 """
 
+import hashlib
 import math
 import time
 from pathlib import Path
@@ -16,6 +17,8 @@ from hexplane.attention import (
     attention_weights,
     cross_attention_forward,
 )
+from hexplane.checkpoint import save_checkpoint
+from hexplane.cli import main
 from hexplane.cloud import PointCloud, make_occlusion_scene
 from hexplane.gradcheck import grad_check
 from hexplane.metrics import ConfusionMatrix, PRCurve, average_precision, segmentation_scores
@@ -29,7 +32,7 @@ from hexplane.projection import (
     project_cylindrical,
     winner_table,
 )
-from hexplane.training import train_toy
+from hexplane.training import train_toy, write_log
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -247,7 +250,30 @@ def run_config(path):
     )
 
 
-def test_criterion_8_toy_end_to_end_learning():
+# sha256 of (checkpoint.bin, log.jsonl) as `hexplane train` writes them for
+# each shipped config, and of the report `hexplane eval` writes for the
+# occlusion_transfer model on its eval scene
+SHIPPED_DIGESTS = {
+    "two_class": ("6d6d74b1788f4401fcdf879a4d010157c3f71e03a2d2e8c698df6d2e11635337",
+                  "812ca696fc74bbbcd88789cdbf582ea946e1e61a54f03837206f758290776392"),
+    "occlusion_transfer": ("f19ffad49d80185f7735d2d4fdeadec96ac60abad8cbfff45693d1bd8cf89313",
+                           "afc066ee4c0e642a4a79ddbeeae65cf217eb51c58a66316823baf4ac224c362a"),
+    "occlusion_ablation": ("9fa32696005e8f8f542bafe32f2be90a59c149da546d30b135f7cce34715c42e",
+                           "1ed3ed17da734764b62d016d6f8e596ca01ada49f96e36170e26034688e1e8b2"),
+}
+EVAL_REPORT_DIGEST = "262b8b4967ec2633f31f3efd09bdf6243ec447e39271db85887c6a9003747cc5"
+
+
+def sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def test_criterion_8_toy_end_to_end_learning(tmp_path):
+    """The three shipped configs learn, and each writes the bytes that
+    `hexplane train` wrote when the pins were taken, as does `hexplane eval`
+    on the occlusion_transfer model. The pins hold for numpy 2.4.6 on
+    scipy-openblas, which the package runs on one thread; another numpy or
+    BLAS may round differently."""
     t0 = time.perf_counter()
     two_class = run_config(CONFIG_DIR / "two_class.yaml")
     two_class_time = time.perf_counter() - t0
@@ -263,11 +289,22 @@ def test_criterion_8_toy_end_to_end_learning():
                   f"occlusion OA full {full.final_oa:.4f} vs point-only "
                   f"{ablation.final_oa:.4f} (margin {margin:+.4f} >= 0.03)")
 
+    measured = {}
+    for name, result in (("two_class", two_class), ("occlusion_transfer", full),
+                         ("occlusion_ablation", ablation)):
+        save_checkpoint(tmp_path / f"{name}.bin", result.model.parameters())
+        write_log(tmp_path / f"{name}.jsonl", result.log)
+        measured[name] = (sha256(tmp_path / f"{name}.bin"), sha256(tmp_path / f"{name}.jsonl"))
+    assert measured == SHIPPED_DIGESTS, f"measured {measured}"
+    assert main(["eval", "--config", str(CONFIG_DIR / "occlusion_transfer.yaml"),
+                 "--checkpoint", str(tmp_path / "occlusion_transfer.bin"),
+                 "--out", str(tmp_path / "report.json")]) == 0
+    digest = sha256(tmp_path / "report.json")
+    assert digest == EVAL_REPORT_DIGEST, f"measured {digest}"
+
 
 def test_criterion_9_cli_determinism(tmp_path):
     import yaml
-
-    from hexplane.cli import main
 
     tree = {
         "scene": {"kind": "synth", "seed": 3, "num_points": 300, "num_classes": 3,

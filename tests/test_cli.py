@@ -361,7 +361,7 @@ class TestTrainEval:
 
     def test_eval_cloud_labeled_past_any_matrix_exits_1(self, tmp_path, tiny_config, capsys):
         # its labels alone set the matrix's width, and a cloud's labels reach
-        # 2**31 - 1; one past the bound keeps a matrix without it small
+        # 2**31 - 1; one past the bound is refused by key, as train refuses it
         cloud_path = tmp_path / "wide.bin"
         save_pointcloud(cloud_path, PointCloud(positions=np.array([[0.5, 0.5, 0.5],
                                                                    [1.5, 1.5, 0.5]]),
@@ -371,8 +371,9 @@ class TestTrainEval:
         capsys.readouterr()
         assert main(["eval", "--config", str(tiny_config), "--checkpoint",
                      str(out_dir / "checkpoint.bin"), "--cloud", str(cloud_path)]) == 1
-        assert capsys.readouterr().err == ("error: a confusion matrix holds at most 4096 "
-                                           "classes, not 4097\n")
+        assert capsys.readouterr().err == ("error: config: eval_scene.path: label 4096 asks "
+                                           "for 4097 classes, past the 4096 a confusion "
+                                           "matrix holds\n")
 
     def test_feature_file_scene_trains_and_evals_without_a_width_key(self, tmp_path):
         # the input width is read from the cloud: a file scene with feature
@@ -784,6 +785,33 @@ class TestValidation:
         assert err == ("error: config: eval_scene.path: label 5000 asks for 5001 classes, "
                        "past the 4096 a confusion matrix holds\n")
         assert not (out_dir / "checkpoint.bin").exists()
+
+    def test_cloud_labeled_past_any_matrix_is_refused_alike_by_train_and_eval(
+            self, tmp_path, tiny_config, monkeypatch, capsys):
+        # eval used to read the checkpoint and run the whole forward, then
+        # exit 1 on the confusion matrix's bound without naming a key
+        from hexplane import cli, training
+
+        cloud_path = tmp_path / "wide.bin"
+        save_pointcloud(cloud_path, PointCloud(
+            positions=np.random.default_rng(2).uniform(-2.0, 2.0, size=(50, 3)),
+            labels=np.where(np.arange(50) == 7, 5000, np.arange(50) % 3)))
+        tree = copy.deepcopy(TINY_CONFIG)
+        tree["eval_scene"] = {"kind": "file", "path": str(cloud_path)}
+        config = tmp_path / "wide.yaml"
+        config.write_text(yaml.safe_dump(tree))
+        monkeypatch.setattr(training, "_train_step",
+                            lambda *args: pytest.fail("a training step ran"))
+        monkeypatch.setattr(cli, "load_checkpoint",
+                            lambda *args: pytest.fail("the checkpoint was read"))
+        errs = []
+        for argv in (["train", "--config", str(config), "--output-dir", str(tmp_path / "run")],
+                     ["eval", "--config", str(tiny_config), "--checkpoint",
+                      str(tmp_path / "any.bin"), "--cloud", str(cloud_path)]):
+            assert main(argv) == 1
+            errs.append(capsys.readouterr().err)
+        assert errs == 2 * ["error: config: eval_scene.path: label 5000 asks for 5001 "
+                            "classes, past the 4096 a confusion matrix holds\n"]
 
     @pytest.mark.parametrize("label, classes", [(-1, 0), (0, 1)], ids=["unlabeled", "one"])
     def test_file_scene_of_fewer_than_two_classes_exits_1_before_training(

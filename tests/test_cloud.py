@@ -119,6 +119,15 @@ class TestAsciiFormat:
         assert np.array_equal(back.labels, cloud.labels)
 
 
+# sha256 of the binary file of a 37-point cloud: labeled, unlabeled, and
+# unlabeled with two feature columns
+BINARY_DIGESTS = {
+    "labeled": "7326b6f80f9fe9b1b18db9af390eed352cfc8c8f9d3882a0fac2e39ef8aba640",
+    "unlabeled": "11e41084b7f4adfb731f6c2a10de546eb282808808143302d8e9fecdfa18d240",
+    "features": "c94904f52a58340f89b8d9bfb85f8efa645deb67cea9945792154b0497b51768",
+}
+
+
 class TestBinaryFormat:
     def test_round_trip_byte_identical(self, tmp_path):
         # save(load(f)) must reproduce the canonical bytes of f
@@ -134,6 +143,21 @@ class TestBinaryFormat:
             save_pointcloud(first, cloud, format="binary")
             save_pointcloud(second, load_pointcloud(first), format="binary")
             assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("kind", list(BINARY_DIGESTS))
+    def test_bytes_are_pinned(self, tmp_path, kind):
+        # the round trip above runs both sides through the writer, so it
+        # cannot see a byte the writer changes; these pins can
+        rng = np.random.default_rng(12)
+        n = 37
+        cloud = PointCloud(
+            positions=rng.normal(size=(n, 3)) * 5,
+            features=rng.normal(size=(n, 2)) if kind == "features" else None,
+            labels=rng.integers(-1, 5, size=n) if kind == "labeled" else None)
+        path = tmp_path / f"{kind}.bin"
+        save_pointcloud(path, cloud, format="binary")
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == BINARY_DIGESTS[kind], f"measured {digest}"
 
     def test_truncated_record_names_index(self, tmp_path):
         rng = np.random.default_rng(3)

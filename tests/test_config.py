@@ -29,12 +29,13 @@ class TestDefaults:
     def test_empty_config_builds_dataclass_defaults(self):
         tree = cfg.validate_config({})
         k = cfg.scene_num_classes(tree)
+        cylindrical = cfg.plane_spec_builder(tree["planes"])(small_cloud())[-1]
         want = {
             "model": (cfg.build_model_config(tree, k), ModelConfig(num_classes=k, seed=0)),
             "training": (cfg.build_train_settings(tree), TrainSettings()),
             "scene": (cfg.build_scene_spec(tree["scene"]),
                       SceneSpec(seed=0, num_points=2000, num_classes=3)),
-            "sensor": (cfg.build_sensor(tree["planes"]), DEFAULT_SENSOR),
+            "sensor": (cylindrical.sensor, DEFAULT_SENSOR),
         }
         for name, (got, default) in want.items():
             assert got == default, name

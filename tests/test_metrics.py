@@ -49,6 +49,11 @@ class TestConfusionMatrix:
         with pytest.raises(ValueError, match="out of range"):
             ConfusionMatrix(2).update(np.array([3]), np.array([0]))
 
+    def test_past_the_class_bound_rejected(self):
+        # refused before the K x K counts are allocated
+        with pytest.raises(ValueError, match="holds at most 4096 classes, not 4097"):
+            ConfusionMatrix(4097)
+
 
 class TestSegmentationScores:
     def test_perfect(self):
